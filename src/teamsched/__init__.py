@@ -30,6 +30,7 @@ from .oracle import (
     SecurityVerdict,
     grid_search_optimum,
     monotonicity_sweep,
+    verify_security,
     verify_strong_security,
     verify_weak_security,
 )

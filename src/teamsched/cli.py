@@ -4,7 +4,7 @@ Subcommands: ``solve`` (one equilibrium, report to stdout), ``sweep``
 (scenario grid to CSV), ``figure`` (figure-data CSV), ``verify`` (security
 verdicts). Exit codes: 0 success, 1 validation/format error, 2 solver
 non-convergence, 3 usage error. ``TEAMSCHED_TOL`` overrides the default
-solver tolerance.
+solver tolerance of the commands that take ``--tol``.
 """
 
 from __future__ import annotations
@@ -92,14 +92,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    rows = run_sweep(scenario, jobs=args.jobs)
+    rows = run_sweep(scenario)
     _write_output(sweep_csv(scenario, rows), args.out)
     return EXIT_OK if all(r.converged for r in rows) else EXIT_NO_CONVERGENCE
 
 
 def _cmd_figure(args) -> int:
     alphas = _parse_alpha_list(args.alpha_list) if args.alpha_list else None
-    text = figure_data(args.figure, numeric=args.numeric, alphas=alphas, jobs=args.jobs)
+    text = figure_data(args.figure, numeric=args.numeric, alphas=alphas)
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -112,10 +112,7 @@ def _cmd_verify(args) -> int:
         alphas = list(scenario.alpha_grid)
     else:
         alphas = [scenario.instance.attack_strength]
-    strong = oracle.verify_strong_security(
-        scenario.instance, scenario.population, alphas,
-        settings=scenario.settings, seed=args.seed)
-    weak = oracle.verify_weak_security(
+    strong, weak = oracle.verify_security(
         scenario.instance, scenario.population, alphas,
         settings=scenario.settings, seed=args.seed)
     if strong.inconclusive or weak.inconclusive:
@@ -134,25 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for parallel-server scheduling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def solver_flags(p):
         p.add_argument("--tol", type=float, default=None,
                        help="residual tolerance (default from TEAMSCHED_TOL or 1e-10)")
         p.add_argument("--max-iters", type=int, default=None,
                        help="best-response iteration cap")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for multi-start equilibrium checks")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads (output is identical for any count)")
 
     p = sub.add_parser("solve", help="solve one scenario and print the report")
     p.add_argument("scenario")
-    common(p)
+    solver_flags(p)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("sweep", help="run the scenario's sweep grid to CSV")
     p.add_argument("scenario")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    common(p)
+    solver_flags(p)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("figure", help="emit figure-data CSV")
@@ -162,14 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the iterative/search solvers instead of closed forms")
     p.add_argument("--alpha-list", default=None,
                    help="comma-separated attack strengths overriding the default grid")
-    common(p)
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("verify", help="run oracle security verdicts on a scenario")
     p.add_argument("scenario")
     p.add_argument("--alpha-list", default=None,
                    help="comma-separated attack strengths (default: scenario sweep grid)")
-    common(p)
+    solver_flags(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for multi-start equilibrium checks")
     p.set_defaults(fn=_cmd_verify)
     return parser
 
@@ -177,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
+    if "tol" in args and args.tol is None:
         env_tol = _default_tolerance()
         if env_tol != SolveSettings.tolerance:
             args.tol = env_tol

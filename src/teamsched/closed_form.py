@@ -18,7 +18,8 @@ REGIME_INTERMEDIATE = "intermediate"
 REGIME_SELFISH = "selfish"
 
 
-def _check_domain(n: int, alpha: float, min_n: int = 2) -> None:
+def _check_domain(n: int, alpha: float = 0.0, min_n: int = 2) -> None:
+    """Reject a non-integral or too small server count and a bad attack strength."""
     if int(n) != n or n < min_n:
         raise ValueError(f"server count must be an integer >= {min_n}, got {n}")
     if not math.isfinite(alpha) or alpha < 0.0:
@@ -32,14 +33,12 @@ class LinearRegime:
     ``r_bar`` is the penetration level above which the team response is
     globally optimal; below ``selfish_knee`` the machines are displaced
     entirely and the outcome matches a fully selfish population.
-    ``lower_knee`` (the bottom of the intermediate band, ``r_bar`` minus the
-    same offset that defines it) coincides with ``selfish_knee``
-    algebraically, so both fields carry the same value.
+    ``selfish_knee`` is also the bottom of the intermediate band: ``r_bar``
+    minus the same offset that defines it.
     """
 
     label: str
     r_bar: float
-    lower_knee: float
     selfish_knee: float
 
 
@@ -57,7 +56,7 @@ def classify_regime(n: int, r: float, alpha: float) -> LinearRegime:
         label = REGIME_SELFISH
     else:
         label = REGIME_INTERMEDIATE
-    return LinearRegime(label, r_bar, knee, knee)
+    return LinearRegime(label, r_bar, knee)
 
 
 def penetration_threshold(n: int, alpha: float) -> float:

@@ -20,17 +20,15 @@ sweep block defines attack-strength and machine-mass grids; sweeping ``r``
 scales the machine masses proportionally, so it needs at least one machine.
 
 CSV output is pinned: comma separator, header row, 12 significant digits,
-``\\n`` row terminator. Emitted files are byte-stable across reruns and
-thread counts.
+``\\n`` row terminator. Emitted files are byte-stable across reruns.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import closed_form, stackelberg
 from .game import (GameInstance, LoadProfile, SchedulerPopulation,
@@ -123,9 +121,12 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(delays, list) or len(delays) != n:
         raise ScenarioError(f"servers.delays must list {n} coefficient arrays")
     attack = doc.get("attack", {})
+    target = attack.get("target", 1)
+    if isinstance(target, float) and not target.is_integer():
+        raise ScenarioError(f"attack.target must be an integer server index, got {target}")
     try:
         instance = GameInstance(n, tuple(tuple(map(float, d)) for d in delays),
-                                int(attack.get("target", 1)),
+                                int(target),
                                 float(attack.get("strength", 0.0)))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
@@ -175,15 +176,7 @@ def _population_at_mass(population: SchedulerPopulation, n: int, r: float) -> Sc
     return SchedulerPopulation.for_instance(n, pairs, population.selfish_access)
 
 
-def _ordered_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Map preserving input order; thread count must not change the output."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_sweep(scenario: Scenario, jobs: int = 1) -> list[SweepRow]:
+def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Solve every (alpha, r) sweep point of the scenario.
 
     Each row records the team equilibrium, the exact optimum (marginal-cost
@@ -200,8 +193,7 @@ def run_sweep(scenario: Scenario, jobs: int = 1) -> list[SweepRow]:
     calm = replace(instance, attack_strength=0.0)
     baseline = LoadProfile.from_raw(solve_social_optimum(calm, full, float(n)))
 
-    def solve_point(point: tuple[float, float]) -> SweepRow:
-        alpha, r = point
+    def solve_point(alpha: float, r: float) -> SweepRow:
         attacked = replace(instance, attack_strength=alpha)
         pop = _population_at_mass(population, n, r)
         team = solve_team_equilibrium(attacked, pop, scenario.settings)
@@ -220,8 +212,7 @@ def run_sweep(scenario: Scenario, jobs: int = 1) -> list[SweepRow]:
             selfish_loads=selfish.aggregate.loads,
         )
 
-    points = [(alpha, r) for alpha in alphas for r in rs]
-    return _ordered_map(solve_point, points, jobs)
+    return [solve_point(alpha, r) for alpha in alphas for r in rs]
 
 
 def sweep_csv(scenario: Scenario, rows: Iterable[SweepRow]) -> str:
@@ -249,7 +240,7 @@ def _fig2_numeric_cost(r: float, alpha: float) -> float:
     return solve_team_equilibrium(instance, population).cost
 
 
-def _fig2(numeric: bool, alphas: Sequence[float] | None, jobs: int) -> str:
+def _fig2(numeric: bool, alphas: Sequence[float] | None) -> str:
     curve_alphas = tuple(alphas) if alphas else FIG2_DEFAULT_ALPHAS
     rs = _grid(0.0, 2.0, 201)
     header = ["r"] + [f"cost_alpha_{_fmt(a)}" for a in curve_alphas]
@@ -261,7 +252,7 @@ def _fig2(numeric: bool, alphas: Sequence[float] | None, jobs: int) -> str:
             costs = [closed_form.team_cost_linear(2, r, a) for a in curve_alphas]
         return ",".join([_fmt(r)] + [_fmt(c) for c in costs])
 
-    return "\n".join([",".join(header)] + _ordered_map(row, rs, jobs)) + "\n"
+    return "\n".join([",".join(header)] + [row(r) for r in rs]) + "\n"
 
 
 def _constrained_population(n: int) -> SchedulerPopulation:
@@ -285,10 +276,10 @@ def _fig4_row(alpha: float, n: int, numeric: bool) -> tuple[float, float, float,
     return alpha, uninfluenced, stack, optimal
 
 
-def _fig4(numeric: bool, alphas: Sequence[float] | None, jobs: int) -> str:
+def _fig4(numeric: bool, alphas: Sequence[float] | None) -> str:
     grid = list(alphas) if alphas else _grid(0.0, 3.0, 61)
     header = ["alpha", "uninfluenced_cost", "stackelberg_cost", "optimal_cost"]
-    rows = _ordered_map(lambda a: _fig4_row(a, 3, numeric), grid, jobs)
+    rows = [_fig4_row(a, 3, numeric) for a in grid]
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
@@ -308,20 +299,20 @@ def _fig5_row(alpha: float, n: int, numeric: bool) -> list[float]:
     return [alpha, *uninfluenced.loads, *stack.loads, *optimal.loads]
 
 
-def _fig5(numeric: bool, alphas: Sequence[float] | None, jobs: int) -> str:
+def _fig5(numeric: bool, alphas: Sequence[float] | None) -> str:
     n = 3
     grid = list(alphas) if alphas else _grid(0.0, 3.0, 61)
     header = ["alpha"]
     for profile in ("uninfluenced", "stackelberg", "optimal"):
         header += [f"{profile}_x_{i}" for i in range(1, n + 1)]
-    rows = _ordered_map(lambda a: _fig5_row(a, n, numeric), grid, jobs)
+    rows = [_fig5_row(a, n, numeric) for a in grid]
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def figure_data(figure_id: str, *, numeric: bool = False,
-                alphas: Sequence[float] | None = None, jobs: int = 1) -> str:
+                alphas: Sequence[float] | None = None) -> str:
     """CSV text for one of the shipped figures.
 
     ``fig2``: team cost vs machine mass (two servers), one curve per attack
@@ -331,9 +322,9 @@ def figure_data(figure_id: str, *, numeric: bool = False,
     search solvers instead of the closed forms, for cross-validation.
     """
     if figure_id == "fig2":
-        return _fig2(numeric, alphas, jobs)
+        return _fig2(numeric, alphas)
     if figure_id == "fig4":
-        return _fig4(numeric, alphas, jobs)
+        return _fig4(numeric, alphas)
     if figure_id == "fig5":
-        return _fig5(numeric, alphas, jobs)
+        return _fig5(numeric, alphas)
     raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")

@@ -30,6 +30,14 @@ def _as_floats(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def horner(coefficients: Sequence[float], x: float) -> float:
+    """Value at ``x`` of the polynomial with the given coefficients, constant first."""
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class DelayFunction:
     """Polynomial delay ``tau(x) = sum_j c_j x**j`` with nonnegative coefficients.
@@ -63,16 +71,10 @@ class DelayFunction:
         return tuple((j + 1) * c for j, c in enumerate(self.coefficients))
 
     def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return horner(self.coefficients, x)
 
     def derivative(self, x: float) -> float:
-        acc = 0.0
-        for j in range(len(self.coefficients) - 1, 0, -1):
-            acc = acc * x + j * self.coefficients[j]
-        return acc
+        return horner([j * c for j, c in enumerate(self.coefficients)][1:], x)
 
 
 def eval_delay(f: DelayFunction, x: float, attack_bonus: float = 0.0) -> float:
@@ -94,10 +96,7 @@ def eval_marginal_cost(f: DelayFunction, x: float, attack_bonus: float = 0.0) ->
         raise ValueError(f"load must be nonnegative, got {x}")
     if attack_bonus < 0.0:
         raise ValueError(f"attack bonus must be nonnegative, got {attack_bonus}")
-    acc = 0.0
-    for c in reversed(f.marginal_coefficients):
-        acc = acc * x + c
-    return acc + attack_bonus
+    return horner(f.marginal_coefficients, x) + attack_bonus
 
 
 @dataclass(frozen=True)
@@ -317,7 +316,9 @@ def validate(instance: GameInstance, population: SchedulerPopulation) -> list[st
                 f"server 1 has {base}")
     if not 1 <= instance.attack_target <= n:
         issues.append(f"bad-attack-target: {instance.attack_target} not in 1..{n}")
-    if instance.attack_strength < 0.0:
+    if not math.isfinite(instance.attack_strength):
+        issues.append(f"nonfinite-attack-strength: {instance.attack_strength}")
+    elif instance.attack_strength < 0.0:
         issues.append(f"negative-attack-strength: {instance.attack_strength}")
 
     total_machine = population.machine_mass_total

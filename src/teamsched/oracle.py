@@ -155,9 +155,17 @@ def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulati
     return costs or None
 
 
-def _security_scan(instance: GameInstance, population: SchedulerPopulation,
-                   alphas: Sequence[float], resolution: float,
-                   settings: SolveSettings | None, starts: int, seed: int):
+def verify_security(instance: GameInstance, population: SchedulerPopulation,
+                    alphas: Sequence[float], tol: float = 1e-5, *,
+                    resolution: float = 1e-3, settings: SolveSettings | None = None,
+                    starts: int = 5, seed: int = 0) -> tuple[SecurityVerdict, SecurityVerdict]:
+    """Strong and weak verdicts from one scan over the attack-strength grid.
+
+    At each grid attack the worst multistart team cost is compared with the
+    lattice optimum (strong) and with the attack-oblivious baseline, the
+    no-attack optimum held fixed (weak). Returns ``(strong, weak)``; each
+    locates the largest gap of its own comparison.
+    """
     settings = settings or SolveSettings()
     rng = random.Random(seed)
     baseline_profile, _ = grid_search_optimum(replace(instance, attack_strength=0.0), resolution)
@@ -168,22 +176,21 @@ def _security_scan(instance: GameInstance, population: SchedulerPopulation,
         attacked = replace(instance, attack_strength=float(alpha))
         costs = _team_costs_multistart(attacked, population, settings, starts, rng)
         if costs is None:
-            return None, None
+            failed = SecurityVerdict(False, False, math.nan, math.nan, inconclusive=True)
+            return failed, failed
         worst_team = max(costs)
         _, opt_cost = grid_search_optimum(attacked, resolution)
         strong_gaps.append((float(alpha), worst_team - opt_cost))
         weak_gaps.append((float(alpha), worst_team - system_cost(attacked, baseline_profile)))
-    return strong_gaps, weak_gaps
 
-
-def _verdict(strong_gaps, weak_gaps, tol: float, primary: str) -> SecurityVerdict:
-    if strong_gaps is None:
-        return SecurityVerdict(False, False, math.nan, math.nan, inconclusive=True)
     strong = all(g <= tol for _, g in strong_gaps)
     weak = all(g <= tol for _, g in weak_gaps)
-    gaps = strong_gaps if primary == "strong" else weak_gaps
-    worst_alpha, gap = max(gaps, key=lambda ag: ag[1])
-    return SecurityVerdict(strong, weak, worst_alpha, gap)
+
+    def verdict(gaps: list[tuple[float, float]]) -> SecurityVerdict:
+        worst_alpha, gap = max(gaps, key=lambda ag: ag[1])
+        return SecurityVerdict(strong, weak, worst_alpha, gap)
+
+    return verdict(strong_gaps), verdict(weak_gaps)
 
 
 def verify_strong_security(instance: GameInstance, population: SchedulerPopulation,
@@ -191,9 +198,8 @@ def verify_strong_security(instance: GameInstance, population: SchedulerPopulati
                            resolution: float = 1e-3, settings: SolveSettings | None = None,
                            starts: int = 5, seed: int = 0) -> SecurityVerdict:
     """Does the team response match the lattice optimum at every grid attack?"""
-    strong_gaps, weak_gaps = _security_scan(instance, population, alphas,
-                                            resolution, settings, starts, seed)
-    return _verdict(strong_gaps, weak_gaps, tol, "strong")
+    return verify_security(instance, population, alphas, tol, resolution=resolution,
+                           settings=settings, starts=starts, seed=seed)[0]
 
 
 def verify_weak_security(instance: GameInstance, population: SchedulerPopulation,
@@ -202,9 +208,8 @@ def verify_weak_security(instance: GameInstance, population: SchedulerPopulation
                          starts: int = 5, seed: int = 0) -> SecurityVerdict:
     """Does the team response stay at or below the attack-oblivious baseline
     (the no-attack optimum held fixed) at every grid attack?"""
-    strong_gaps, weak_gaps = _security_scan(instance, population, alphas,
-                                            resolution, settings, starts, seed)
-    return _verdict(strong_gaps, weak_gaps, tol, "weak")
+    return verify_security(instance, population, alphas, tol, resolution=resolution,
+                           settings=settings, starts=starts, seed=seed)[1]
 
 
 def monotonicity_sweep(instance: GameInstance, r_grid: Sequence[float], alpha: float,

@@ -28,6 +28,7 @@ from .game import (
     SchedulerPopulation,
     ValidationError,
     eval_delay,
+    horner,
     validate,
 )
 
@@ -79,20 +80,13 @@ class SolveReport:
 # level-equalizing fills
 
 
-def _poly_eval(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _invert_level(coeffs: Sequence[float], target: float, lo: float, hi: float) -> float:
     """Largest z in [lo, hi] with poly(z) <= target, for a nondecreasing poly.
 
     The caller guarantees poly(lo) <= target. Linear and quadratic levels are
     inverted exactly; higher degrees fall back to bisection.
     """
-    if _poly_eval(coeffs, hi) <= target:
+    if horner(coeffs, hi) <= target:
         return hi
     degree = len(coeffs) - 1
     while degree > 0 and coeffs[degree] == 0.0:
@@ -116,7 +110,7 @@ def _invert_level(coeffs: Sequence[float], target: float, lo: float, hi: float) 
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # float resolution reached
             break
-        if _poly_eval(coeffs, mid) <= target:
+        if horner(coeffs, mid) <= target:
             a = mid
         else:
             b = mid
@@ -145,15 +139,15 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
         for i in servers:
             b = background[i - 1]
             target = level - bonuses[i - 1]
-            if _poly_eval(level_coeffs[i - 1], b) > target:
+            if horner(level_coeffs[i - 1], b) > target:
                 continue
             z = _invert_level(level_coeffs[i - 1], target, b, b + mass)
             out[i - 1] = z - b
         return out
 
-    lo = min(_poly_eval(level_coeffs[i - 1], background[i - 1]) + bonuses[i - 1]
+    lo = min(horner(level_coeffs[i - 1], background[i - 1]) + bonuses[i - 1]
              for i in servers)
-    hi = max(_poly_eval(level_coeffs[i - 1], background[i - 1] + mass) + bonuses[i - 1]
+    hi = max(horner(level_coeffs[i - 1], background[i - 1] + mass) + bonuses[i - 1]
              for i in servers)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -168,7 +162,7 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
     if total <= 0.0:
         # degenerate bracket: dump everything on the cheapest accessible server
         cheapest = min(servers, key=lambda i: (
-            _poly_eval(level_coeffs[i - 1], background[i - 1]) + bonuses[i - 1], i))
+            horner(level_coeffs[i - 1], background[i - 1]) + bonuses[i - 1], i))
         y[cheapest - 1] = mass
         return y
     scale = mass / total
@@ -305,39 +299,39 @@ def _blend(old: Sequence[float], new: Sequence[float], damping: float) -> list[f
     return [o + damping * (v - o) for o, v in zip(old, new)]
 
 
-def _machine_groups(population: SchedulerPopulation) -> list[tuple[frozenset[int], float, list[int]]]:
-    """Group machines by access set; one aggregate optimizer per group.
+def _group_by_access(pairs: Iterable[tuple[frozenset[int], float]]
+                     ) -> list[tuple[frozenset[int], float, list[int]]]:
+    """Group ``(access, mass)`` blocks by access set, skipping empty blocks.
 
-    All machines share the system objective, so a joint optimum of the group's
-    aggregate mass satisfies each member's individual optimality condition.
+    Returns ``(access, total mass, member indices)`` per group, in order of
+    first appearance.
     """
-    order: list[frozenset[int]] = []
+    pairs = list(pairs)
     members: dict[frozenset[int], list[int]] = {}
-    for k, access in enumerate(population.machine_access):
-        if population.machine_masses[k] <= _USED_EPS:
-            continue
-        if access not in members:
-            members[access] = []
-            order.append(access)
-        members[access].append(k)
-    return [
-        (access,
-         math.fsum(population.machine_masses[k] for k in members[access]),
-         members[access])
-        for access in order
-    ]
+    for k, (access, mass) in enumerate(pairs):
+        if mass > _USED_EPS:
+            members.setdefault(access, []).append(k)
+    return [(access, math.fsum(pairs[k][1] for k in ks), ks)
+            for access, ks in members.items()]
+
+
+def _split(masses: Sequence[float], n: int,
+           groups: list[tuple[frozenset[int], float, list[int]]],
+           group_blocks: list[list[float]]) -> list[tuple[float, ...]]:
+    """Split each group block across its members proportionally to mass."""
+    blocks: list[tuple[float, ...]] = [tuple([0.0] * n)] * len(masses)
+    for (_access, total, ks), block in zip(groups, group_blocks):
+        for k in ks:
+            frac = masses[k] / total
+            blocks[k] = tuple(v * frac for v in block)
+    return blocks
 
 
 def _decompose(population: SchedulerPopulation, selfish: Sequence[float],
                groups: list[tuple[frozenset[int], float, list[int]]],
                group_blocks: list[list[float]]) -> DisaggregatedProfile:
-    """Split each group block across its machines proportionally to mass."""
-    n = len(selfish)
-    blocks: list[tuple[float, ...]] = [tuple([0.0] * n)] * population.machine_count
-    for (access, total, ks), block in zip(groups, group_blocks):
-        for k in ks:
-            frac = population.machine_masses[k] / total
-            blocks[k] = tuple(v * frac for v in block)
+    """Profile with each machine group block split across its machines."""
+    blocks = _split(population.machine_masses, len(selfish), groups, group_blocks)
     return DisaggregatedProfile(tuple(selfish), tuple(blocks))
 
 
@@ -366,7 +360,10 @@ def solve_team_equilibrium(instance: GameInstance, population: SchedulerPopulati
     if issues:
         raise ValidationError("; ".join(issues))
     n = instance.n
-    groups = _machine_groups(population)
+    # one aggregate optimizer per machine access set: all machines share the
+    # system objective, so a joint optimum of the group's aggregate mass
+    # satisfies each member's individual optimality condition
+    groups = _group_by_access(zip(population.machine_access, population.machine_masses))
     selfish_mass = max(0.0, population.selfish_mass)
 
     # a lone block best-responds to an empty background, which is already the
@@ -459,62 +456,38 @@ def solve_fully_selfish(instance: GameInstance, population: SchedulerPopulation,
     if issues:
         raise ValidationError("; ".join(issues))
     n = instance.n
-
-    classes: list[tuple[frozenset[int], float]] = []
-    if population.selfish_mass > _USED_EPS:
-        classes.append((population.selfish_access, population.selfish_mass))
-    for k in range(population.machine_count):
-        if population.machine_masses[k] > _USED_EPS:
-            classes.append((population.machine_access[k], population.machine_masses[k]))
-    merged: dict[frozenset[int], float] = {}
-    order: list[frozenset[int]] = []
-    for access, mass in classes:
-        if access not in merged:
-            merged[access] = 0.0
-            order.append(access)
-        merged[access] += mass
-    blocks = [_spread(n, access, merged[access]) for access in order]
+    # the selfish population is one more block, grouped with the machines
+    masses = (population.selfish_mass,) + population.machine_masses
+    classes = _group_by_access(zip((population.selfish_access,) + population.machine_access,
+                                   masses))
+    blocks = [_spread(n, access, total) for access, total, _ks in classes]
 
     iterations = 1
-    if len(order) == 1:
-        blocks = [solve_wardrop(instance, order[0], merged[order[0]])]
-    elif order:
+    if len(classes) == 1:
+        access, total, _ks = classes[0]
+        blocks = [solve_wardrop(instance, access, total)]
+    elif classes:
         damping = settings.damping
         for iterations in range(1, settings.max_outer_iterations + 1):
             sweep_gap = 0.0
-            for c, access in enumerate(order):
+            for c, (access, total, _ks) in enumerate(classes):
                 loads = [math.fsum(b[i] for b in blocks) for i in range(n)]
                 sweep_gap = max(sweep_gap, _wardrop_gap(instance, access, blocks[c],
-                                                        loads, merged[access]))
+                                                        loads, total))
                 bg = [max(0.0, loads[i] - blocks[c][i]) for i in range(n)]
-                br = solve_wardrop(instance, access, merged[access], bg)
-                blocks[c] = _renorm(_blend(blocks[c], br, damping), merged[access])
+                br = solve_wardrop(instance, access, total, bg)
+                blocks[c] = _renorm(_blend(blocks[c], br, damping), total)
             if sweep_gap <= settings.tolerance:
                 break
 
     # certify the final blocks, not an in-sweep snapshot
     loads = [math.fsum(b[i] for b in blocks) for i in range(n)]
-    gap = max((_wardrop_gap(instance, access, blocks[c], loads, merged[access])
-               for c, access in enumerate(order)), default=0.0)
+    gap = max((_wardrop_gap(instance, access, blocks[c], loads, total)
+               for c, (access, total, _ks) in enumerate(classes)), default=0.0)
     converged = gap <= settings.tolerance
 
-    # map class blocks back onto the population's scheduler slots
-    class_of = {access: c for c, access in enumerate(order)}
-    selfish_block = [0.0] * n
-    if population.selfish_mass > _USED_EPS:
-        c = class_of[population.selfish_access]
-        frac = population.selfish_mass / merged[population.selfish_access]
-        selfish_block = [v * frac for v in blocks[c]]
-    machine_blocks = []
-    for k in range(population.machine_count):
-        mass = population.machine_masses[k]
-        if mass <= _USED_EPS:
-            machine_blocks.append(tuple([0.0] * n))
-            continue
-        access = population.machine_access[k]
-        frac = mass / merged[access]
-        machine_blocks.append(tuple(v * frac for v in blocks[class_of[access]]))
-    profile = DisaggregatedProfile(tuple(selfish_block), tuple(machine_blocks))
+    selfish, *machines = _split(masses, n, classes, blocks)
+    profile = DisaggregatedProfile(selfish, tuple(machines))
     return _report(instance, profile, gap, 0.0, converged, iterations)
 
 
@@ -536,6 +509,6 @@ def _report(instance: GameInstance, profile: DisaggregatedProfile,
 def validate_for_solve(instance: GameInstance, population: SchedulerPopulation) -> list[str]:
     """Subset of :func:`teamsched.game.validate` violations that make a solve unrunnable."""
     blocking = ("mass-overflow", "empty-access", "bad-server-index",
-                "bad-attack-target", "negative-attack-strength",
+                "bad-attack-target", "nonfinite-attack-strength", "negative-attack-strength",
                 "nonpositive-machine-mass", "selfish-mass-mismatch")
     return [v for v in validate(instance, population) if v.startswith(blocking)]

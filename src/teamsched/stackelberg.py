@@ -18,17 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .closed_form import _check_domain
 from .game import GameInstance, LoadProfile, ValidationError, system_cost
 
 INFLUENCING = "influencing"
 ABANDONING = "abandoning"
-
-
-def _check_domain(n: int, alpha: float) -> None:
-    if int(n) != n or n < 3:
-        raise ValueError(f"constrained setting needs an integer server count >= 3, got {n}")
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"attack strength must be finite and >= 0, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +48,7 @@ class StackelbergSolution:
 def influence_threshold(n: int) -> float:
     """Attack strength at which congesting server 2 stops paying off:
     ``(2n/(n-2)) * (2 - sqrt(2n/(n-1)))``."""
-    if int(n) != n or n < 3:
-        raise ValueError(f"constrained setting needs an integer server count >= 3, got {n}")
+    _check_domain(n, min_n=3)
     return (2.0 * n / (n - 2)) * (2.0 - math.sqrt(2.0 * n / (n - 1)))
 
 
@@ -66,7 +59,7 @@ def follower_best_response(leader_loads: Sequence[float], n: int, alpha: float) 
     otherwise all mass goes to the cheaper side. Closed form for unit-slope
     delays: ``x_1 = clamp((1 + x2_leader - alpha) / 2, 0, 1)``.
     """
-    _check_domain(n, alpha)
+    _check_domain(n, alpha, min_n=3)
     loads = [float(v) for v in leader_loads]
     if len(loads) != n:
         raise ValidationError(f"leader vector has {len(loads)} entries, expected {n}")
@@ -87,7 +80,7 @@ def optimal_leader_policy(n: int, alpha: float) -> tuple[list[float], str]:
     Below the threshold the leader loads server 2 to ``1 - alpha(n-2)/(2n)``;
     at or above it, to ``1/(n-1)``. Servers 3..n share the remainder equally.
     """
-    _check_domain(n, alpha)
+    _check_domain(n, alpha, min_n=3)
     if alpha < influence_threshold(n):
         x2 = 1.0 - alpha * (n - 2) / (2 * n)
         branch = INFLUENCING
@@ -105,7 +98,7 @@ def stackelberg_cost(n: int, alpha: float) -> float:
     then the plateau ``n/(n-1)`` once the followers abandon the attacked
     server.
     """
-    _check_domain(n, alpha)
+    _check_domain(n, alpha, min_n=3)
     if alpha < influence_threshold(n):
         return 1.0 + alpha / n - alpha * alpha * (n - 2) / (8.0 * n * n)
     return n / (n - 1.0)
@@ -114,8 +107,7 @@ def stackelberg_cost(n: int, alpha: float) -> float:
 def kkt_validity_limit(n: int) -> float:
     """Largest attack strength for which the influencing stationary point
     keeps a nonnegative load on the attacked server: ``4n/(3n-2)``."""
-    if int(n) != n or n < 3:
-        raise ValueError(f"constrained setting needs an integer server count >= 3, got {n}")
+    _check_domain(n, min_n=3)
     return 4.0 * n / (3 * n - 2)
 
 
@@ -123,7 +115,7 @@ def kkt_stationary_profile(n: int, alpha: float) -> LoadProfile:
     """Aggregate profile of the influencing-branch stationary point:
     ``x_1 = 1 - alpha(3n-2)/(4n)``, ``x_2 = 1 + alpha(n+2)/(4n)``, the rest
     ``1 + alpha/(2n)``. Only defined while ``x_1 >= 0``."""
-    _check_domain(n, alpha)
+    _check_domain(n, alpha, min_n=3)
     limit = kkt_validity_limit(n)
     if alpha > limit:
         raise ValueError(
@@ -198,7 +190,7 @@ def solve_stackelberg_numeric(n: int, alpha: float,
     server 2, scanned over ``[0, n-1]``; every discrete local basin is then
     refined by golden-section search. Ties prefer the lower commitment.
     """
-    _check_domain(n, alpha)
+    _check_domain(n, alpha, min_n=3)
     if not 0.0 < grid_resolution <= 0.1:
         raise ValueError(f"grid resolution must lie in (0, 0.1], got {grid_resolution}")
     span = float(n - 1)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from teamsched import ValidationError
+from teamsched import ValidationError, cli, oracle
 from teamsched.experiments import (
     FIG2_DEFAULT_ALPHAS,
     ScenarioError,
@@ -132,12 +132,12 @@ class TestRunSweep:
             if row.converged:
                 assert row.team_cost >= row.optimal_cost - 1e-8
 
-    def test_csv_deterministic_across_jobs(self, rows):
+    def test_csv_deterministic_across_reruns(self, rows):
         scenario, result = rows
         text1 = sweep_csv(scenario, result)
         text2 = sweep_csv(scenario, run_sweep(scenario))
-        text4 = sweep_csv(scenario, run_sweep(scenario, jobs=4))
-        assert text1 == text2 == text4
+        text3 = sweep_csv(scenario, run_sweep(scenario))
+        assert text1 == text2 == text3
 
     def test_csv_columns(self, rows):
         scenario, result = rows
@@ -197,8 +197,8 @@ class TestFigureData:
         ) + "\n"
         assert rebuilt == text
 
-    def test_deterministic_across_jobs(self):
-        assert figure_data("fig5") == figure_data("fig5", jobs=3)
+    def test_deterministic_across_reruns(self):
+        assert figure_data("fig5") == figure_data("fig5")
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
@@ -256,3 +256,50 @@ class TestCli:
     def test_missing_scenario_exit_one(self):
         proc = self.run_cli("solve", "/nonexistent/path.json")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("attack, field", [
+        ({"target": 1, "strength": float("nan")}, "nonfinite-attack-strength"),
+        ({"target": 1, "strength": float("inf")}, "nonfinite-attack-strength"),
+        ({"target": 1.7, "strength": 1.0}, "attack.target"),
+    ])
+    def test_bad_attack_exit_one(self, tmp_path, attack, field):
+        path = write_scenario(tmp_path, base_doc(attack=attack))
+        proc = self.run_cli("solve", str(path))
+        assert proc.returncode == 1
+        assert field in proc.stderr
+        assert proc.stdout == ""
+
+    def test_figure_ignores_tolerance_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("TEAMSCHED_TOL", "1e-8")
+        assert cli.main(["figure", "fig4", "--alpha-list", "1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("alpha,")
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig4", "--tol", "1e-8"],
+        ["sweep", str(SCENARIOS / "constrained_three_servers.json"), "--seed", "1"],
+        ["solve", str(SCENARIOS / "constrained_three_servers.json"), "--jobs", "2"],
+    ])
+    def test_flags_without_effect_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+
+    def test_verify_scans_once(self, monkeypatch, capsys):
+        calls = {"grid": 0, "team": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "grid_search_optimum",
+                            counted("grid", oracle.grid_search_optimum))
+        monkeypatch.setattr(oracle, "solve_team_equilibrium",
+                            counted("team", oracle.solve_team_equilibrium))
+        code = cli.main(["verify", str(SCENARIOS / "constrained_three_servers.json"),
+                         "--alpha-list", "0.5,1.0"])
+        assert code == cli.EXIT_OK
+        assert "weak security: true" in capsys.readouterr().out
+        # one baseline lattice plus one per alpha; default plus 5 random starts per alpha
+        assert calls == {"grid": 1 + 2, "team": (1 + 5) * 2}

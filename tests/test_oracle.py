@@ -10,6 +10,7 @@ from teamsched import (
     grid_search_optimum,
     monotonicity_sweep,
     team_cost_linear,
+    verify_security,
     verify_strong_security,
     verify_weak_security,
 )
@@ -111,6 +112,14 @@ class TestSecurityVerdicts:
             for verdict in (verify_strong_security(inst, pop, alphas),
                             verify_weak_security(inst, pop, alphas)):
                 assert (not verdict.strong) or verdict.weak
+
+    def test_one_scan_gives_both_verdicts(self):
+        inst = GameInstance.linear(3)
+        pop = SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))
+        strong, weak = verify_security(inst, pop, [0.5, 1.0], seed=3)
+        assert strong == verify_strong_security(inst, pop, [0.5, 1.0], seed=3)
+        assert weak == verify_weak_security(inst, pop, [0.5, 1.0], seed=3)
+        assert not strong.strong and strong.weak
 
     def test_deterministic_verdicts(self):
         inst = GameInstance.linear(2)
