@@ -18,6 +18,10 @@ A scenario is one JSON document::
 lists use 1-based server indices and default to every server. The optional
 sweep block defines attack-strength and machine-mass grids; sweeping ``r``
 scales the machine masses proportionally, so it needs at least one machine.
+Every field is type-checked on load: a missing required field, a value of
+the wrong JSON type (a non-integral count, index or iteration cap included)
+or a sweep axis of more than :data:`MAX_GRID_POINTS` points raises
+:class:`ScenarioError` naming the dotted field.
 
 CSV output is pinned: comma separator, header row, 12 significant digits,
 ``\\n`` row terminator. Emitted files are byte-stable across reruns.
@@ -26,6 +30,7 @@ CSV output is pinned: comma separator, header row, 12 significant digits,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -77,35 +82,81 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ScenarioError(f"scenario {context} block is missing '{key}'")
-    return mapping[key]
+#: JSON kinds that :func:`_typed` checks, as named in its messages
+_KINDS = {dict: "an object", list: "a list", int: "an integer", float: "a number",
+          str: "a string", bool: "true or false"}
+_MISSING = object()
+
+#: most points a sweep axis may have; bounds the work one scenario can ask for
+MAX_GRID_POINTS = 1_000
 
 
-def _parse_grid(block: dict, axis: str) -> tuple[float, ...]:
-    start = float(_require(block, "start", f"sweep.{axis}"))
-    stop = float(_require(block, "stop", f"sweep.{axis}"))
-    points = _require(block, "points", f"sweep.{axis}")
-    if int(points) != points or points < 2:
-        raise ScenarioError(f"sweep.{axis}.points must be an integer >= 2, got {points}")
-    if start < 0.0 or stop < start:
-        raise ScenarioError(f"sweep.{axis} range [{start}, {stop}] must be nonnegative and ascending")
-    points = int(points)
-    return tuple(start + (stop - start) * i / (points - 1) for i in range(points))
+def _typed(value, name: str, kind: type, items: type | None = None):
+    """``value`` checked to be of ``kind``, with list elements of ``items``.
+
+    ``int`` takes integral numbers and ``float`` any number; JSON booleans
+    are neither. ``name`` is the dotted field path for the error message;
+    list elements are numbered from 1.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind is float and number:
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    if kind not in (int, float) and isinstance(value, kind):
+        if items is None:
+            return value
+        return [_typed(v, f"{name}[{k}]", items) for k, v in enumerate(value, start=1)]
+    raise ScenarioError(f"scenario field '{name}' must be {_KINDS[kind]}, "
+                        f"got {json.dumps(value)[:40]}")
+
+
+def _field(block: dict, key: str, where: str, kind: type, default=_MISSING,
+           items: type | None = None):
+    """Field ``key`` of the object at dotted path ``where``, typed by :func:`_typed`.
+
+    A missing or null field takes ``default``, or is an error without one.
+    """
+    name = f"{where}.{key}" if where else key
+    value = block.get(key)
+    if value is None:
+        if default is _MISSING:
+            raise ScenarioError(f"scenario is missing field '{name}'")
+        return default
+    return _typed(value, name, kind, items)
+
+
+def _parse_grid(sweep: dict, axis: str) -> tuple[float, ...] | None:
+    block = _field(sweep, axis, "sweep", dict, None)
+    if block is None:
+        return None
+    where = f"sweep.{axis}"
+    start = _field(block, "start", where, float)
+    stop = _field(block, "stop", where, float)
+    points = _field(block, "points", where, int)
+    if not 2 <= points <= MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"{where}.points must be an integer in [2, {MAX_GRID_POINTS}], got {points}")
+    if not 0.0 <= start <= stop < math.inf:
+        raise ScenarioError(
+            f"{where} range [{start}, {stop}] must be finite, nonnegative and ascending")
+    return tuple(_grid(start, stop, points))
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
-    Parse failures raise :class:`ScenarioError` with line/column context;
-    model-invariant violations raise :class:`ValidationError` naming every
-    broken field.
+    Parse failures and fields of the wrong type raise :class:`ScenarioError`
+    naming the file position or the dotted field; model-invariant violations
+    raise :class:`ValidationError` naming every broken field.
     """
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -115,54 +166,56 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
 
-    servers = _require(doc, "servers", "top-level")
-    n = int(_require(servers, "count", "servers"))
-    delays = _require(servers, "delays", "servers")
-    if not isinstance(delays, list) or len(delays) != n:
+    servers = _field(doc, "servers", "", dict)
+    n = _field(servers, "count", "servers", int)
+    delays = _field(servers, "delays", "servers", list)
+    if len(delays) != n:
         raise ScenarioError(f"servers.delays must list {n} coefficient arrays")
-    attack = doc.get("attack", {})
-    target = attack.get("target", 1)
-    if isinstance(target, float) and not target.is_integer():
-        raise ScenarioError(f"attack.target must be an integer server index, got {target}")
+    coeffs = tuple(tuple(_typed(d, f"servers.delays[{i}]", list, float))
+                   for i, d in enumerate(delays, start=1))
+    attack = _field(doc, "attack", "", dict, {})
+    target = _field(attack, "target", "attack", int, 1)
+    strength = _field(attack, "strength", "attack", float, 0.0)
     try:
-        instance = GameInstance(n, tuple(tuple(map(float, d)) for d in delays),
-                                int(target),
-                                float(attack.get("strength", 0.0)))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
+        instance = GameInstance(n, coeffs, target, strength)
+    except ValueError as exc:
         raise ScenarioError(f"{path}: bad instance description: {exc}") from exc
 
-    machines = doc.get("machines", [])
+    machines = _field(doc, "machines", "", list, [], items=dict)
     pairs = []
-    for idx, m in enumerate(machines, start=1):
-        mass = float(_require(m, "mass", f"machines[{idx}]"))
-        pairs.append((mass, m.get("access")))
-    selfish_access = doc.get("selfish", {}).get("access")
+    for k, m in enumerate(machines, start=1):
+        where = f"machines[{k}]"
+        pairs.append((_field(m, "mass", where, float),
+                      _field(m, "access", where, list, None, items=int)))
+    selfish = _field(doc, "selfish", "", dict, {})
+    selfish_access = _field(selfish, "access", "selfish", list, None, items=int)
     population = SchedulerPopulation.for_instance(n, pairs, selfish_access)
 
     issues = validate(instance, population)
     if issues:
         raise ValidationError("; ".join(issues))
 
-    sweep = doc.get("sweep", {}) or {}
-    alpha_grid = _parse_grid(sweep["alpha"], "alpha") if "alpha" in sweep else None
-    r_grid = _parse_grid(sweep["r"], "r") if "r" in sweep else None
+    sweep = _field(doc, "sweep", "", dict, {})
+    alpha_grid = _parse_grid(sweep, "alpha")
+    r_grid = _parse_grid(sweep, "r")
     if r_grid is not None:
         if not machines:
             raise ScenarioError("sweep.r needs at least one machine to scale")
         if r_grid[-1] > n:
             raise ScenarioError(f"sweep.r exceeds the total job mass {n}")
 
-    solver = doc.get("solver", {}) or {}
-    settings = SolveSettings(
-        tolerance=float(solver.get("tolerance", SolveSettings.tolerance)),
-        max_outer_iterations=int(solver.get("max_outer_iterations",
-                                            SolveSettings.max_outer_iterations)),
-        damping=float(solver.get("damping", SolveSettings.damping)),
-    )
-    return Scenario(str(doc.get("name", path.stem)), instance, population,
-                    alpha_grid, r_grid, settings, bool(doc.get("stackelberg", False)))
+    solver = _field(doc, "solver", "", dict, {})
+    tolerance = _field(solver, "tolerance", "solver", float, SolveSettings.tolerance)
+    max_iterations = _field(solver, "max_outer_iterations", "solver", int,
+                            SolveSettings.max_outer_iterations)
+    damping = _field(solver, "damping", "solver", float, SolveSettings.damping)
+    try:
+        settings = SolveSettings(tolerance, max_iterations, damping)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario field 'solver': {exc}") from exc
+    return Scenario(_field(doc, "name", "", str, path.stem), instance, population,
+                    alpha_grid, r_grid, settings,
+                    _field(doc, "stackelberg", "", bool, False))
 
 
 def _population_at_mass(population: SchedulerPopulation, n: int, r: float) -> SchedulerPopulation:

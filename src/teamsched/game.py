@@ -329,7 +329,7 @@ def validate(instance: GameInstance, population: SchedulerPopulation) -> list[st
             f"selfish-mass-mismatch: stored {population.selfish_mass}, "
             f"expected {n - total_machine}")
     for k, mass in enumerate(population.machine_masses, start=1):
-        if mass <= 0.0:
+        if not mass > 0.0:  # NaN included
             issues.append(f"nonpositive-machine-mass: machine {k} has mass {mass}")
     for k, access in enumerate(population.machine_access, start=1):
         if not access:

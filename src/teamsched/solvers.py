@@ -1,14 +1,13 @@
 """Equilibrium solvers for mixed machine/selfish scheduler populations.
 
-Three building blocks:
-
 * :func:`solve_wardrop` — allocate a block of jobs so every used server has
   minimal (attacked) delay among the block's accessible servers.
 * :func:`solve_social_optimum` — allocate a block to minimize the mean system
   delay given a fixed background, by equalizing marginal costs.
-* :func:`solve_team_equilibrium` — damped alternating best response between
-  the selfish block (Wardrop) and the machine blocks (social optimum on their
-  access sets), with residual certificates in the returned report.
+* :func:`solve_team_equilibrium` and :func:`solve_fully_selfish` — one damped
+  alternating best response over access groups, in which machines answer
+  with the social optimum (team) or with a Wardrop fill like the selfish
+  jobs (fully selfish), and a certificate gates the reported convergence.
 
 Both fills bisect a common service level; per-server inversion of the
 monotone level polynomial is closed-form up to quadratics and bisection
@@ -63,8 +62,9 @@ class SolveReport:
 
     ``selfish_residual`` is the worst delay gap a selfish job could close by
     switching; ``machine_residual`` the largest cost improvement any single
-    machine could still realize. ``converged`` means both were at or below the
-    tolerance when the solve stopped.
+    machine could still realize; either reads NaN when it compares infinite
+    costs. ``converged`` means both were at or below the tolerance, and the
+    cost and loads finite, when the solve stopped.
     """
 
     profile: DisaggregatedProfile
@@ -220,6 +220,16 @@ def solve_social_optimum(instance: GameInstance, access: Iterable[int], mass: fl
 # residuals
 
 
+def _worst(residuals: Iterable[float]) -> float:
+    """Largest residual, at least 0; a NaN residual (``inf - inf``) stays NaN."""
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+        worst = max(worst, r)
+    return worst
+
+
 def _delay_vector(instance: GameInstance, loads: Sequence[float]) -> list[float]:
     return [eval_delay(instance.delays[i - 1], loads[i - 1], instance.attack_bonus(i))
             for i in range(1, instance.n + 1)]
@@ -233,11 +243,8 @@ def _wardrop_gap(instance: GameInstance, access: frozenset[int],
     delays = _delay_vector(instance, loads)
     best = min(delays[i - 1] for i in access)
     used_eps = _USED_EPS * max(1.0, block_mass)
-    gap = 0.0
-    for i in range(1, instance.n + 1):
-        if block[i - 1] > used_eps:
-            gap = max(gap, delays[i - 1] - best)
-    return gap
+    return _worst(delays[i - 1] - best for i in range(1, instance.n + 1)
+                  if block[i - 1] > used_eps)
 
 
 def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulation,
@@ -267,7 +274,7 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
     selfish_res = _wardrop_gap(instance, population.selfish_access, profile.selfish,
                                loads, population.selfish_mass)
 
-    machine_res = 0.0
+    improvements = []
     current_cost = instance.cost(loads)
     for k in range(population.machine_count):
         mass = population.machine_masses[k]
@@ -278,61 +285,12 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
         bg = [max(0.0, b) for b in bg]
         br = solve_social_optimum(instance, population.machine_access[k], mass, bg)
         br_cost = instance.cost([bg[i] + br[i] for i in range(n)])
-        machine_res = max(machine_res, current_cost - br_cost)
-    return max(0.0, selfish_res), max(0.0, machine_res)
+        improvements.append(current_cost - br_cost)
+    return selfish_res, _worst(improvements)
 
 
 # ---------------------------------------------------------------------------
-# team equilibrium
-
-
-def _spread(n: int, access: frozenset[int], mass: float) -> list[float]:
-    out = [0.0] * n
-    if mass > 0.0:
-        share = mass / len(access)
-        for i in access:
-            out[i - 1] = share
-    return out
-
-
-def _blend(old: Sequence[float], new: Sequence[float], damping: float) -> list[float]:
-    return [o + damping * (v - o) for o, v in zip(old, new)]
-
-
-def _group_by_access(pairs: Iterable[tuple[frozenset[int], float]]
-                     ) -> list[tuple[frozenset[int], float, list[int]]]:
-    """Group ``(access, mass)`` blocks by access set, skipping empty blocks.
-
-    Returns ``(access, total mass, member indices)`` per group, in order of
-    first appearance.
-    """
-    pairs = list(pairs)
-    members: dict[frozenset[int], list[int]] = {}
-    for k, (access, mass) in enumerate(pairs):
-        if mass > _USED_EPS:
-            members.setdefault(access, []).append(k)
-    return [(access, math.fsum(pairs[k][1] for k in ks), ks)
-            for access, ks in members.items()]
-
-
-def _split(masses: Sequence[float], n: int,
-           groups: list[tuple[frozenset[int], float, list[int]]],
-           group_blocks: list[list[float]]) -> list[tuple[float, ...]]:
-    """Split each group block across its members proportionally to mass."""
-    blocks: list[tuple[float, ...]] = [tuple([0.0] * n)] * len(masses)
-    for (_access, total, ks), block in zip(groups, group_blocks):
-        for k in ks:
-            frac = masses[k] / total
-            blocks[k] = tuple(v * frac for v in block)
-    return blocks
-
-
-def _decompose(population: SchedulerPopulation, selfish: Sequence[float],
-               groups: list[tuple[frozenset[int], float, list[int]]],
-               group_blocks: list[list[float]]) -> DisaggregatedProfile:
-    """Profile with each machine group block split across its machines."""
-    blocks = _split(population.machine_masses, len(selfish), groups, group_blocks)
-    return DisaggregatedProfile(tuple(selfish), tuple(blocks))
+# damped best response
 
 
 def _renorm(block: list[float], mass: float) -> list[float]:
@@ -343,165 +301,174 @@ def _renorm(block: list[float], mass: float) -> list[float]:
     return [v * (mass / s) for v in clipped]
 
 
-def solve_team_equilibrium(instance: GameInstance, population: SchedulerPopulation,
-                           settings: SolveSettings | None = None,
-                           initial: DisaggregatedProfile | None = None) -> SolveReport:
-    """Damped alternating best response to a joint machine/selfish equilibrium.
+def _loads(n: int, blocks: Sequence[Sequence[float]]) -> list[float]:
+    return [math.fsum(b[i] for b in blocks) for i in range(n)]
 
-    Each sweep updates the selfish block toward its Wardrop response and each
-    machine group toward its constrained social optimum, blending with the
-    damping factor. Once the in-sweep residual estimates pass the tolerance,
-    a fresh :func:`equilibrium_residuals` certification must also pass before
-    the report claims convergence. The damping is halved after 1000 sweeps
-    without residual improvement to settle oscillation at regime boundaries.
+
+#: one best-response group: (access, total mass, optimizes the system, members)
+_Group = tuple[frozenset[int], float, bool, list[int]]
+
+
+def _group_by_access(blocks: Iterable[tuple[frozenset[int], float, bool]]) -> list[_Group]:
+    """Group ``(access, mass, social)`` blocks by ``(access, social)``, skipping empty ones.
+
+    Social blocks (machines) share the system objective, so a joint optimum
+    of their aggregate mass satisfies each member's optimality condition;
+    selfish blocks with one access set share every Wardrop condition. Groups
+    come in order of first appearance.
+    """
+    blocks = list(blocks)
+    members: dict[tuple[frozenset[int], bool], list[int]] = {}
+    for k, (access, mass, social) in enumerate(blocks):
+        if mass > _USED_EPS:
+            members.setdefault((access, social), []).append(k)
+    return [(access, math.fsum(blocks[k][1] for k in ks), social, ks)
+            for (access, social), ks in members.items()]
+
+
+def _split(masses: Sequence[float], n: int, groups: list[_Group],
+           group_blocks: list[list[float]]) -> DisaggregatedProfile:
+    """Profile with each group block split across its members proportionally
+    to mass; member 0 is the selfish population, member k + 1 machine k."""
+    blocks: list[tuple[float, ...]] = [tuple([0.0] * n)] * len(masses)
+    for (_access, total, _social, ks), block in zip(groups, group_blocks):
+        for k in ks:
+            frac = masses[k] / total
+            blocks[k] = tuple(v * frac for v in block)
+    return DisaggregatedProfile(blocks[0], tuple(blocks[1:]))
+
+
+def _best_response(instance: GameInstance, population: SchedulerPopulation,
+                   settings: SolveSettings | None, team: bool,
+                   initial: DisaggregatedProfile | None = None) -> SolveReport:
+    """Damped alternating best response over the access groups.
+
+    With ``team`` the machines answer with their constrained social optimum,
+    otherwise every block answers with its Wardrop response. A sweep whose
+    in-sweep residuals pass the tolerance still needs the certificate on the
+    split profile before it claims convergence: :func:`equilibrium_residuals`
+    for the team, each group's Wardrop gap on the final loads otherwise.
     """
     settings = settings or SolveSettings()
     issues = validate_for_solve(instance, population)
     if issues:
         raise ValidationError("; ".join(issues))
     n = instance.n
-    # one aggregate optimizer per machine access set: all machines share the
-    # system objective, so a joint optimum of the group's aggregate mass
-    # satisfies each member's individual optimality condition
-    groups = _group_by_access(zip(population.machine_access, population.machine_masses))
-    selfish_mass = max(0.0, population.selfish_mass)
+    masses = (population.selfish_mass,) + population.machine_masses
+    groups = _group_by_access(zip((population.selfish_access,) + population.machine_access,
+                                  masses, (False,) + (team,) * population.machine_count))
 
-    # a lone block best-responds to an empty background, which is already the
-    # equilibrium; skip the iteration and just certify
-    if initial is None and selfish_mass <= _USED_EPS and len(groups) == 1:
-        access, total, _ks = groups[0]
-        block = solve_social_optimum(instance, access, total)
-        profile = _decompose(population, [0.0] * n, groups, [block])
-        s_res, m_res = equilibrium_residuals(instance, population, profile)
-        return _report(instance, profile, s_res, m_res,
-                       max(s_res, m_res) <= settings.tolerance, 1)
-    if initial is None and not groups:
-        block = solve_wardrop(instance, population.selfish_access, selfish_mass)
-        profile = _decompose(population, block, groups, [])
-        s_res, m_res = equilibrium_residuals(instance, population, profile)
-        return _report(instance, profile, s_res, m_res,
-                       max(s_res, m_res) <= settings.tolerance, 1)
+    def certify(blocks: list[list[float]], iterations: int) -> SolveReport:
+        profile = _split(masses, n, groups, blocks)
+        if team:
+            s_res, m_res = equilibrium_residuals(instance, population, profile)
+        else:
+            loads = _loads(n, blocks)
+            s_res = _worst(_wardrop_gap(instance, access, block, loads, total)
+                           for (access, total, _social, _ks), block in zip(groups, blocks))
+            m_res = 0.0
+        return _report(instance, profile, s_res, m_res, settings.tolerance, iterations)
+
+    def respond(group: _Group, bg: Sequence[float] | None = None) -> list[float]:
+        access, total, social, _ks = group
+        fill = solve_social_optimum if social else solve_wardrop
+        return fill(instance, access, total, bg)
+
+    # a lone group best-responds to an empty background, which is already
+    # the equilibrium; skip the iteration and just certify
+    if initial is None and len(groups) == 1:
+        return certify([respond(groups[0])], 1)
 
     if initial is not None:
         if (len(initial.selfish) != n
                 or len(initial.per_machine) != population.machine_count):
             raise ValidationError("initial profile dimensions do not match the population")
-        selfish = _renorm(list(initial.selfish), selfish_mass)
-        group_blocks = []
-        for access, total, ks in groups:
-            merged = [math.fsum(initial.per_machine[k][i] for k in ks) for i in range(n)]
-            merged = [merged[i - 1] if i in access else 0.0 for i in range(1, n + 1)]
-            group_blocks.append(_renorm(merged, total))
-    else:
-        selfish = _spread(n, population.selfish_access, selfish_mass)
-        group_blocks = [_spread(n, access, total) for access, total, _ in groups]
+        starts = (initial.selfish,) + initial.per_machine
+    blocks = []
+    for access, total, _social, ks in groups:
+        # the members' initial blocks, or an even spread over the access set
+        start = ([1.0] * n if initial is None
+                 else [math.fsum(starts[k][i] for k in ks) for i in range(n)])
+        blocks.append(_renorm([start[i - 1] if i in access else 0.0
+                               for i in range(1, n + 1)], total))
 
     damping = settings.damping
     best_seen = math.inf
     stalled = 0
     iterations = 0
-
     for iterations in range(1, settings.max_outer_iterations + 1):
-        loads = [selfish[i] + math.fsum(b[i] for b in group_blocks) for i in range(n)]
+        residuals = []
+        for g, group in enumerate(groups):
+            access, total, social, _ks = group
+            loads = _loads(n, blocks)
+            bg = [max(0.0, loads[i] - blocks[g][i]) for i in range(n)]
+            br = respond(group, bg)
+            if social:
+                residuals.append(instance.cost(loads)
+                                 - instance.cost([bg[i] + br[i] for i in range(n)]))
+            else:
+                residuals.append(_wardrop_gap(instance, access, blocks[g], loads, total))
+            blocks[g] = _renorm([o + damping * (v - o) for o, v in zip(blocks[g], br)], total)
 
-        selfish_res = 0.0
-        if selfish_mass > _USED_EPS:
-            selfish_res = _wardrop_gap(instance, population.selfish_access,
-                                       selfish, loads, selfish_mass)
-            bg = [max(0.0, loads[i] - selfish[i]) for i in range(n)]
-            br = solve_wardrop(instance, population.selfish_access, selfish_mass, bg)
-            selfish = _renorm(_blend(selfish, br, damping), selfish_mass)
-
-        machine_res = 0.0
-        for g, (access, total, _ks) in enumerate(groups):
-            loads = [selfish[i] + math.fsum(b[i] for b in group_blocks) for i in range(n)]
-            bg = [max(0.0, loads[i] - group_blocks[g][i]) for i in range(n)]
-            br = solve_social_optimum(instance, access, total, bg)
-            cur_cost = instance.cost(loads)
-            br_cost = instance.cost([bg[i] + br[i] for i in range(n)])
-            machine_res = max(machine_res, cur_cost - br_cost)
-            group_blocks[g] = _renorm(_blend(group_blocks[g], br, damping), total)
-
-        residual = max(selfish_res, machine_res)
+        residual = _worst(residuals)
         if residual <= settings.tolerance:
-            profile = _decompose(population, selfish, groups, group_blocks)
-            s_res, m_res = equilibrium_residuals(instance, population, profile)
-            if max(s_res, m_res) <= settings.tolerance:
-                return _report(instance, profile, s_res, m_res, True, iterations)
+            report = certify(blocks, iterations)
+            if report.converged:
+                return report
         if residual < best_seen - 1e-16:
             best_seen = residual
             stalled = 0
         else:
             stalled += 1
             if stalled >= 1000:
+                # settle oscillation at regime boundaries
                 damping = max(damping / 2.0, 1e-4)
                 stalled = 0
+    return certify(blocks, iterations)
 
-    profile = _decompose(population, selfish, groups, group_blocks)
-    s_res, m_res = equilibrium_residuals(instance, population, profile)
-    converged = max(s_res, m_res) <= settings.tolerance
-    return _report(instance, profile, s_res, m_res, converged, iterations)
+
+def solve_team_equilibrium(instance: GameInstance, population: SchedulerPopulation,
+                           settings: SolveSettings | None = None,
+                           initial: DisaggregatedProfile | None = None) -> SolveReport:
+    """Joint machine/selfish equilibrium by damped alternating best response.
+
+    Each sweep moves the selfish block toward its Wardrop response and each
+    machine access group toward its constrained social optimum, blending
+    with the damping factor; the damping is halved after 1000 sweeps without
+    residual improvement. ``converged`` is claimed only once a fresh
+    :func:`equilibrium_residuals` certificate passes the tolerance.
+    ``initial`` replaces the even spread over each access set as the start.
+    """
+    return _best_response(instance, population, settings, team=True, initial=initial)
 
 
 def solve_fully_selfish(instance: GameInstance, population: SchedulerPopulation,
                         settings: SolveSettings | None = None) -> SolveReport:
     """Equilibrium when every scheduler behaves selfishly.
 
-    Machines are converted to selfish classes that keep their access sets;
-    with a single shared access set this is one Wardrop fill of the total
-    mass, otherwise classes alternate damped Wardrop responses.
+    Machines become selfish classes that keep their access sets; classes
+    sharing an access set move as one block. The same damped best response
+    as :func:`solve_team_equilibrium` runs with Wardrop responses only, and
+    ``converged`` needs every class's Wardrop gap on the final loads within
+    the tolerance (reported as ``selfish_residual``).
     """
-    settings = settings or SolveSettings()
-    issues = validate_for_solve(instance, population)
-    if issues:
-        raise ValidationError("; ".join(issues))
-    n = instance.n
-    # the selfish population is one more block, grouped with the machines
-    masses = (population.selfish_mass,) + population.machine_masses
-    classes = _group_by_access(zip((population.selfish_access,) + population.machine_access,
-                                   masses))
-    blocks = [_spread(n, access, total) for access, total, _ks in classes]
-
-    iterations = 1
-    if len(classes) == 1:
-        access, total, _ks = classes[0]
-        blocks = [solve_wardrop(instance, access, total)]
-    elif classes:
-        damping = settings.damping
-        for iterations in range(1, settings.max_outer_iterations + 1):
-            sweep_gap = 0.0
-            for c, (access, total, _ks) in enumerate(classes):
-                loads = [math.fsum(b[i] for b in blocks) for i in range(n)]
-                sweep_gap = max(sweep_gap, _wardrop_gap(instance, access, blocks[c],
-                                                        loads, total))
-                bg = [max(0.0, loads[i] - blocks[c][i]) for i in range(n)]
-                br = solve_wardrop(instance, access, total, bg)
-                blocks[c] = _renorm(_blend(blocks[c], br, damping), total)
-            if sweep_gap <= settings.tolerance:
-                break
-
-    # certify the final blocks, not an in-sweep snapshot
-    loads = [math.fsum(b[i] for b in blocks) for i in range(n)]
-    gap = max((_wardrop_gap(instance, access, blocks[c], loads, total)
-               for c, (access, total, _ks) in enumerate(classes)), default=0.0)
-    converged = gap <= settings.tolerance
-
-    selfish, *machines = _split(masses, n, classes, blocks)
-    profile = DisaggregatedProfile(selfish, tuple(machines))
-    return _report(instance, profile, gap, 0.0, converged, iterations)
+    return _best_response(instance, population, settings, team=False)
 
 
 def _report(instance: GameInstance, profile: DisaggregatedProfile,
             selfish_res: float, machine_res: float,
-            converged: bool, iterations: int) -> SolveReport:
-    aggregate = LoadProfile.from_raw(profile.aggregate_loads())
+            tolerance: float, iterations: int) -> SolveReport:
+    raw = profile.aggregate_loads()
+    aggregate = LoadProfile.from_raw(raw)
+    cost = instance.cost(aggregate.loads)
+    finite = math.isfinite(cost) and all(math.isfinite(x) for x in raw)
     return SolveReport(
         profile=profile,
         aggregate=aggregate,
-        cost=instance.cost(aggregate.loads),
+        cost=cost,
         selfish_residual=selfish_res,
         machine_residual=machine_res,
-        converged=converged,
+        converged=finite and selfish_res <= tolerance and machine_res <= tolerance,
         iterations=iterations,
     )
 

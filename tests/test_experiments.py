@@ -81,6 +81,11 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="points"):
             load_scenario(write_scenario(tmp_path, doc))
 
+    def test_grid_points_capped(self, tmp_path):
+        doc = base_doc(sweep={"alpha": {"start": 0.0, "stop": 1.0, "points": 1e9}})
+        with pytest.raises(ScenarioError, match=r"sweep\.alpha\.points"):
+            load_scenario(write_scenario(tmp_path, doc))
+
     def test_r_sweep_needs_machines(self, tmp_path):
         doc = base_doc(machines=[], sweep={"r": {"start": 0, "stop": 1, "points": 3}})
         with pytest.raises(ScenarioError, match="machine"):
@@ -268,6 +273,26 @@ class TestCli:
         assert proc.returncode == 1
         assert field in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"servers": {"count": 2.5, "delays": [[0, 1], [0, 1]]}}, "servers.count"),
+        ({"machines": {"mass": 1.0}}, "machines"),
+        ({"machines": [{"mass": "x"}]}, "machines[1].mass"),
+        ({"machines": [{"mass": 1.0, "access": 2}]}, "machines[1].access"),
+        ({"solver": {"max_outer_iterations": 2.7}}, "solver.max_outer_iterations"),
+    ])
+    def test_bad_field_type_exit_one(self, tmp_path, capsys, overrides, field):
+        path = write_scenario(tmp_path, base_doc(**overrides))
+        assert cli.main(["solve", str(path)]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert f"'{field}'" in err
+        assert out == ""
+
+    def test_infinite_cost_not_converged(self, tmp_path, capsys):
+        doc = base_doc(servers={"count": 2, "delays": [[0, 1e308], [0, 1e308]]})
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["solve", str(path)]) == cli.EXIT_NO_CONVERGENCE
+        assert "converged: false" in capsys.readouterr().out
 
     def test_figure_ignores_tolerance_env(self, monkeypatch, capsys):
         monkeypatch.setenv("TEAMSCHED_TOL", "1e-8")

@@ -185,6 +185,13 @@ class TestValidate:
         issues = validate(inst, pop)
         assert any(v.startswith("mass-overflow") for v in issues)
 
+    @pytest.mark.parametrize("mass", [0.0, -0.5, math.nan])
+    def test_nonpositive_machine_mass(self, mass):
+        inst = GameInstance.linear(2)
+        pop = SchedulerPopulation.for_instance(2, ((mass, None),))
+        issues = validate(inst, pop)
+        assert any(v.startswith("nonpositive-machine-mass") for v in issues)
+
     def test_bad_server_index(self):
         inst = GameInstance.linear(2)
         pop = SchedulerPopulation.for_instance(2, ((1.0, (1, 3)),))

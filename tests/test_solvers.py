@@ -302,3 +302,31 @@ class TestFullySelfish:
         rep = solve_fully_selfish(inst, pop)
         assert rep.converged
         assert rep.cost == pytest.approx(team_cost_linear(4, 0.0, alpha), abs=1e-8)
+
+
+class TestSharedLoop:
+    # selfish jobs share servers {1, 2} with two machines, so the fully
+    # selfish solver merges them into one class while the team keeps the
+    # selfish population apart from the machine group
+    INSTANCE = GameInstance(3, ((0.0, 1.0), (0.0, 0.5, 0.0, 0.5), (0.0, 1.0, 1.0)), 1, 0.7)
+    POPULATION = SchedulerPopulation.for_instance(
+        3, ((0.6, (1, 2)), (0.5, (2, 3)), (0.4, (1, 2)), (0.3, (1, 3))), (1, 2))
+
+    def test_team_certified(self):
+        rep = solve_team_equilibrium(self.INSTANCE, self.POPULATION)
+        assert rep.converged
+        s_res, m_res = equilibrium_residuals(self.INSTANCE, self.POPULATION, rep.profile)
+        assert max(s_res, m_res) <= 1e-10
+
+    def test_fully_selfish_blocks_are_wardrop(self):
+        inst, pop = self.INSTANCE, self.POPULATION
+        rep = solve_fully_selfish(inst, pop)
+        assert rep.converged
+        delays = attacked_delays(inst, rep.profile.aggregate_loads())
+        blocks = (rep.profile.selfish,) + rep.profile.per_machine
+        accesses = (pop.selfish_access,) + pop.machine_access
+        for block, access in zip(blocks, accesses):
+            best = min(delays[i - 1] for i in access)
+            used = [i for i in range(1, inst.n + 1) if block[i - 1] > 1e-12]
+            assert set(used) <= access
+            assert max(delays[i - 1] - best for i in used) <= 1e-10
