@@ -163,6 +163,8 @@ class LoadProfile:
         loads = _as_floats(self.loads)
         if not loads:
             raise ValidationError("load profile is empty")
+        if any(not math.isfinite(x) for x in loads):
+            raise ValidationError(f"non-finite load in profile: {loads}")
         if any(x < 0.0 for x in loads):
             raise ValidationError(f"negative load in profile: {loads}")
         mass = math.fsum(loads)
@@ -173,8 +175,14 @@ class LoadProfile:
 
     @classmethod
     def from_raw(cls, loads: Sequence[float]) -> "LoadProfile":
-        """Clamp numeric dust and rescale to exact mass before constructing."""
-        clipped = [max(0.0, float(x)) for x in loads]
+        """Clamp numeric dust and rescale to exact mass before constructing.
+
+        Negative loads clamp to 0; a NaN or infinite load raises.
+        """
+        raw = _as_floats(loads)
+        if any(not math.isfinite(x) for x in raw):
+            raise ValidationError(f"non-finite load in profile: {raw}")
+        clipped = [max(0.0, x) for x in raw]
         s = math.fsum(clipped)
         n = len(clipped)
         if s <= 0.0:

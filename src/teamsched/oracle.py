@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .game import (DisaggregatedProfile, GameInstance, LoadProfile,
                    SchedulerPopulation, system_cost)
 from .solvers import SolveSettings, solve_team_equilibrium
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: refuse lattices beyond this many points
 CAPACITY_LIMIT = 10 ** 8
@@ -33,6 +34,8 @@ def lattice_size(n: int, steps: int) -> int:
 
 def _contribution_tables(instance: GameInstance, steps: int, step: float) -> list[np.ndarray]:
     """Per-server tables of x * tau_i^attack(x) on the lattice axis."""
+    import numpy as np  # imported here so that solves never load numpy
+
     axis = np.arange(steps + 1, dtype=np.float64) * step
     tables = []
     for i in range(1, instance.n + 1):
@@ -60,6 +63,8 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tup
     if lattice_size(n, steps) > CAPACITY_LIMIT:
         raise CapacityError(
             f"lattice has {lattice_size(n, steps)} points, limit is {CAPACITY_LIMIT}")
+    import numpy as np
+
     step = n / steps
     tables = _contribution_tables(instance, steps, step)
 

@@ -9,9 +9,10 @@
   with the social optimum (team) or with a Wardrop fill like the selfish
   jobs (fully selfish), and a certificate gates the reported convergence.
 
-Both fills bisect a common service level; per-server inversion of the
-monotone level polynomial is closed-form up to quadratics and bisection
-beyond.
+Both fills equalize a common service level. When every accessible level
+is linear, a breakpoint walk over the sorted start levels gives it exactly;
+otherwise it is bisected, with per-server inversion of the monotone level
+polynomial closed-form up to quadratics and bisection beyond.
 """
 
 from __future__ import annotations
@@ -117,23 +118,57 @@ def _invert_level(coeffs: Sequence[float], target: float, lo: float, hi: float) 
     return a
 
 
-def _fill_common_level(n: int, servers: Sequence[int], mass: float,
-                       background: Sequence[float],
-                       level_coeffs: Sequence[Sequence[float]],
-                       bonuses: Sequence[float]) -> list[float]:
-    """Distribute ``mass`` over ``servers`` so the level functions equalize.
+def _linear_fill(n: int, servers: Sequence[int], mass: float,
+                 level_coeffs: Sequence[Sequence[float]],
+                 starts: dict[int, float]) -> list[float] | None:
+    """Exact fill by a breakpoint walk when every level is linear.
 
-    ``level_coeffs[i-1]`` is a nondecreasing polynomial of the aggregate load
-    on server i and ``bonuses[i-1]`` a constant offset. Bisects the common
-    level; allocations come from inverting each server's polynomial. The
-    result is rescaled to the exact mass.
+    Server i takes ``(level - starts[i]) / slope_i`` once the common level
+    passes its start level. The walk enters the servers in ascending start
+    order and keeps the level relative to the last start entered, ``top``:
+    ``below`` is the mass that lifts every entered server to ``top``, a
+    server starting at t enters while ``below + (t - top) * sum 1/c`` stays
+    under ``mass``, and each entered server takes ``(top - t_i) / c_i`` plus
+    its share ``(1/c_i) / sum 1/c`` of the rest. Unlike the absolute level
+    ``(mass + sum t/c) / sum 1/c``, these differences keep the load of a
+    server whose slope is orders of magnitude below the others'. Returns
+    None, leaving the fill to bisection, when a level is not of degree 1
+    with a finite positive slope or the loads miss ``mass`` by more than
+    rounding (an overflow).
     """
+    slopes = {}
+    for i in servers:
+        coeffs = level_coeffs[i - 1]
+        if len(coeffs) < 2 or any(coeffs[2:]) or not 0.0 < coeffs[1] < math.inf:
+            return None
+        slopes[i] = coeffs[1]
+    order = sorted(servers, key=starts.__getitem__)
+    top = starts[order[0]]
+    below = 0.0
+    inv_slope = 0.0
+    entered = 0
+    for i in order:
+        lift = below + (starts[i] - top) * inv_slope
+        if lift >= mass:
+            break
+        below, top = lift, starts[i]
+        inv_slope += 1.0 / slopes[i]
+        entered += 1
+    rest = mass - below
     y = [0.0] * n
-    if mass <= 0.0:
-        return y
-    if not servers:
-        raise InfeasibleError("cannot place positive mass: no accessible server")
+    for i in order[:entered]:
+        y[i - 1] = (top - starts[i]) / slopes[i] + rest / (inv_slope * slopes[i])
+    if not abs(math.fsum(y) - mass) <= 1e-12 * mass:
+        return None
+    return y
 
+
+def _bisect_fill(n: int, servers: Sequence[int], mass: float,
+                 background: Sequence[float],
+                 level_coeffs: Sequence[Sequence[float]],
+                 bonuses: Sequence[float], starts: dict[int, float]) -> list[float]:
+    """Fill for any nondecreasing levels: bisect the common level and invert
+    each server's polynomial at it."""
     def alloc_at(level: float) -> list[float]:
         out = [0.0] * n
         for i in servers:
@@ -145,8 +180,7 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
             out[i - 1] = z - b
         return out
 
-    lo = min(horner(level_coeffs[i - 1], background[i - 1]) + bonuses[i - 1]
-             for i in servers)
+    lo = min(starts.values())
     hi = max(horner(level_coeffs[i - 1], background[i - 1] + mass) + bonuses[i - 1]
              for i in servers)
     for _ in range(200):
@@ -157,12 +191,36 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
             lo = mid
         else:
             hi = mid
-    y = alloc_at(hi)
+    return alloc_at(hi)
+
+
+def _fill_common_level(n: int, servers: Sequence[int], mass: float,
+                       background: Sequence[float],
+                       level_coeffs: Sequence[Sequence[float]],
+                       bonuses: Sequence[float]) -> list[float]:
+    """Distribute ``mass`` over ``servers`` so the level functions equalize.
+
+    ``level_coeffs[i-1]`` is a nondecreasing polynomial of the aggregate load
+    on server i and ``bonuses[i-1]`` a constant offset. When every level is
+    linear the common level comes exactly from a breakpoint walk
+    (:func:`_linear_fill`); otherwise, or when the walk cannot place the mass
+    within rounding, it is bisected (:func:`_bisect_fill`). The result is
+    rescaled to the exact mass.
+    """
+    if mass <= 0.0:
+        return [0.0] * n
+    if not servers:
+        raise InfeasibleError("cannot place positive mass: no accessible server")
+    starts = {i: horner(level_coeffs[i - 1], background[i - 1]) + bonuses[i - 1]
+              for i in servers}
+    y = _linear_fill(n, servers, mass, level_coeffs, starts)
+    if y is None:
+        y = _bisect_fill(n, servers, mass, background, level_coeffs, bonuses, starts)
     total = math.fsum(y)
     if total <= 0.0:
-        # degenerate bracket: dump everything on the cheapest accessible server
-        cheapest = min(servers, key=lambda i: (
-            horner(level_coeffs[i - 1], background[i - 1]) + bonuses[i - 1], i))
+        # mass below the level's float resolution: dump everything on the
+        # cheapest accessible server
+        cheapest = min(servers, key=lambda i: (starts[i], i))
         y[cheapest - 1] = mass
         return y
     scale = mass / total
@@ -347,7 +405,8 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     otherwise every block answers with its Wardrop response. A sweep whose
     in-sweep residuals pass the tolerance still needs the certificate on the
     split profile before it claims convergence: :func:`equilibrium_residuals`
-    for the team, each group's Wardrop gap on the final loads otherwise.
+    for the team, each group's Wardrop gap on the final loads otherwise. A
+    NaN in-sweep residual ends the loop at once with that certificate.
     """
     settings = settings or SolveSettings()
     issues = validate_for_solve(instance, population)
@@ -411,6 +470,10 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
             blocks[g] = _renorm([o + damping * (v - o) for o, v in zip(blocks[g], br)], total)
 
         residual = _worst(residuals)
+        if math.isnan(residual):
+            # a residual that compares infinite costs cannot recover its
+            # tolerance; certify (unconverged) instead of running every sweep
+            return certify(blocks, iterations)
         if residual <= settings.tolerance:
             report = certify(blocks, iterations)
             if report.converged:

@@ -248,6 +248,20 @@ class TestCli:
         assert "strong security: false" in proc.stdout
         assert "weak security: true" in proc.stdout
 
+    def test_solve_does_not_load_numpy(self):
+        # numpy serves only the lattice oracle; importing the package and
+        # solving a scenario must not pay for it
+        code = (
+            "import sys\n"
+            "import teamsched\n"
+            "from teamsched import cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            f"assert cli.main(['solve', {str(SCENARIOS / 'constrained_three_servers.json')!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'solve'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_usage_error_exit_three(self):
         proc = self.run_cli("figure", "fig9")
         assert proc.returncode == 3
@@ -292,7 +306,11 @@ class TestCli:
         doc = base_doc(servers={"count": 2, "delays": [[0, 1e308], [0, 1e308]]})
         path = write_scenario(tmp_path, doc)
         assert cli.main(["solve", str(path)]) == cli.EXIT_NO_CONVERGENCE
-        assert "converged: false" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "converged: false" in out
+        # the NaN residual stops the loop instead of running all 10000 sweeps
+        sweeps = int(out.split("(iterations=")[1].split(")")[0])
+        assert sweeps <= 10
 
     def test_figure_ignores_tolerance_env(self, monkeypatch, capsys):
         monkeypatch.setenv("TEAMSCHED_TOL", "1e-8")

@@ -98,6 +98,16 @@ class TestLoadProfile:
         with pytest.raises(ValidationError):
             LoadProfile((-0.5, 2.5))
 
+    @pytest.mark.parametrize("loads", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_nonfinite_load_rejected(self, loads):
+        with pytest.raises(ValidationError):
+            LoadProfile(loads)
+
+    @pytest.mark.parametrize("raw", [[math.nan, 2.0], [math.inf, 1.0], [1.0, -math.inf]])
+    def test_from_raw_rejects_nonfinite(self, raw):
+        with pytest.raises(ValidationError):
+            LoadProfile.from_raw(raw)
+
     def test_from_raw_rescales(self):
         p = LoadProfile.from_raw((0.5, 0.5))
         assert math.fsum(p.loads) == 2.0

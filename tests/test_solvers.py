@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamsched import solvers
 from teamsched import (
     DisaggregatedProfile,
     GameInstance,
@@ -85,6 +88,111 @@ class TestWardrop:
         for i in access:
             if y[i - 1] > 1e-9:
                 assert delays[i - 1] <= best + 2e-10
+
+
+def reference_linear_fill(levels, background, bonuses, access, mass):
+    """Bisection on the common level of linear levels ``c0 + c1 x + bonus``.
+
+    ``levels[i-1] = (c0, c1)``. The float start levels are bisected over in
+    exact rational arithmetic, so a slope of any size keeps its load, until
+    the placed mass is within 2**-60 of ``mass`` relative.
+    """
+    n = len(levels)
+    starts = {i: Fraction(levels[i - 1][0] + levels[i - 1][1] * background[i - 1]
+                          + bonuses[i - 1]) for i in access}
+    slopes = {i: Fraction(levels[i - 1][1]) for i in access}
+    target = Fraction(mass)
+
+    def placed(level):
+        return sum(max(Fraction(0), level - starts[i]) / slopes[i] for i in access)
+
+    lo = min(starts.values())
+    hi = lo + target * max(slopes.values())
+    below, above = Fraction(0), placed(hi)
+    while above - below > target / 2**60:
+        mid = (lo + hi) / 2
+        at_mid = placed(mid)
+        if at_mid < target:
+            lo, below = mid, at_mid
+        else:
+            hi, above = mid, at_mid
+    return [float(max(Fraction(0), hi - starts[i]) / slopes[i]) if i in access else 0.0
+            for i in range(1, n + 1)]
+
+
+def fill(levels, background, bonuses, access, mass):
+    n = len(levels)
+    return solvers._fill_common_level(n, sorted(access), mass, background, levels, bonuses)
+
+
+class TestExactFill:
+    """The breakpoint walk for linear levels against a bisection reference."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection_reference(self, data):
+        n = data.draw(st.integers(1, 6))
+        levels = []
+        for _ in range(n):
+            c0 = data.draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 2.0)))
+            # slopes over 23 decades, so one can sit far below the others
+            c1 = 10.0 ** data.draw(st.floats(-20.0, 3.0))
+            # a trailing zero coefficient leaves the level linear
+            levels.append((c0, c1, 0.0) if data.draw(st.booleans()) else (c0, c1))
+        background = [data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))) for _ in range(n)]
+        # large bonuses keep some servers' start levels above the final level
+        bonuses = [data.draw(st.one_of(st.just(0.0), st.floats(0.0, 8.0))) for _ in range(n)]
+        access = data.draw(st.sets(st.integers(1, n), min_size=1))
+        mass = data.draw(st.one_of(st.floats(1e-300, 1e-9), st.floats(1e-9, 8.0)))
+
+        with mock.patch.object(solvers, "_bisect_fill", side_effect=AssertionError):
+            y = fill(levels, background, bonuses, access, mass)
+        assert math.fsum(y) == pytest.approx(mass, rel=1e-12)
+        assert all(v >= 0.0 for v in y)
+        assert all(y[i - 1] == 0.0 for i in range(1, n + 1) if i not in access)
+        ref = reference_linear_fill([lv[:2] for lv in levels], background, bonuses, access, mass)
+        assert y == pytest.approx(ref, rel=1e-12, abs=1e-12 * mass)
+
+    @pytest.mark.parametrize("levels, bonuses, expected", [
+        # equal start levels, one slope 1e20 times the other: (1 + 2) / 1e20 == 1
+        ([(1.0, 2.0), (1.0, 2e-20)], [0.0, 0.0], [2e-20, 2.0]),
+        # the nearly flat server starts at the attack offset
+        ([(0.0, 2.0), (0.0, 2e-20)], [0.0, 1.0], [0.5, 1.5]),
+    ])
+    def test_tiny_slope_keeps_its_load(self, levels, bonuses, expected):
+        with mock.patch.object(solvers, "_bisect_fill", side_effect=AssertionError):
+            y = fill(levels, [0.0, 0.0], bonuses, {1, 2}, 2.0)
+        ref = reference_linear_fill(levels, [0.0, 0.0], bonuses, {1, 2}, 2.0)
+        assert y == pytest.approx(ref, rel=1e-15)
+        assert y == pytest.approx(expected, rel=1e-15)
+
+    def test_priced_out_server_left_empty(self):
+        # server 1 starts at level 3; the other two meet at level 2 first
+        levels = [(0.0, 1.0), (0.0, 1.0), (0.0, 2.0)]
+        with mock.patch.object(solvers, "_bisect_fill", side_effect=AssertionError):
+            y = fill(levels, [0.0, 0.5, 0.25], [3.0, 0.0, 0.0], {1, 2, 3}, 2.25)
+        assert y == pytest.approx([0.0, 1.5, 0.75], abs=1e-15)
+
+    def test_trailing_zero_coefficient_takes_exact_path(self):
+        args = ([0.0, 0.4], [0.7, 0.0], {1, 2}, 1.5)
+        with mock.patch.object(solvers, "_bisect_fill", side_effect=AssertionError):
+            y = fill([(0.0, 1.0, 0.0), (0.5, 2.0, 0.0, 0.0)], *args)
+        assert y == fill([(0.0, 1.0), (0.5, 2.0)], *args)
+
+    def test_zero_slope_takes_bisection_path(self):
+        with mock.patch.object(solvers, "_bisect_fill", wraps=solvers._bisect_fill) as spy:
+            y = fill([(5.0, 0.0), (0.0, 1.0)], [0.0, 0.0], [0.0, 0.0], {1, 2}, 1.0)
+        assert spy.called
+        assert y == pytest.approx([0.0, 1.0], abs=1e-12)
+
+    def test_infinite_slope_takes_bisection_path(self):
+        # the marginal cost of a 1e308 slope overflows to an infinite slope
+        inst = GameInstance(2, ((0.0, 1e308), (0.0, 1.0)))
+        assert inst.delays[0].marginal_coefficients[1] == math.inf
+        with mock.patch.object(solvers, "_bisect_fill", wraps=solvers._bisect_fill) as spy:
+            y = solve_social_optimum(inst, {1, 2}, 2.0)
+        assert spy.called
+        assert math.fsum(y) == 2.0
 
 
 class TestSocialOptimum:
@@ -223,6 +331,25 @@ class TestTeamEquilibrium:
                                      SolveSettings(max_outer_iterations=1))
         assert not rep.converged
         assert rep.iterations == 1
+
+    @pytest.mark.parametrize("delays, target, expected", [
+        (((1.0, 1.0), (1.0, 1e-20)), 1, (2e-20, 2.0)),
+        (((0.0, 1.0), (0.0, 1e-20)), 2, (0.5, 1.5)),
+    ])
+    def test_nearly_flat_server_machines_only(self, delays, target, expected):
+        # one machine group and no selfish jobs: the team solve is one fill
+        inst = GameInstance(2, delays, target, 1.0 if target == 2 else 0.0)
+        rep = solve_team_equilibrium(inst, SchedulerPopulation.full_access(2, 2.0))
+        assert rep.converged
+        assert rep.aggregate.loads == pytest.approx(expected, rel=1e-12)
+
+    def test_infinite_cost_stops_at_nan_residual(self):
+        # cost inf - inf leaves a NaN machine residual that no sweep can clear
+        inst = GameInstance.identical(2, (0.0, 1e308), attack_strength=1.0)
+        rep = solve_team_equilibrium(inst, SchedulerPopulation.full_access(2, 1.0))
+        assert not rep.converged
+        assert math.isnan(rep.machine_residual)
+        assert rep.iterations <= 10
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
