@@ -48,11 +48,23 @@ def _contribution_tables(instance: GameInstance, steps: int, step: float) -> lis
 def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tuple[LoadProfile, float]:
     """Exhaustive minimum over the scaled-simplex lattice with the given step.
 
-    Streams the enumeration (one slice of the outer coordinates at a time) so
-    memory stays bounded. For polynomial delays the winner is within a
-    Lipschitz-constant multiple of the resolution of the true optimum. Ties
-    resolve to the lexicographically first lattice point, so reruns are
-    byte-identical. Guards: at most four servers and ``resolution >= 1e-4``.
+    Each server has a table ``T_i[k] = x_k * tau_i^attack(x_k)`` on the axis
+    ``x_k = k * n / steps``; a point ``(k_1, .., k_n)`` summing to ``steps``
+    scores ``(T_1 + T_2) + (T_3 + T_4)`` (``T_1 + (T_2 + T_3)`` at three
+    servers). From three servers on, a pair table holds, for every remaining
+    mass ``m``, the first minimum of the last two servers' slice and its
+    value (steps + 1 argmins). Three servers then take one argmin over
+    ``k_1`` against it, four servers one argmin over ``k_2`` per ``k_1``.
+    Float rounding is monotone, so the winner's score is the minimum over
+    every lattice point. Memory stays O(steps).
+
+    Ties: the last two servers take the first minimum of each slice (lowest
+    ``k_{n-1}``), a row its first minimum (lowest ``k_{n-2}``), and a later
+    row wins only if strictly lower (lowest ``k_1``), so reruns are
+    byte-identical. From three servers on, a slice holding a NaN scores NaN
+    and a NaN score never wins. For polynomial delays the winner is within a Lipschitz-constant
+    multiple of the resolution of the true optimum. Guards: at most four
+    servers and ``resolution >= 1e-4``.
     """
     n = instance.n
     if n > 4:
@@ -68,36 +80,31 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tup
     step = n / steps
     tables = _contribution_tables(instance, steps, step)
 
-    best_key: tuple[int, ...] | None = None
-    best_val = math.inf
-
     if n == 1:
         best_key = (steps,)
-        best_val = float(tables[0][steps])
     elif n == 2:
-        totals = tables[0] + tables[1][::-1]
-        k = int(np.argmin(totals))
+        k = int(np.argmin(tables[0] + tables[1][::-1]))
         best_key = (k, steps - k)
-        best_val = float(totals[k])
-    elif n == 3:
-        for k1 in range(steps + 1):
-            m = steps - k1
-            totals = tables[1][: m + 1] + tables[2][m::-1]
-            k2 = int(np.argmin(totals))
-            val = float(tables[0][k1]) + float(totals[k2])
-            if val < best_val:
-                best_val = val
-                best_key = (k1, k2, m - k2)
     else:
-        for k1 in range(steps + 1):
-            for k2 in range(steps - k1 + 1):
-                m = steps - k1 - k2
-                totals = tables[2][: m + 1] + tables[3][m::-1]
-                k3 = int(np.argmin(totals))
-                val = float(tables[0][k1]) + float(tables[1][k2]) + float(totals[k3])
-                if val < best_val:
-                    best_val = val
-                    best_key = (k1, k2, k3, m - k3)
+        pair_k = []
+        pair_val = np.empty(steps + 1)
+        for m in range(steps + 1):
+            totals = tables[-2][: m + 1] + tables[-1][m::-1]
+            k = int(np.argmin(totals))  # argmin picks a NaN first: its slice scores NaN
+            pair_k.append(k)
+            pair_val[m] = totals[k]
+        if n == 3:
+            rows = [((), tables[0] + pair_val[::-1])]
+        else:
+            rows = (((k1,), (tables[0][k1] + tables[1][: steps - k1 + 1]) + pair_val[steps - k1::-1])
+                    for k1 in range(steps + 1))
+        head, best_val = None, math.inf
+        for prefix, row in rows:
+            k = int(np.argmin(np.where(np.isnan(row), np.inf, row)))
+            if row[k] < best_val:
+                head, best_val = prefix + (k,), row[k]
+        m = steps - sum(head)
+        best_key = head + (pair_k[m], m - pair_k[m])
 
     profile = LoadProfile.from_raw([k * step for k in best_key])
     return profile, system_cost(instance, profile)

@@ -293,6 +293,11 @@ def _delay_vector(instance: GameInstance, loads: Sequence[float]) -> list[float]
             for i in range(1, instance.n + 1)]
 
 
+def _used_eps(block_mass: float) -> float:
+    """Block loads at or below this count as unused, off access included."""
+    return _USED_EPS * max(1.0, block_mass)
+
+
 def _wardrop_gap(instance: GameInstance, access: frozenset[int],
                  block: Sequence[float], loads: Sequence[float], block_mass: float) -> float:
     """Worst delay excess over the block's best accessible server."""
@@ -300,9 +305,9 @@ def _wardrop_gap(instance: GameInstance, access: frozenset[int],
         return 0.0
     delays = _delay_vector(instance, loads)
     best = min(delays[i - 1] for i in access)
-    used_eps = _USED_EPS * max(1.0, block_mass)
+    eps = _used_eps(block_mass)
     return _worst(delays[i - 1] - best for i in range(1, instance.n + 1)
-                  if block[i - 1] > used_eps)
+                  if block[i - 1] > eps)
 
 
 def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulation,
@@ -310,8 +315,10 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
     """Certificates that ``profile`` is a team equilibrium.
 
     Returns ``(selfish_residual, machine_residual)``; both at or below the
-    solver tolerance certify the profile. Dimension mismatches and mass placed
-    outside an access set raise :class:`ValidationError`.
+    solver tolerance certify the profile. Dimension mismatches and a block
+    load outside the block's access set above ``1e-12 * max(1, block mass)``
+    (the threshold below which the Wardrop gap counts a server as unused)
+    raise :class:`ValidationError`.
     """
     n = instance.n
     if len(profile.selfish) != n:
@@ -320,12 +327,14 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
         raise ValidationError(
             f"profile has {len(profile.per_machine)} machine blocks, "
             f"population has {population.machine_count}")
+    selfish_eps = _used_eps(population.selfish_mass)
     for i in range(1, n + 1):
-        if i not in population.selfish_access and profile.selfish[i - 1] > _USED_EPS:
+        if i not in population.selfish_access and profile.selfish[i - 1] > selfish_eps:
             raise ValidationError(f"selfish mass on inaccessible server {i}")
     for k, block in enumerate(profile.per_machine):
+        machine_eps = _used_eps(population.machine_masses[k])
         for i in range(1, n + 1):
-            if i not in population.machine_access[k] and block[i - 1] > _USED_EPS:
+            if i not in population.machine_access[k] and block[i - 1] > machine_eps:
                 raise ValidationError(f"machine {k + 1} mass on inaccessible server {i}")
 
     loads = profile.aggregate_loads()

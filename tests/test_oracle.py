@@ -1,14 +1,20 @@
+import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
 from teamsched import (
     CapacityError,
+    DelayFunction,
     GameInstance,
+    LoadProfile,
     SchedulerPopulation,
     SolveSettings,
     grid_search_optimum,
     monotonicity_sweep,
+    system_cost,
     team_cost_linear,
     verify_security,
     verify_strong_security,
@@ -62,6 +68,107 @@ class TestGridSearch:
         second = grid_search_optimum(inst, 1e-2)
         assert first[0].loads == second[0].loads
         assert first[1] == second[1]
+
+
+def _tables(instance, steps):
+    """x * attacked delay of each server on the lattice axis, as floats."""
+    step = instance.n / steps
+    axis = np.arange(steps + 1, dtype=np.float64) * step
+    tables = []
+    for i, f in enumerate(instance.delays, start=1):
+        delay = np.polynomial.polynomial.polyval(axis, np.asarray(f.coefficients, dtype=np.float64))
+        tables.append(axis * (delay + instance.attack_bonus(i)))
+    return step, tables
+
+
+def reference_lattice(instance, resolution):
+    """One argmin per (k1, .., k_{n-2}) slice: the direct form of the search.
+
+    Returns the profile, its cost and the winner's table value
+    ``(T0 + T1) + (T2 + T3)`` (``T0 + (T1 + T2)`` at three servers).
+    """
+    n = instance.n
+    steps = round(n / resolution)
+    step, tables = _tables(instance, steps)
+    best_key, best_val = None, math.inf
+    if n == 3:
+        for k1 in range(steps + 1):
+            m = steps - k1
+            totals = tables[1][: m + 1] + tables[2][m::-1]
+            k2 = int(np.argmin(totals))
+            val = float(tables[0][k1]) + float(totals[k2])
+            if val < best_val:
+                best_val = val
+                best_key = (k1, k2, m - k2)
+    else:
+        for k1 in range(steps + 1):
+            for k2 in range(steps - k1 + 1):
+                m = steps - k1 - k2
+                totals = tables[2][: m + 1] + tables[3][m::-1]
+                k3 = int(np.argmin(totals))
+                val = float(tables[0][k1]) + float(tables[1][k2]) + float(totals[k3])
+                if val < best_val:
+                    best_val = val
+                    best_key = (k1, k2, k3, m - k3)
+    profile = LoadProfile.from_raw([k * step for k in best_key])
+    return profile, system_cost(instance, profile), best_val
+
+
+def lattice_value(tables, key):
+    """Table value of one lattice point, in the search's float association."""
+    t = [float(table[k]) for table, k in zip(tables, key)]
+    return t[0] + (t[1] + t[2]) if len(t) == 3 else (t[0] + t[1]) + (t[2] + t[3])
+
+
+def brute_force_minimum(instance, resolution):
+    """Smallest table value over every lattice point (stars and bars)."""
+    n = instance.n
+    steps = round(n / resolution)
+    _, tables = _tables(instance, steps)
+    tables = [table.tolist() for table in tables]
+    best = math.inf
+    for bars in itertools.combinations(range(steps + n - 1), n - 1):
+        edges = (-1,) + bars + (steps + n - 1,)
+        key = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+        best = min(best, lattice_value(tables, key))
+    return best
+
+
+def random_instance(rng, n):
+    """Polynomial delays of degree 1-3 sharing one intercept, random attack."""
+    intercept = rng.uniform(0.0, 1.0)
+    delays = tuple(DelayFunction((intercept,) + tuple(rng.uniform(0.0, 2.0)
+                                                       for _ in range(rng.randint(1, 3))))
+                   for _ in range(n))
+    return GameInstance(n, delays, rng.randint(1, n), rng.uniform(0.0, 3.0))
+
+
+def _lattice_cases():
+    rng = random.Random(20261018)
+    cases = []
+    for n, resolutions in ((3, (0.01,)), (4, (0.1, 0.05))):
+        for alpha in (0.0, 0.5, 1.5):  # symmetric servers: ties on the lattice
+            for resolution in resolutions:
+                cases.append((f"linear{n}-a{alpha}-r{resolution}",
+                              GameInstance.linear(n, alpha), resolution))
+        for seed in range(4):
+            resolution = 0.01 if n == 3 else rng.uniform(0.05, 0.1)
+            cases.append((f"poly{n}-{seed}-r{resolution:.3f}", random_instance(rng, n), resolution))
+    return cases
+
+
+LATTICE_CASES = _lattice_cases()
+
+
+class TestLatticeReference:
+    @pytest.mark.parametrize("instance, resolution", [c[1:] for c in LATTICE_CASES],
+                             ids=[c[0] for c in LATTICE_CASES])
+    def test_matches_reference_bit_for_bit(self, instance, resolution):
+        profile, cost = grid_search_optimum(instance, resolution)
+        ref_profile, ref_cost, ref_val = reference_lattice(instance, resolution)
+        assert profile.loads == ref_profile.loads
+        assert cost == ref_cost
+        assert ref_val == brute_force_minimum(instance, resolution)
 
 
 class TestSecurityVerdicts:

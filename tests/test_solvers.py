@@ -404,6 +404,31 @@ class TestResiduals:
         with pytest.raises(ValidationError):
             equilibrium_residuals(inst, pop, bad)
 
+    # off-access dust is judged against 1e-12 * max(1, block mass), the same
+    # threshold below which the Wardrop gap counts a server as unused
+    @pytest.mark.parametrize("dust, ok", [(5e-12, True), (1e-9, False)])
+    def test_machine_dust_scales_with_block_mass(self, dust, ok):
+        inst = GameInstance.linear(10, 1.0)
+        pop = SchedulerPopulation.for_instance(10, ((10.0, range(1, 10)),))
+        block = (10 / 9,) * 9 + (dust,)
+        profile = DisaggregatedProfile((0.0,) * 10, (block,))
+        if ok:
+            equilibrium_residuals(inst, pop, profile)
+        else:
+            with pytest.raises(ValidationError, match="machine 1 mass on inaccessible server 10"):
+                equilibrium_residuals(inst, pop, profile)
+
+    @pytest.mark.parametrize("dust, ok", [(5e-12, True), (1e-9, False)])
+    def test_selfish_dust_scales_with_block_mass(self, dust, ok):
+        inst = GameInstance.linear(10, 1.0)
+        pop = SchedulerPopulation.for_instance(10, (), range(1, 10))
+        profile = DisaggregatedProfile((10 / 9,) * 9 + (dust,), ())
+        if ok:
+            equilibrium_residuals(inst, pop, profile)
+        else:
+            with pytest.raises(ValidationError, match="selfish mass on inaccessible server 10"):
+                equilibrium_residuals(inst, pop, profile)
+
 
 class TestFullySelfish:
     def test_full_access_matches_wardrop(self):
