@@ -115,8 +115,8 @@ def _cmd_verify(args) -> int:
     strong, weak = oracle.verify_security(
         scenario.instance, scenario.population, alphas,
         settings=scenario.settings, seed=args.seed)
-    if strong.inconclusive or weak.inconclusive:
-        print("verdict: inconclusive (solver did not converge)")
+    if strong.inconclusive:
+        print(f"verdict: inconclusive (solver did not converge at alpha={strong.worst_alpha:g})")
         return EXIT_NO_CONVERGENCE
     print(f"strong security: {str(strong.strong).lower()} "
           f"(worst gap {strong.gap:.6g} at alpha={strong.worst_alpha:g})")

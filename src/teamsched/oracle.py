@@ -19,17 +19,25 @@ from .solvers import SolveSettings, solve_team_equilibrium
 if TYPE_CHECKING:
     import numpy as np
 
-#: refuse lattices beyond this many points
+#: refuse lattice searches that would evaluate more score entries than this
 CAPACITY_LIMIT = 10 ** 8
 
 
 class CapacityError(ValueError):
-    """Requested lattice enumeration is too large to run."""
+    """Requested lattice search is too large to run."""
 
 
 def lattice_size(n: int, steps: int) -> int:
     """Number of points of the scaled simplex lattice with ``steps`` subdivisions."""
     return math.comb(steps + n - 1, n - 1)
+
+
+def _search_entries(n: int, steps: int) -> int:
+    """Score entries :func:`grid_search_optimum` evaluates: from three servers
+    on, the pair table's slices plus one row entry per remaining head point."""
+    if n < 3:
+        return lattice_size(n, steps)
+    return lattice_size(3, steps) + lattice_size(n - 1, steps)
 
 
 def _contribution_tables(instance: GameInstance, steps: int, step: float) -> list[np.ndarray]:
@@ -64,17 +72,21 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tup
     byte-identical. From three servers on, a slice holding a NaN scores NaN
     and a NaN score never wins. For polynomial delays the winner is within a Lipschitz-constant
     multiple of the resolution of the true optimum. Guards: at most four
-    servers and ``resolution >= 1e-4``.
+    servers, ``resolution >= 1e-4``, a finite attack strength and at most
+    :data:`CAPACITY_LIMIT` score entries (O(steps^2) from three servers on).
     """
     n = instance.n
     if n > 4:
         raise CapacityError(f"lattice search supports at most 4 servers, got {n}")
     if resolution < 1e-4:
         raise ValueError(f"resolution must be at least 1e-4, got {resolution}")
+    if not math.isfinite(instance.attack_strength):
+        raise ValueError(f"attack strength must be finite, got {instance.attack_strength}")
     steps = round(n / resolution)
-    if lattice_size(n, steps) > CAPACITY_LIMIT:
+    entries = _search_entries(n, steps)
+    if entries > CAPACITY_LIMIT:
         raise CapacityError(
-            f"lattice has {lattice_size(n, steps)} points, limit is {CAPACITY_LIMIT}")
+            f"lattice search evaluates {entries} score entries, limit is {CAPACITY_LIMIT}")
     import numpy as np
 
     step = n / steps
@@ -118,7 +130,8 @@ class SecurityVerdict:
     ``weak``: it never exceeded the attack-oblivious baseline.
     ``worst_alpha``/``gap`` locate the largest gap behind the verdict's
     primary comparison. ``inconclusive`` flags solver non-convergence, in
-    which case both booleans are reported false.
+    which case both booleans are reported false, ``worst_alpha`` is the
+    attack strength whose solves did not converge and ``gap`` is NaN.
     """
 
     strong: bool
@@ -188,7 +201,7 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
         attacked = replace(instance, attack_strength=float(alpha))
         costs = _team_costs_multistart(attacked, population, settings, starts, rng)
         if costs is None:
-            failed = SecurityVerdict(False, False, math.nan, math.nan, inconclusive=True)
+            failed = SecurityVerdict(False, False, float(alpha), math.nan, inconclusive=True)
             return failed, failed
         worst_team = max(costs)
         _, opt_cost = grid_search_optimum(attacked, resolution)

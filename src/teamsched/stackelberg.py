@@ -9,7 +9,9 @@ the response and picks the commitment minimizing mean system delay.
 Two branches exist: congest server 2 to keep followers on the attacked
 server (*influencing*), or concede it and let them flee (*abandoning*). The
 switch happens at :func:`influence_threshold`, where the argmin jumps while
-the cost stays continuous.
+the cost stays continuous. :func:`solve_stackelberg_numeric` checks the
+closed-form policy independently: it minimizes the piecewise-quadratic cost
+of the leader's load on server 2 exactly, without the threshold.
 """
 
 from __future__ import annotations
@@ -183,12 +185,16 @@ def optimal_stackelberg_solution(n: int, alpha: float) -> StackelbergSolution:
 
 def solve_stackelberg_numeric(n: int, alpha: float,
                               grid_resolution: float = 1e-4) -> StackelbergSolution:
-    """Grid-plus-refinement search over the leader's commitment, independent
-    of the closed-form policy.
+    """Exact search over the leader's commitment, independent of the
+    closed-form policy.
 
-    Symmetry of servers 3..n reduces the decision to the scalar load on
-    server 2, scanned over ``[0, n-1]``; every discrete local basin is then
-    refined by golden-section search. Ties prefer the lower commitment.
+    Symmetry of servers 3..n reduces the decision to the scalar load ``t`` on
+    server 2, over ``[0, n-1]``. The follower clamp cuts that range at
+    ``t = alpha -/+ 1`` into at most three pieces; on each the follower load
+    is ``x_1 = p + q t`` and the cost a convex quadratic, minimized at its
+    vertex clamped to the piece. The lowest piece minimum wins and ties
+    prefer the lower commitment. ``grid_resolution`` is range-checked but no
+    longer affects the result.
     """
     _check_domain(n, alpha, min_n=3)
     if not 0.0 < grid_resolution <= 0.1:
@@ -201,39 +207,21 @@ def solve_stackelberg_numeric(n: int, alpha: float,
         rest = (span - t) / (n - 2)
         return (x1 * (x1 + alpha) + x2 * x2 + (n - 2) * rest * rest) / n
 
-    steps = int(math.ceil(span / grid_resolution))
-    ts = [span * i / steps for i in range(steps + 1)]
-    costs = [cost_at(t) for t in ts]
-
-    basins = []
-    for i in range(steps + 1):
-        left = costs[i - 1] if i > 0 else math.inf
-        right = costs[i + 1] if i < steps else math.inf
-        if costs[i] <= left and costs[i] <= right:
-            if basins and basins[-1] == i - 1 and costs[i] == costs[i - 1]:
-                continue  # plateau: keep the first point of the run
-            basins.append(i)
-
+    # (lo, hi, p, q): followers flee, split, or all stay on the attacked server
+    pieces = ((0.0, alpha - 1.0, 0.0, 0.0),
+              (alpha - 1.0, alpha + 1.0, (1.0 - alpha) / 2.0, 0.5),
+              (alpha + 1.0, span, 1.0, 0.0))
     best_t, best_cost = None, math.inf
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for i in basins:
-        a = ts[max(0, i - 1)]
-        b = ts[min(steps, i + 1)]
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = cost_at(c), cost_at(d)
-        while b - a > 1e-11:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = cost_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = cost_at(d)
-        t = 0.5 * (a + b)
-        f = cost_at(t)
-        if f < best_cost:
-            best_t, best_cost = t, f
+    for lo, hi, p, q in pieces:
+        lo, hi = max(lo, 0.0), min(hi, span)
+        if lo > hi:
+            continue
+        vertex = ((2.0 * span / (n - 2) - q * (2.0 * p + alpha) - 2.0 * (1.0 - q) * (1.0 - p))
+                  / (2.0 * q * q + 2.0 * (1.0 - q) ** 2 + 2.0 / (n - 2)))
+        t = min(hi, max(lo, vertex))
+        cost = cost_at(t)
+        if cost < best_cost:
+            best_t, best_cost = t, cost
 
     instance = GameInstance.linear(n, alpha)
     leader = [0.0, best_t] + [(span - best_t) / (n - 2)] * (n - 2)

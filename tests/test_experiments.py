@@ -193,6 +193,15 @@ class TestFigureData:
             for c_val, n_val in zip(c_row, n_row):
                 assert float(n_val) == pytest.approx(float(c_val), abs=1e-6)
 
+    def test_fig5_numeric_stackelberg_bytes_match_closed_form(self):
+        # the exact piecewise search prints the closed-form commitment
+        header, c_rows = parse_csv(figure_data("fig5"))
+        _, n_rows = parse_csv(figure_data("fig5", numeric=True))
+        cols = [i for i, name in enumerate(header) if name.startswith("stackelberg_")]
+        assert len(n_rows) == 61
+        for c_row, n_row in zip(c_rows, n_rows):
+            assert [n_row[i] for i in cols] == [c_row[i] for i in cols]
+
     def test_round_trip_formatting_stable(self):
         text = figure_data("fig4")
         header, rows = parse_csv(text)
@@ -247,6 +256,12 @@ class TestCli:
         assert proc.returncode == 0
         assert "strong security: false" in proc.stdout
         assert "weak security: true" in proc.stdout
+
+    def test_verify_inconclusive_names_alpha(self):
+        proc = self.run_cli("verify", str(SCENARIOS / "constrained_three_servers.json"),
+                            "--alpha-list", "0.5,1.0", "--max-iters", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == "verdict: inconclusive (solver did not converge at alpha=0.5)\n"
 
     def test_solve_does_not_load_numpy(self):
         # numpy serves only the lattice oracle; importing the package and

@@ -52,10 +52,24 @@ class TestGridSearch:
     def test_capacity_guards(self):
         with pytest.raises(CapacityError):
             grid_search_optimum(GameInstance.linear(5, 1.0), 1e-3)
+        # the guard counts score entries: 2 * C(40002, 2) at 4 servers, 1e-4
         with pytest.raises(CapacityError):
-            grid_search_optimum(GameInstance.linear(4, 1.0), 1e-3)
+            grid_search_optimum(GameInstance.linear(4, 1.0), 1e-4)
+        with pytest.raises(CapacityError):
+            grid_search_optimum(GameInstance.linear(3, 1.0), 1e-4)
         with pytest.raises(ValueError):
             grid_search_optimum(GameInstance.linear(2, 1.0), 1e-5)
+
+    def test_four_servers_at_verify_resolution(self):
+        # 2 * C(4002, 2) score entries: within the limit although the
+        # lattice has about 1.07e10 points
+        _, cost = grid_search_optimum(GameInstance.linear(4, 1.0), 1e-3)
+        assert abs(cost - team_cost_linear(4, 4.0, 1.0)) <= 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rejects_infinite_attack(self, n):
+        with pytest.raises(ValueError, match="attack strength"):
+            grid_search_optimum(GameInstance.linear(n, math.inf), 0.1)
 
     def test_four_servers_coarse(self):
         inst = GameInstance.linear(4, 1.0)
@@ -242,6 +256,7 @@ class TestSecurityVerdicts:
             inst, pop, [1.0], settings=SolveSettings(max_outer_iterations=1))
         assert verdict.inconclusive
         assert not verdict.strong and not verdict.weak
+        assert verdict.worst_alpha == 1.0
         assert math.isnan(verdict.gap)
 
 

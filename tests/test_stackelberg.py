@@ -4,6 +4,7 @@ import pytest
 
 from teamsched import (
     GameInstance,
+    LoadProfile,
     ValidationError,
     constrained_team_cost,
     follower_best_response,
@@ -137,7 +138,7 @@ class TestNumericSearch:
     def test_reference_point(self):
         sol = solve_stackelberg_numeric(3, 1.0, 1e-4)
         assert abs(sol.cost - 95 / 72) <= 1e-6
-        assert abs(sol.leader[1] - 5 / 6) <= 1e-3
+        assert abs(sol.leader[1] - 5 / 6) <= 1e-12
         assert sol.branch == INFLUENCING
 
     def test_abandoning_point(self):
@@ -148,7 +149,7 @@ class TestNumericSearch:
     def test_no_attack(self):
         sol = solve_stackelberg_numeric(3, 0.0, 1e-4)
         assert abs(sol.cost - 1.0) <= 1e-9
-        assert abs(sol.leader[1] - 1.0) <= 1e-3
+        assert abs(sol.leader[1] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_agrees_with_closed_form(self, n):
@@ -159,7 +160,7 @@ class TestNumericSearch:
             assert abs(sol.cost - stackelberg_cost(n, alpha)) <= 1e-6
             policy, _ = optimal_leader_policy(n, alpha)
             if abs(alpha - threshold) > 1e-2:  # argmin jumps at the threshold
-                assert abs(sol.leader[1] - policy[1]) <= 1e-3
+                assert abs(sol.leader[1] - policy[1]) <= 1e-12
 
     def test_solution_respects_follower_coupling(self):
         # any optimal commitment keeps the attacked server weakly attractive
@@ -180,6 +181,75 @@ class TestNumericSearch:
         assert low.branch == INFLUENCING
         assert high.branch == ABANDONING
         assert abs(low.cost - high.cost) <= 5e-3  # cost stays continuous
+
+
+def _grid_reference(n, alpha, grid_resolution):
+    """Leader load of the grid-plus-golden-section search the exact piecewise
+    search replaced: scan ``[0, n-1]``, keep the first point of every discrete
+    local basin, refine each to width 1e-11 and take the strictly lowest."""
+    span = float(n - 1)
+
+    def cost_at(t):
+        x1 = min(1.0, max(0.0, (1.0 + t - alpha) / 2.0))
+        x2 = t + 1.0 - x1
+        rest = (span - t) / (n - 2)
+        return (x1 * (x1 + alpha) + x2 * x2 + (n - 2) * rest * rest) / n
+
+    steps = int(math.ceil(span / grid_resolution))
+    ts = [span * i / steps for i in range(steps + 1)]
+    costs = [cost_at(t) for t in ts]
+    basins = []
+    for i in range(steps + 1):
+        left = costs[i - 1] if i > 0 else math.inf
+        right = costs[i + 1] if i < steps else math.inf
+        if costs[i] <= left and costs[i] <= right:
+            if basins and basins[-1] == i - 1 and costs[i] == costs[i - 1]:
+                continue  # plateau: keep the first point of the run
+            basins.append(i)
+
+    best_t, best_cost = None, math.inf
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    for i in basins:
+        a, b = ts[max(0, i - 1)], ts[min(steps, i + 1)]
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = cost_at(c), cost_at(d)
+        while b - a > 1e-11:
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = cost_at(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = cost_at(d)
+        t = 0.5 * (a + b)
+        f = cost_at(t)
+        if f < best_cost:
+            best_t, best_cost = t, f
+    return best_t
+
+
+class TestGridReference:
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
+    def test_matches_grid_search(self, n):
+        # 1e-2 keeps the scan short; the refinement still ends at width 1e-11
+        for i in range(301):
+            alpha = i / 100
+            t = _grid_reference(n, alpha, 1e-2)
+            leader = [0.0, t] + [(n - 1 - t) / (n - 2)] * (n - 2)
+            follower = follower_best_response(leader, n, alpha)
+            aggregate = LoadProfile.from_raw([a + b for a, b in zip(leader, follower)])
+            ref_cost = system_cost(GameInstance.linear(n, alpha), aggregate)
+            ref_branch = INFLUENCING if follower[0] > 1e-9 else ABANDONING
+            sol = solve_stackelberg_numeric(n, alpha)
+            assert abs(sol.cost - ref_cost) <= 2e-15, (n, alpha)
+            assert sol.branch == ref_branch, (n, alpha)
+
+    def test_resolution_does_not_matter(self):
+        for resolution in (1e-4, 1e-2, 0.1):
+            assert solve_stackelberg_numeric(3, 1.0, resolution) == solve_stackelberg_numeric(3, 1.0)
+        with pytest.raises(ValueError):
+            solve_stackelberg_numeric(3, 1.0, 0.2)
 
 
 class TestOrdering:
