@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import closed_form, stackelberg
-from .game import (GameInstance, LoadProfile, SchedulerPopulation,
+from .game import (DelayFunction, GameInstance, LoadProfile, SchedulerPopulation,
                    ValidationError, system_cost, validate)
 from .solvers import SolveSettings, solve_fully_selfish, \
     solve_social_optimum, solve_team_equilibrium
@@ -171,13 +171,19 @@ def load_scenario(path: str | Path) -> Scenario:
     delays = _field(servers, "delays", "servers", list)
     if len(delays) != n:
         raise ScenarioError(f"servers.delays must list {n} coefficient arrays")
-    coeffs = tuple(tuple(_typed(d, f"servers.delays[{i}]", list, float))
-                   for i, d in enumerate(delays, start=1))
+    delay_fns = []
+    for i, d in enumerate(delays, start=1):
+        where = f"servers.delays[{i}]"
+        coeffs = tuple(_typed(d, where, list, float))
+        try:
+            delay_fns.append(DelayFunction(coeffs))
+        except ValueError as exc:
+            raise ScenarioError(f"scenario field '{where}': {exc}") from exc
     attack = _field(doc, "attack", "", dict, {})
     target = _field(attack, "target", "attack", int, 1)
     strength = _field(attack, "strength", "attack", float, 0.0)
     try:
-        instance = GameInstance(n, coeffs, target, strength)
+        instance = GameInstance(n, delay_fns, target, strength)
     except ValueError as exc:
         raise ScenarioError(f"{path}: bad instance description: {exc}") from exc
 

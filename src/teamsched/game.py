@@ -43,7 +43,9 @@ class DelayFunction:
     """Polynomial delay ``tau(x) = sum_j c_j x**j`` with nonnegative coefficients.
 
     Nonnegative coefficients make the delay convex and nondecreasing on
-    ``x >= 0`` by construction, and the derivative is available exactly.
+    ``x >= 0`` by construction, and the derivative is available exactly. A
+    coefficient whose marginal-cost term ``(j + 1) c_j`` overflows is
+    rejected, so every marginal-cost slope is finite.
     """
 
     coefficients: tuple[float, ...]
@@ -54,6 +56,10 @@ class DelayFunction:
             raise ValueError("delay polynomial needs at least a constant term")
         if any(not math.isfinite(c) or c < 0.0 for c in coeffs):
             raise ValueError(f"delay coefficients must be finite and nonnegative: {coeffs}")
+        for j, c in enumerate(coeffs):
+            if math.isinf((j + 1) * c):
+                raise ValueError(f"delay coefficient c_{j} = {c!r} overflows its "
+                                 f"marginal cost {j + 1} * c_{j}")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property

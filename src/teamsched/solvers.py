@@ -9,10 +9,10 @@
   with the social optimum (team) or with a Wardrop fill like the selfish
   jobs (fully selfish), and a certificate gates the reported convergence.
 
-Both fills equalize a common service level. When every accessible level
-is linear, a breakpoint walk over the sorted start levels gives it exactly;
-otherwise it is bisected, with per-server inversion of the monotone level
-polynomial closed-form up to quadratics and bisection beyond.
+Both fills equalize a common service level by Newton steps: each step
+replaces every level by its tangent at the server's current load and fills
+those lines exactly by a breakpoint walk over their sorted start levels.
+Linear levels are their own tangents, so their fill is exact in one step.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ from .game import (
 
 #: block loads at or below this fraction of the block mass count as unused
 _USED_EPS = 1e-12
+#: most Newton steps one fill takes
+_FILL_STEPS = 100
+#: a fill stops once its largest load move, at or below this fraction of the
+#: mass, stops shrinking (the loads cycle at rounding level)
+_SETTLED = 1e-9
+#: a line flatter than this holds the common level at its start; the bound
+#: keeps the walk's sum of inverse slopes finite
+_FLAT_SLOPE = 1e-300
 
 
 class InfeasibleError(ValueError):
@@ -81,47 +89,18 @@ class SolveReport:
 # level-equalizing fills
 
 
-def _invert_level(coeffs: Sequence[float], target: float, lo: float, hi: float) -> float:
-    """Largest z in [lo, hi] with poly(z) <= target, for a nondecreasing poly.
-
-    The caller guarantees poly(lo) <= target. Linear and quadratic levels are
-    inverted exactly; higher degrees fall back to bisection.
-    """
-    if horner(coeffs, hi) <= target:
-        return hi
-    degree = len(coeffs) - 1
-    while degree > 0 and coeffs[degree] == 0.0:
-        degree -= 1
-    if degree == 0:
-        return hi  # constant level below target everywhere
-    if degree == 1:
-        z = (target - coeffs[0]) / coeffs[1]
-        return min(hi, max(lo, z))
-    if degree == 2:
-        # larger root via the conjugate form, stable when 4|ac| << b^2
-        a, b = coeffs[2], coeffs[1]
-        c = coeffs[0] - target
-        disc = b * b - 4.0 * a * c
-        if disc <= 0.0 or c >= 0.0:
-            return lo
-        z = -2.0 * c / (b + math.sqrt(disc))
-        return min(hi, max(lo, z))
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # float resolution reached
-            break
-        if horner(coeffs, mid) <= target:
-            a = mid
-        else:
-            b = mid
-    return a
+def _value_and_slope(coeffs: Sequence[float], x: float) -> tuple[float, float]:
+    """Value and derivative at ``x`` of the polynomial, constant first."""
+    value = slope = 0.0
+    for c in reversed(coeffs):
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
 
 
-def _linear_fill(n: int, servers: Sequence[int], mass: float,
-                 level_coeffs: Sequence[Sequence[float]],
-                 starts: dict[int, float]) -> list[float] | None:
-    """Exact fill by a breakpoint walk when every level is linear.
+def _walk(n: int, mass: float, starts: dict[int, float],
+          slopes: dict[int, float]) -> list[float]:
+    """Exact fill of the lines ``starts[i] + slopes[i] * y`` in load increments y.
 
     Server i takes ``(level - starts[i]) / slope_i`` once the common level
     passes its start level. The walk enters the servers in ascending start
@@ -131,67 +110,37 @@ def _linear_fill(n: int, servers: Sequence[int], mass: float,
     under ``mass``, and each entered server takes ``(top - t_i) / c_i`` plus
     its share ``(1/c_i) / sum 1/c`` of the rest. Unlike the absolute level
     ``(mass + sum t/c) / sum 1/c``, these differences keep the load of a
-    server whose slope is orders of magnitude below the others'. Returns
-    None, leaving the fill to bisection, when a level is not of degree 1
-    with a finite positive slope or the loads miss ``mass`` by more than
-    rounding (an overflow).
+    server whose slope is orders of magnitude below the others'. A flat line
+    (slope 0) holds the level at its start once the walk reaches it: the
+    flat lines starting there share the rest equally.
     """
-    slopes = {}
-    for i in servers:
-        coeffs = level_coeffs[i - 1]
-        if len(coeffs) < 2 or any(coeffs[2:]) or not 0.0 < coeffs[1] < math.inf:
-            return None
-        slopes[i] = coeffs[1]
-    order = sorted(servers, key=starts.__getitem__)
+    order = sorted(starts, key=starts.__getitem__)
     top = starts[order[0]]
     below = 0.0
     inv_slope = 0.0
     entered = 0
+    flat: list[int] = []
     for i in order:
-        lift = below + (starts[i] - top) * inv_slope
+        # the first entry lifts nothing, also from an infinite start
+        lift = below + (starts[i] - top) * inv_slope if entered else 0.0
         if lift >= mass:
             break
         below, top = lift, starts[i]
+        if slopes[i] == 0.0:
+            flat = [j for j in order[entered:] if slopes[j] == 0.0 and starts[j] == top]
+            break
         inv_slope += 1.0 / slopes[i]
         entered += 1
     rest = mass - below
     y = [0.0] * n
+    if flat:
+        share = rest / len(flat)
+        for i in flat:
+            y[i - 1] = share
+        rest = 0.0
     for i in order[:entered]:
         y[i - 1] = (top - starts[i]) / slopes[i] + rest / (inv_slope * slopes[i])
-    if not abs(math.fsum(y) - mass) <= 1e-12 * mass:
-        return None
     return y
-
-
-def _bisect_fill(n: int, servers: Sequence[int], mass: float,
-                 background: Sequence[float],
-                 level_coeffs: Sequence[Sequence[float]],
-                 bonuses: Sequence[float], starts: dict[int, float]) -> list[float]:
-    """Fill for any nondecreasing levels: bisect the common level and invert
-    each server's polynomial at it."""
-    def alloc_at(level: float) -> list[float]:
-        out = [0.0] * n
-        for i in servers:
-            b = background[i - 1]
-            target = level - bonuses[i - 1]
-            if horner(level_coeffs[i - 1], b) > target:
-                continue
-            z = _invert_level(level_coeffs[i - 1], target, b, b + mass)
-            out[i - 1] = z - b
-        return out
-
-    lo = min(starts.values())
-    hi = max(horner(level_coeffs[i - 1], background[i - 1] + mass) + bonuses[i - 1]
-             for i in servers)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution reached
-            break
-        if math.fsum(alloc_at(mid)) < mass:
-            lo = mid
-        else:
-            hi = mid
-    return alloc_at(hi)
 
 
 def _fill_common_level(n: int, servers: Sequence[int], mass: float,
@@ -201,28 +150,62 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
     """Distribute ``mass`` over ``servers`` so the level functions equalize.
 
     ``level_coeffs[i-1]`` is a nondecreasing polynomial of the aggregate load
-    on server i and ``bonuses[i-1]`` a constant offset. When every level is
-    linear the common level comes exactly from a breakpoint walk
-    (:func:`_linear_fill`); otherwise, or when the walk cannot place the mass
-    within rounding, it is bisected (:func:`_bisect_fill`). The result is
-    rescaled to the exact mass.
+    on server i and ``bonuses[i-1]`` a constant offset. Each Newton step
+    replaces every level by its tangent at the server's current load
+    increment (the background on the first step) and fills those lines
+    exactly by :func:`_walk`. A tangent flatter than :data:`_FLAT_SLOPE`
+    (``x**2`` at load 0) gives way to the secant over the whole mass, and a
+    level whose rise over the whole mass is below float resolution becomes a
+    flat line. A line is its own tangent, so a fill whose levels are all
+    linear ends after one step; otherwise the steps go on until the loads
+    stop moving or their largest move, once below :data:`_SETTLED` times the
+    mass, stops shrinking, for at most :data:`_FILL_STEPS` steps. The result
+    is rescaled to the exact mass.
     """
     if mass <= 0.0:
         return [0.0] * n
     if not servers:
         raise InfeasibleError("cannot place positive mass: no accessible server")
-    starts = {i: horner(level_coeffs[i - 1], background[i - 1]) + bonuses[i - 1]
-              for i in servers}
-    y = _linear_fill(n, servers, mass, level_coeffs, starts)
-    if y is None:
-        y = _bisect_fill(n, servers, mass, background, level_coeffs, bonuses, starts)
+    y = [0.0] * n
+    last_move = math.inf
+    for _ in range(_FILL_STEPS):
+        curved = False
+        starts = {}
+        slopes = {}
+        for i in servers:
+            coeffs = level_coeffs[i - 1]
+            if len(coeffs) > 2 and any(coeffs[2:]):
+                curved = True
+                at = y[i - 1]
+                value, slope = _value_and_slope(coeffs, background[i - 1] + at)
+            else:
+                at = 0.0
+                value = horner(coeffs, background[i - 1])
+                slope = coeffs[1] if len(coeffs) > 1 else 0.0
+            if not slope >= _FLAT_SLOPE:
+                slope = (horner(coeffs, background[i - 1] + at + mass) - value) / mass
+            if not (slope >= _FLAT_SLOPE and slope * mass > 0.0):
+                slope = 0.0
+            start = value - slope * at + bonuses[i - 1]
+            if not abs(start) < math.inf:
+                # an overflowed level takes mass only where every level overflows
+                start, slope = math.inf, 0.0
+            starts[i] = start
+            slopes[i] = slope
+        step = _walk(n, mass, starts, slopes)
+        if not curved:
+            y = step
+            break
+        move = max(abs(u - v) for u, v in zip(step, y))
+        y = step
+        if move == 0.0 or (move <= _SETTLED * mass and not move < last_move):
+            break
+        last_move = move
     total = math.fsum(y)
-    if total <= 0.0:
-        # mass below the level's float resolution: dump everything on the
-        # cheapest accessible server
-        cheapest = min(servers, key=lambda i: (starts[i], i))
-        y[cheapest - 1] = mass
-        return y
+    if total == 0.0:
+        # a mass below the smallest normal float, every share of which
+        # underflowed: it goes whole to the line the walk enters first
+        y[min(starts, key=starts.__getitem__) - 1] = total = mass
     scale = mass / total
     return [v * scale for v in y]
 

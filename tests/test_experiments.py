@@ -309,6 +309,8 @@ class TestCli:
         ({"machines": [{"mass": "x"}]}, "machines[1].mass"),
         ({"machines": [{"mass": 1.0, "access": 2}]}, "machines[1].access"),
         ({"solver": {"max_outer_iterations": 2.7}}, "solver.max_outer_iterations"),
+        # the marginal cost 2 * 1e308 overflows
+        ({"servers": {"count": 2, "delays": [[0, 1], [0, 1e308]]}}, "servers.delays[2]"),
     ])
     def test_bad_field_type_exit_one(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, base_doc(**overrides))
@@ -318,7 +320,7 @@ class TestCli:
         assert out == ""
 
     def test_infinite_cost_not_converged(self, tmp_path, capsys):
-        doc = base_doc(servers={"count": 2, "delays": [[0, 1e308], [0, 1e308]]})
+        doc = base_doc(servers={"count": 3, "delays": [[0, 8e307]] * 3})
         path = write_scenario(tmp_path, doc)
         assert cli.main(["solve", str(path)]) == cli.EXIT_NO_CONVERGENCE
         out = capsys.readouterr().out

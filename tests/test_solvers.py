@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamsched import solvers
+from teamsched.game import horner
 from teamsched import (
     DisaggregatedProfile,
     GameInstance,
@@ -125,6 +125,103 @@ def fill(levels, background, bonuses, access, mass):
     return solvers._fill_common_level(n, sorted(access), mass, background, levels, bonuses)
 
 
+def _invert_level(coeffs, target, lo, hi):
+    """Largest z in [lo, hi] with poly(z) <= target, for a nondecreasing poly.
+
+    The caller guarantees poly(lo) <= target. Linear and quadratic levels are
+    inverted exactly; higher degrees fall back to bisection.
+    """
+    if horner(coeffs, hi) <= target:
+        return hi
+    degree = len(coeffs) - 1
+    while degree > 0 and coeffs[degree] == 0.0:
+        degree -= 1
+    if degree == 0:
+        return hi  # constant level below target everywhere
+    if degree == 1:
+        z = (target - coeffs[0]) / coeffs[1]
+        return min(hi, max(lo, z))
+    if degree == 2:
+        # larger root via the conjugate form, stable when 4|ac| << b^2
+        a, b = coeffs[2], coeffs[1]
+        c = coeffs[0] - target
+        disc = b * b - 4.0 * a * c
+        if disc <= 0.0 or c >= 0.0:
+            return lo
+        z = -2.0 * c / (b + math.sqrt(disc))
+        return min(hi, max(lo, z))
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:  # float resolution reached
+            break
+        if horner(coeffs, mid) <= target:
+            a = mid
+        else:
+            b = mid
+    return a
+
+
+def _bisect_fill(n, servers, mass, background, level_coeffs, bonuses, starts):
+    """Fill for any nondecreasing levels: bisect the common level and invert
+    each server's polynomial at it."""
+    def alloc_at(level):
+        out = [0.0] * n
+        for i in servers:
+            b = background[i - 1]
+            target = level - bonuses[i - 1]
+            if horner(level_coeffs[i - 1], b) > target:
+                continue
+            z = _invert_level(level_coeffs[i - 1], target, b, b + mass)
+            out[i - 1] = z - b
+        return out
+
+    lo = min(starts.values())
+    hi = max(horner(level_coeffs[i - 1], background[i - 1] + mass) + bonuses[i - 1]
+             for i in servers)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # float resolution reached
+            break
+        if math.fsum(alloc_at(mid)) < mass:
+            lo = mid
+        else:
+            hi = mid
+    return alloc_at(hi)
+
+
+def reference_bisect_fill(levels, background, bonuses, access, mass):
+    """Bisection of the common level to float resolution over per-server
+    inversions, rescaled to the mass: the direct form of the fill."""
+    n = len(levels)
+    starts = {i: horner(levels[i - 1], background[i - 1]) + bonuses[i - 1] for i in access}
+    y = _bisect_fill(n, sorted(access), mass, background, levels, bonuses, starts)
+    total = math.fsum(y)
+    return [v * (mass / total) for v in y] if total > 0.0 else y
+
+
+def level_gap(levels, background, bonuses, access, mass, y):
+    """Worst relative miss of the fill conditions by ``y``.
+
+    A server holding more than ``1e-12 * mass`` is used, and the used levels
+    must be equal; an unused server must not sit below the lowest used level
+    even after taking ``1e-12 * mass``.
+    """
+    eps = 1e-12 * mass
+    at = {i: horner(levels[i - 1], background[i - 1] + y[i - 1]) + bonuses[i - 1]
+          for i in access}
+    used = [at[i] for i in access if y[i - 1] > eps]
+    if not used:
+        return math.inf
+    top, low = max(used), min(used)
+    gap = (top - low) / top if top > 0.0 else 0.0
+    for i in access:
+        start = horner(levels[i - 1], background[i - 1] + eps) + bonuses[i - 1]
+        if y[i - 1] <= eps and start < low:
+            gap = max(gap, (low - start) / low)
+    return gap
+
+
 class TestExactFill:
     """The breakpoint walk for linear levels against a bisection reference."""
 
@@ -145,8 +242,7 @@ class TestExactFill:
         access = data.draw(st.sets(st.integers(1, n), min_size=1))
         mass = data.draw(st.one_of(st.floats(1e-300, 1e-9), st.floats(1e-9, 8.0)))
 
-        with mock.patch.object(solvers, "_bisect_fill", side_effect=AssertionError):
-            y = fill(levels, background, bonuses, access, mass)
+        y = fill(levels, background, bonuses, access, mass)
         assert math.fsum(y) == pytest.approx(mass, rel=1e-12)
         assert all(v >= 0.0 for v in y)
         assert all(y[i - 1] == 0.0 for i in range(1, n + 1) if i not in access)
@@ -160,8 +256,7 @@ class TestExactFill:
         ([(0.0, 2.0), (0.0, 2e-20)], [0.0, 1.0], [0.5, 1.5]),
     ])
     def test_tiny_slope_keeps_its_load(self, levels, bonuses, expected):
-        with mock.patch.object(solvers, "_bisect_fill", side_effect=AssertionError):
-            y = fill(levels, [0.0, 0.0], bonuses, {1, 2}, 2.0)
+        y = fill(levels, [0.0, 0.0], bonuses, {1, 2}, 2.0)
         ref = reference_linear_fill(levels, [0.0, 0.0], bonuses, {1, 2}, 2.0)
         assert y == pytest.approx(ref, rel=1e-15)
         assert y == pytest.approx(expected, rel=1e-15)
@@ -169,30 +264,86 @@ class TestExactFill:
     def test_priced_out_server_left_empty(self):
         # server 1 starts at level 3; the other two meet at level 2 first
         levels = [(0.0, 1.0), (0.0, 1.0), (0.0, 2.0)]
-        with mock.patch.object(solvers, "_bisect_fill", side_effect=AssertionError):
-            y = fill(levels, [0.0, 0.5, 0.25], [3.0, 0.0, 0.0], {1, 2, 3}, 2.25)
+        y = fill(levels, [0.0, 0.5, 0.25], [3.0, 0.0, 0.0], {1, 2, 3}, 2.25)
         assert y == pytest.approx([0.0, 1.5, 0.75], abs=1e-15)
 
     def test_trailing_zero_coefficient_takes_exact_path(self):
         args = ([0.0, 0.4], [0.7, 0.0], {1, 2}, 1.5)
-        with mock.patch.object(solvers, "_bisect_fill", side_effect=AssertionError):
-            y = fill([(0.0, 1.0, 0.0), (0.5, 2.0, 0.0, 0.0)], *args)
+        y = fill([(0.0, 1.0, 0.0), (0.5, 2.0, 0.0, 0.0)], *args)
         assert y == fill([(0.0, 1.0), (0.5, 2.0)], *args)
 
-    def test_zero_slope_takes_bisection_path(self):
-        with mock.patch.object(solvers, "_bisect_fill", wraps=solvers._bisect_fill) as spy:
-            y = fill([(5.0, 0.0), (0.0, 1.0)], [0.0, 0.0], [0.0, 0.0], {1, 2}, 1.0)
-        assert spy.called
+    def test_zero_slope_level_is_flat(self):
+        # the flat server starts above the level the sloped one reaches
+        y = fill([(5.0, 0.0), (0.0, 1.0)], [0.0, 0.0], [0.0, 0.0], {1, 2}, 1.0)
         assert y == pytest.approx([0.0, 1.0], abs=1e-12)
 
-    def test_infinite_slope_takes_bisection_path(self):
-        # the marginal cost of a 1e308 slope overflows to an infinite slope
-        inst = GameInstance(2, ((0.0, 1e308), (0.0, 1.0)))
-        assert inst.delays[0].marginal_coefficients[1] == math.inf
-        with mock.patch.object(solvers, "_bisect_fill", wraps=solvers._bisect_fill) as spy:
-            y = solve_social_optimum(inst, {1, 2}, 2.0)
-        assert spy.called
-        assert math.fsum(y) == 2.0
+    def test_overflowing_slope_rejected(self):
+        # the marginal cost of a 1e308 slope would overflow to an infinite slope
+        with pytest.raises(ValueError, match=r"c_1 = 1e\+308 overflows its marginal cost"):
+            GameInstance(2, ((0.0, 1e308), (0.0, 1.0)))
+
+
+class TestNewtonFill:
+    """Newton steps over the walk for levels of any degree."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_levels_and_bisection_reference(self, data):
+        n = data.draw(st.integers(1, 5))
+        levels, background = [], []
+        for _ in range(n):
+            degree = data.draw(st.integers(1, 4))
+            # coefficients over 20 decades
+            coeff = st.one_of(st.just(0.0), st.floats(-10.0, 10.0).map(lambda e: 10.0 ** e))
+            if data.draw(st.booleans()):
+                # a pure power at zero background has a zero tangent there
+                levels.append((0.0,) * degree + (data.draw(coeff.filter(bool)),))
+                background.append(0.0)
+            else:
+                levels.append(tuple(data.draw(coeff) for _ in range(degree + 1)))
+                background.append(data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))))
+        bonuses = [data.draw(st.one_of(st.just(0.0), st.floats(0.0, 8.0))) for _ in range(n)]
+        access = data.draw(st.sets(st.integers(1, n), min_size=1))
+        mass = 10.0 ** data.draw(st.floats(-300.0, 0.9))
+
+        y = fill(levels, background, bonuses, access, mass)
+        assert not any(math.isnan(v) for v in y)
+        assert math.fsum(y) == pytest.approx(mass, rel=1e-12)
+        assert all(v >= 0.0 for v in y)
+        assert all(y[i - 1] == 0.0 for i in range(1, n + 1) if i not in access)
+        args = (levels, background, bonuses, access, mass)
+        assert level_gap(*args, y) <= 1e-12
+        if mass < 1e-9:
+            return
+        ref = reference_bisect_fill(*args)
+        # the bisection stops at the float resolution of the common level, so
+        # the loads agree except where a server's levels at the two loads lie
+        # within the level gap the bisection left
+        tol = 2.0 * level_gap(*args, ref) + 1e-12
+        for i in access:
+            ours, theirs = (horner(levels[i - 1], background[i - 1] + z[i - 1])
+                            + bonuses[i - 1] for z in (y, ref))
+            assert (abs(y[i - 1] - ref[i - 1]) <= 1e-9 * mass
+                    or abs(ours - theirs) <= tol * max(ours, theirs))
+
+    def test_mass_below_background_resolution(self):
+        # 1.3 + 1e-300 == 1.3, but server 1 starts at level 3e-19, far below
+        # server 2's 0.2: the whole mass goes to server 1
+        y = fill([(0.0, 1e-19, 1e-19), (0.2, 1.0, 1.0)], [1.3, 0.0], [0.0, 0.0], {1, 2}, 1e-300)
+        assert y == [1e-300, 0.0]
+
+    @pytest.mark.parametrize("levels, background, expected", [
+        # server 1's level overflows at its background of 1000
+        ([(0.0, 0.0, 0.0, 0.0, 1e300), (0.0, 1.0)], [1e3, 0.0], [0.0, 1.0]),
+        # every level overflows: the servers share the mass
+        ([(0.0, 0.0, 0.0, 0.0, 1e300)] * 2, [1e3, 1e3], [0.5, 0.5]),
+    ])
+    def test_overflowed_level(self, levels, background, expected):
+        assert fill(levels, background, [0.0, 0.0], {1, 2}, 1.0) == expected
+
+    def test_subnormal_mass_kept_whole(self):
+        # each half of the smallest float underflows to 0
+        assert fill([(0.0, 1.0)] * 2, [0.0, 0.0], [0.0, 0.0], {1, 2}, 5e-324) == [5e-324, 0.0]
 
 
 class TestSocialOptimum:
@@ -345,8 +496,8 @@ class TestTeamEquilibrium:
 
     def test_infinite_cost_stops_at_nan_residual(self):
         # cost inf - inf leaves a NaN machine residual that no sweep can clear
-        inst = GameInstance.identical(2, (0.0, 1e308), attack_strength=1.0)
-        rep = solve_team_equilibrium(inst, SchedulerPopulation.full_access(2, 1.0))
+        inst = GameInstance.identical(3, (0.0, 8e307), attack_strength=1.0)
+        rep = solve_team_equilibrium(inst, SchedulerPopulation.full_access(3, 1.0))
         assert not rep.converged
         assert math.isnan(rep.machine_residual)
         assert rep.iterations <= 10
