@@ -21,6 +21,9 @@ if TYPE_CHECKING:
 
 #: refuse lattice searches that would evaluate more score entries than this
 CAPACITY_LIMIT = 10 ** 8
+#: rows per block of the lattice kernels: a block's score array takes 1.5 MB
+#: at the 3,000 steps of verify's resolution on three servers, 2 MB at 4,000
+_BLOCK = 64
 
 
 class CapacityError(ValueError):
@@ -53,27 +56,104 @@ def _contribution_tables(instance: GameInstance, steps: int, step: float) -> lis
     return tables
 
 
-def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tuple[LoadProfile, float]:
+def _reversed_windows(values: np.ndarray) -> np.ndarray:
+    """Strided view ``w[i, j] = values[steps - i - j]`` for ``i + j <= steps``, +inf past it."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    steps = len(values) - 1
+    return sliding_window_view(np.concatenate((values[::-1], np.full(steps, np.inf))), steps + 1)
+
+
+def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """Smallest score of the last two servers' slice for every remaining mass.
+
+    Row ``m`` holds ``near[k] + far[m - k]`` for ``k <= m``, and a row that
+    holds a NaN scores NaN. A block of rows takes the columns up to its last
+    row only, and its entries past the diagonal are set to +inf.
+    """
+    import numpy as np
+
+    steps = len(near) - 1
+    windows = _reversed_windows(far)[::-1]  # windows[m, k] = far[m - k]
+    past_diagonal = ~np.tri(_BLOCK, dtype=bool)
+    pair_val = np.empty(steps + 1)
+    buffer = np.empty(_BLOCK * (steps + 1))
+    for m0 in range(0, steps + 1, _BLOCK):
+        m1 = min(m0 + _BLOCK, steps + 1)
+        sums = buffer[: (m1 - m0) * m1].reshape(m1 - m0, m1)
+        np.add(near[:m1], windows[m0:m1, :m1], out=sums)
+        np.copyto(sums[:, m0:], np.inf, where=past_diagonal[: m1 - m0, : m1 - m0])
+        sums.min(axis=1, out=pair_val[m0:m1])
+    return pair_val
+
+
+def _first_minimum(scores: np.ndarray) -> int:
+    """Flat index of the first minimum of ``scores``, NaN read as +inf
+    (a NaN in ``scores`` is overwritten with +inf)."""
+    import numpy as np
+
+    k = int(scores.argmin())  # argmin stops at a NaN: map them and rerun
+    if math.isnan(scores.flat[k]):
+        scores[np.isnan(scores)] = np.inf
+        k = int(scores.argmin())
+    return k
+
+
+def _head_rows(first: np.ndarray, second: np.ndarray, pair_val: np.ndarray) -> tuple[int, int]:
+    """First minimum over ``(k1, k2)`` of ``(first[k1] + second[k2]) + pair_val[steps - k1 - k2]``
+    in row-major order, NaN read as +inf; ``(0, 0)`` if every score is +inf."""
+    import numpy as np
+
+    steps = len(first) - 1
+    windows = _reversed_windows(pair_val)
+    head, best_val = (0, 0), math.inf
+    buffer = np.empty(_BLOCK * (steps + 1))
+    for a in range(0, steps + 1, _BLOCK):
+        b = min(a + _BLOCK, steps + 1)
+        width = steps + 1 - a
+        scores = buffer[: (b - a) * width].reshape(b - a, width)
+        np.add(first[a:b, None], second[:width], out=scores)
+        np.add(scores, windows[a:b, :width], out=scores)
+        k = _first_minimum(scores)
+        if scores.flat[k] < best_val:
+            head, best_val = (a + k // width, k % width), scores.flat[k]
+    return head
+
+
+def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
+                        _pairs: dict | None = None) -> tuple[LoadProfile, float]:
     """Exhaustive minimum over the scaled-simplex lattice with the given step.
 
     Each server has a table ``T_i[k] = x_k * tau_i^attack(x_k)`` on the axis
     ``x_k = k * n / steps``; a point ``(k_1, .., k_n)`` summing to ``steps``
     scores ``(T_1 + T_2) + (T_3 + T_4)`` (``T_1 + (T_2 + T_3)`` at three
     servers). From three servers on, a pair table holds, for every remaining
-    mass ``m``, the first minimum of the last two servers' slice and its
-    value (steps + 1 argmins). Three servers then take one argmin over
-    ``k_1`` against it, four servers one argmin over ``k_2`` per ``k_1``.
-    Float rounding is monotone, so the winner's score is the minimum over
-    every lattice point. Memory stays O(steps).
+    mass ``m``, the smallest score of the last two servers' slice. Three
+    servers then take one argmin over ``k_1`` against it, four servers the
+    first minimum over ``(k_1, k_2)``. Both run as numpy kernels over blocks
+    of :data:`_BLOCK` rows: each row is a strided window over the reversed
+    table, padded with +inf, so every lattice point is scored with the same
+    float additions as one argmin per slice would make. Float rounding is
+    monotone, so the winner's score is the minimum over every lattice point.
+    The winning slice's split comes from one last argmin. Memory stays
+    O(block * steps).
 
     Ties: the last two servers take the first minimum of each slice (lowest
     ``k_{n-1}``), a row its first minimum (lowest ``k_{n-2}``), and a later
     row wins only if strictly lower (lowest ``k_1``), so reruns are
     byte-identical. From three servers on, a slice holding a NaN scores NaN
-    and a NaN score never wins. For polynomial delays the winner is within a Lipschitz-constant
-    multiple of the resolution of the true optimum. Guards: at most four
-    servers, ``resolution >= 1e-4``, a finite attack strength and at most
-    :data:`CAPACITY_LIMIT` score entries (O(steps^2) from three servers on).
+    and a NaN score never wins. Where every score is +inf or NaN the first
+    point in that search order wins, with cost inf. For polynomial delays
+    the winner is within a Lipschitz-constant multiple of the resolution of
+    the true optimum. Guards: at most four servers, ``resolution >= 1e-4``,
+    a finite attack strength and at most :data:`CAPACITY_LIMIT` score
+    entries (O(steps^2) from three servers on).
+
+    ``_pairs`` is :func:`verify_security`'s memo for one scan: it keeps the
+    last pair table, keyed on the exact bytes of the last two servers'
+    tables, which stay the same across attack strengths whenever the attack
+    targets neither of those servers.
     """
     n = instance.n
     if n > 4:
@@ -90,33 +170,28 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tup
     import numpy as np
 
     step = n / steps
-    tables = _contribution_tables(instance, steps, step)
-
-    if n == 1:
-        best_key = (steps,)
-    elif n == 2:
-        k = int(np.argmin(tables[0] + tables[1][::-1]))
-        best_key = (k, steps - k)
-    else:
-        pair_k = []
-        pair_val = np.empty(steps + 1)
-        for m in range(steps + 1):
-            totals = tables[-2][: m + 1] + tables[-1][m::-1]
-            k = int(np.argmin(totals))  # argmin picks a NaN first: its slice scores NaN
-            pair_k.append(k)
-            pair_val[m] = totals[k]
-        if n == 3:
-            rows = [((), tables[0] + pair_val[::-1])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _contribution_tables(instance, steps, step)
+        if n == 1:
+            best_key = (steps,)
+        elif n == 2:
+            k = int(np.argmin(tables[0] + tables[1][::-1]))
+            best_key = (k, steps - k)
         else:
-            rows = (((k1,), (tables[0][k1] + tables[1][: steps - k1 + 1]) + pair_val[steps - k1::-1])
-                    for k1 in range(steps + 1))
-        head, best_val = None, math.inf
-        for prefix, row in rows:
-            k = int(np.argmin(np.where(np.isnan(row), np.inf, row)))
-            if row[k] < best_val:
-                head, best_val = prefix + (k,), row[k]
-        m = steps - sum(head)
-        best_key = head + (pair_k[m], m - pair_k[m])
+            near, far = tables[-2], tables[-1]
+            pairs = {} if _pairs is None else _pairs
+            key = (near.tobytes(), far.tobytes())
+            if key not in pairs:
+                pairs.clear()
+                pairs[key] = _pair_table(near, far)
+            pair_val = pairs[key]
+            if n == 3:
+                head = (_first_minimum(tables[0] + pair_val[::-1]),)
+            else:
+                head = _head_rows(tables[0], tables[1], pair_val)
+            m = steps - sum(head)
+            k = int(np.argmin(near[: m + 1] + far[m::-1]))  # argmin picks a NaN first, as the table did
+            best_key = head + (k, m - k)
 
     profile = LoadProfile.from_raw([k * step for k in best_key])
     return profile, system_cost(instance, profile)
@@ -193,7 +268,9 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
     """
     settings = settings or SolveSettings()
     rng = random.Random(seed)
-    baseline_profile, _ = grid_search_optimum(replace(instance, attack_strength=0.0), resolution)
+    pairs: dict = {}  # one pair table, reused across the scan while it stays the same
+    baseline_profile, _ = grid_search_optimum(replace(instance, attack_strength=0.0), resolution,
+                                              _pairs=pairs)
 
     strong_gaps: list[tuple[float, float]] = []
     weak_gaps: list[tuple[float, float]] = []
@@ -204,7 +281,7 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
             failed = SecurityVerdict(False, False, float(alpha), math.nan, inconclusive=True)
             return failed, failed
         worst_team = max(costs)
-        _, opt_cost = grid_search_optimum(attacked, resolution)
+        _, opt_cost = grid_search_optimum(attacked, resolution, _pairs=pairs)
         strong_gaps.append((float(alpha), worst_team - opt_cost))
         weak_gaps.append((float(alpha), worst_team - system_cost(attacked, baseline_profile)))
 

@@ -264,18 +264,33 @@ class TestCli:
         assert proc.stdout == "verdict: inconclusive (solver did not converge at alpha=0.5)\n"
 
     def test_solve_does_not_load_numpy(self):
-        # numpy serves only the lattice oracle; importing the package and
-        # solving a scenario must not pay for it
+        # numpy serves only the lattice oracle; importing the package,
+        # solving a scenario, sweeping it and the numeric figures must not pay for it
+        scenario = str(SCENARIOS / "constrained_three_servers.json")
         code = (
             "import sys\n"
             "import teamsched\n"
             "from teamsched import cli\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
-            f"assert cli.main(['solve', {str(SCENARIOS / 'constrained_three_servers.json')!r}]) == 0\n"
+            f"assert cli.main(['solve', {scenario!r}]) == 0\n"
             "assert 'numpy' not in sys.modules, 'solve'\n"
+            f"assert cli.main(['sweep', {scenario!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'sweep'\n"
+            "assert cli.main(['figure', 'fig4', '--numeric']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'figure'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_verify_infinite_lattice_inconclusive(self, tmp_path):
+        # every lattice score overflows: the oracle returns cost inf, and the
+        # team solves cannot certify an infinite cost
+        doc = base_doc(servers={"count": 3, "delays": [[1e308]] * 3},
+                       machines=[{"mass": 2.0, "access": [2, 3]}], selfish={"access": [1, 2]})
+        proc = self.run_cli("verify", str(write_scenario(tmp_path, doc)))
+        assert proc.returncode == 2
+        assert proc.stdout == "verdict: inconclusive (solver did not converge at alpha=1)\n"
+        assert proc.stderr == ""
 
     def test_usage_error_exit_three(self):
         proc = self.run_cli("figure", "fig9")

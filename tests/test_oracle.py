@@ -1,9 +1,13 @@
 import itertools
 import math
 import random
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamsched import (
     CapacityError,
@@ -14,6 +18,7 @@ from teamsched import (
     SolveSettings,
     grid_search_optimum,
     monotonicity_sweep,
+    oracle,
     system_cost,
     team_cost_linear,
     verify_security,
@@ -71,6 +76,16 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="attack strength"):
             grid_search_optimum(GameInstance.linear(n, math.inf), 0.1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_score_infinite_gives_first_point(self, n):
+        # every lattice point overflows: x * 1e308 summed over loads adding to n
+        inst = GameInstance(n, (DelayFunction((1e308,)),) * n, 1, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile, cost = grid_search_optimum(inst, 0.1)
+        assert profile.loads == (0.0,) * (n - 1) + (float(n),)
+        assert cost == math.inf
+
     def test_four_servers_coarse(self):
         inst = GameInstance.linear(4, 1.0)
         _, cost = grid_search_optimum(inst, 0.05)
@@ -95,15 +110,17 @@ def _tables(instance, steps):
     return step, tables
 
 
-def reference_lattice(instance, resolution):
+def reference_lattice(instance, resolution, tables=None):
     """One argmin per (k1, .., k_{n-2}) slice: the direct form of the search.
 
     Returns the profile, its cost and the winner's table value
     ``(T0 + T1) + (T2 + T3)`` (``T0 + (T1 + T2)`` at three servers).
+    ``tables`` replaces the instance's own tables when given.
     """
     n = instance.n
     steps = round(n / resolution)
-    step, tables = _tables(instance, steps)
+    step, own = _tables(instance, steps)
+    tables = own if tables is None else tables
     best_key, best_val = None, math.inf
     if n == 3:
         for k1 in range(steps + 1):
@@ -124,6 +141,9 @@ def reference_lattice(instance, resolution):
                 if val < best_val:
                     best_val = val
                     best_key = (k1, k2, k3, m - k3)
+    if best_key is None:  # every score is +inf or NaN: the first point in search order
+        k = int(np.argmin(tables[-2] + tables[-1][::-1]))
+        best_key = (0,) * (n - 2) + (k, steps - k)
     profile = LoadProfile.from_raw([k * step for k in best_key])
     return profile, system_cost(instance, profile), best_val
 
@@ -168,6 +188,11 @@ def _lattice_cases():
         for seed in range(4):
             resolution = 0.01 if n == 3 else rng.uniform(0.05, 0.1)
             cases.append((f"poly{n}-{seed}-r{resolution:.3f}", random_instance(rng, n), resolution))
+        # x * 5e307 * x overflows from x ~ 1.9 on: part of the lattice scores +inf
+        for steep in (1, n - 1, n):
+            delays = tuple(DelayFunction((0.0, 5e307 if i == steep else 1.0)) for i in range(1, n + 1))
+            resolution = 0.01 if n == 3 else 0.1
+            cases.append((f"inf{n}-s{steep}-r{resolution}", GameInstance(n, delays, 1, 1.0), resolution))
     return cases
 
 
@@ -183,6 +208,81 @@ class TestLatticeReference:
         assert profile.loads == ref_profile.loads
         assert cost == ref_cost
         assert ref_val == brute_force_minimum(instance, resolution)
+
+
+def _block_cases():
+    rng = random.Random(8)
+    block = oracle._BLOCK
+    cases = []
+    for n in (3, 4):
+        for steps in (block - 1, block, block + 1, 2 * block + 1):
+            for name, instance in (("linear", GameInstance.linear(n, 1.5)),
+                                   ("poly", random_instance(rng, n))):
+                cases.append((f"{name}{n}-steps{steps}", instance, steps))
+    # no attack, 4 * block - 1 steps: the optimum ties at k1 = block - 1 (first
+    # block) and k1 = block (second block), and the first one must win
+    cases.append((f"calm4-steps{4 * block - 1}", GameInstance.linear(4, 0.0), 4 * block - 1))
+    return cases
+
+
+BLOCK_CASES = _block_cases()
+
+
+def _reference_matches(instance, resolution, tables=None):
+    profile, cost = grid_search_optimum(instance, resolution)
+    ref_profile, ref_cost, _ = reference_lattice(instance, resolution, tables)
+    assert profile.loads == ref_profile.loads
+    assert cost == ref_cost
+
+
+class TestLatticeKernels:
+    """The blocked search against the per-slice reference only, where brute
+    force is too slow: step counts around the block size, verify's
+    resolution, injected NaN entries and random instances."""
+
+    @pytest.mark.parametrize("instance, steps", [c[1:] for c in BLOCK_CASES],
+                             ids=[c[0] for c in BLOCK_CASES])
+    def test_steps_around_block_size(self, instance, steps):
+        resolution = instance.n / steps
+        assert round(instance.n / resolution) == steps
+        _reference_matches(instance, resolution)
+
+    @pytest.mark.parametrize("instance", [
+        GameInstance.linear(3, 1.5),
+        random_instance(random.Random(3), 3),
+        GameInstance(3, (DelayFunction((0.0, 1.0)),) * 2 + (DelayFunction((0.0, 5e307)),), 3, 0.5),
+    ], ids=["linear", "poly", "inf"])
+    def test_three_servers_at_verify_resolution(self, instance):
+        _reference_matches(instance, 1e-3)
+
+    @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.05)])
+    def test_nan_entries_never_win(self, monkeypatch, n, resolution):
+        # NaN at the clean winner's entries of the first and the two last
+        # servers: its row, and every slice through those entries, score NaN
+        instance = random_instance(random.Random(n), n)
+        steps = round(n / resolution)
+        _, tables = _tables(instance, steps)
+        clean, _, _ = reference_lattice(instance, resolution)
+        key = [round(x * steps / n) for x in clean.loads]
+        tables[0][key[0]] = tables[-2][key[-2]] = tables[-1][key[-1]] = math.nan
+        monkeypatch.setattr(oracle, "_contribution_tables",
+                            lambda *args: [table.copy() for table in tables])
+        profile, _ = grid_search_optimum(instance, resolution)
+        assert profile.loads != clean.loads
+        _reference_matches(instance, resolution, tables)
+
+    @given(n=st.sampled_from([3, 4]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_instances_match_reference(self, n, data):
+        steps = data.draw(st.integers(1, 2 * oracle._BLOCK + 1 if n == 3 else oracle._BLOCK + 2))
+        # small integer coefficients make ties; 4e307 (still a valid c_3) makes
+        # part of the lattice +inf
+        coefficient = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4e307]), st.floats(0.0, 3.0))
+        intercept = data.draw(st.floats(0.0, 1.0))
+        delays = tuple(DelayFunction((intercept,) + tuple(data.draw(st.lists(coefficient, min_size=1, max_size=3))))
+                       for _ in range(n))
+        instance = GameInstance(n, delays, data.draw(st.integers(1, n)), data.draw(st.floats(0.0, 3.0)))
+        _reference_matches(instance, n / steps)
 
 
 class TestSecurityVerdicts:
@@ -241,6 +341,28 @@ class TestSecurityVerdicts:
         assert strong == verify_strong_security(inst, pop, [0.5, 1.0], seed=3)
         assert weak == verify_weak_security(inst, pop, [0.5, 1.0], seed=3)
         assert not strong.strong and strong.weak
+
+    @pytest.mark.parametrize("target, builds", [(1, 1), (3, 3)])
+    def test_pair_table_reuse_matches_fresh_searches(self, monkeypatch, target, builds):
+        # the last two servers' tables stay the same across the scan only
+        # when the attack targets neither of them
+        inst = replace(GameInstance.linear(3), attack_target=target)
+        pop = SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))
+        alphas = [0.5, 1.5]
+        built = []
+        pair_table = oracle._pair_table
+        monkeypatch.setattr(oracle, "_pair_table",
+                            lambda near, far: built.append(1) or pair_table(near, far))
+        reused = verify_security(inst, pop, alphas, seed=3)
+        assert len(built) == builds
+        assert not reused[0].inconclusive
+
+        grid = oracle.grid_search_optimum
+        monkeypatch.setattr(oracle, "grid_search_optimum",
+                            lambda instance, resolution=1e-3, *, _pairs=None: grid(instance, resolution))
+        built.clear()
+        assert verify_security(inst, pop, alphas, seed=3) == reused
+        assert len(built) == 1 + len(alphas)
 
     def test_deterministic_verdicts(self):
         inst = GameInstance.linear(2)
