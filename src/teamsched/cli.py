@@ -10,6 +10,7 @@ solver tolerance of the commands that take ``--tol``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -52,6 +53,13 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.max_iters is not None:
         settings = replace(settings, max_outer_iterations=args.max_iters)
     return replace(scenario, settings=settings)
+
+
+def _alpha_list_arg(raw: str) -> str:
+    """``--alpha-list`` as given, once it holds at least one token."""
+    if not any(tok.strip() for tok in raw.split(",")):
+        raise argparse.ArgumentTypeError(f"expected comma-separated attack strengths, got {raw!r}")
+    return raw
 
 
 def _parse_alpha_list(raw: str) -> list[float]:
@@ -98,7 +106,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    alphas = _parse_alpha_list(args.alpha_list) if args.alpha_list else None
+    alphas = _parse_alpha_list(args.alpha_list) if args.alpha_list is not None else None
     text = figure_data(args.figure, numeric=args.numeric, alphas=alphas)
     _write_output(text, args.out)
     return EXIT_OK
@@ -106,7 +114,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_verify(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    if args.alpha_list:
+    if args.alpha_list is not None:
         alphas = _parse_alpha_list(args.alpha_list)
     elif scenario.alpha_grid:
         alphas = list(scenario.alpha_grid)
@@ -153,13 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--numeric", action="store_true",
                    help="use the iterative/search solvers instead of closed forms")
-    p.add_argument("--alpha-list", default=None,
+    p.add_argument("--alpha-list", type=_alpha_list_arg, default=None,
                    help="comma-separated attack strengths overriding the default grid")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("verify", help="run oracle security verdicts on a scenario")
     p.add_argument("scenario")
-    p.add_argument("--alpha-list", default=None,
+    p.add_argument("--alpha-list", type=_alpha_list_arg, default=None,
                    help="comma-separated attack strengths (default: scenario sweep grid)")
     solver_flags(p)
     p.add_argument("--seed", type=int, default=0,
@@ -168,9 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves it unchanged, so every call reuses it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if "tol" in args and args.tol is None:
         env_tol = _default_tolerance()
         if env_tol != SolveSettings.tolerance:

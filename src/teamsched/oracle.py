@@ -71,19 +71,29 @@ def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
     Row ``m`` holds ``near[k] + far[m - k]`` for ``k <= m``, and a row that
     holds a NaN scores NaN. A block of rows takes the columns up to its last
     row only, and its entries past the diagonal are set to +inf.
+
+    Mirrored tables (``near`` and ``far`` bit-identical, as when the last two
+    servers share a delay and neither is attacked) score each entry of a row
+    twice: float addition is commutative, so columns ``k <= m // 2`` hold
+    every score of row ``m``, NaN included. From the second block on, a block
+    takes only the columns up to half its last row, all of them below the
+    diagonal of every row in it.
     """
     import numpy as np
 
     steps = len(near) - 1
+    mirrored = near.tobytes() == far.tobytes()
     windows = _reversed_windows(far)[::-1]  # windows[m, k] = far[m - k]
     past_diagonal = ~np.tri(_BLOCK, dtype=bool)
     pair_val = np.empty(steps + 1)
     buffer = np.empty(_BLOCK * (steps + 1))
     for m0 in range(0, steps + 1, _BLOCK):
         m1 = min(m0 + _BLOCK, steps + 1)
-        sums = buffer[: (m1 - m0) * m1].reshape(m1 - m0, m1)
-        np.add(near[:m1], windows[m0:m1, :m1], out=sums)
-        np.copyto(sums[:, m0:], np.inf, where=past_diagonal[: m1 - m0, : m1 - m0])
+        width = (m1 - 1) // 2 + 1 if mirrored and m0 else m1
+        sums = buffer[: (m1 - m0) * width].reshape(m1 - m0, width)
+        np.add(near[:width], windows[m0:m1, :width], out=sums)
+        if width == m1:
+            np.copyto(sums[:, m0:], np.inf, where=past_diagonal[: m1 - m0, : m1 - m0])
         sums.min(axis=1, out=pair_val[m0:m1])
     return pair_val
 
@@ -264,8 +274,11 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
     At each grid attack the worst multistart team cost is compared with the
     lattice optimum (strong) and with the attack-oblivious baseline, the
     no-attack optimum held fixed (weak). Returns ``(strong, weak)``; each
-    locates the largest gap of its own comparison.
+    locates the largest gap of its own comparison. An empty ``alphas``
+    raises ``ValueError``.
     """
+    if len(alphas) == 0:
+        raise ValueError("alphas must hold at least one attack strength")
     settings = settings or SolveSettings()
     rng = random.Random(seed)
     pairs: dict = {}  # one pair table, reused across the scan while it stays the same

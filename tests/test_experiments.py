@@ -296,6 +296,18 @@ class TestCli:
         proc = self.run_cli("figure", "fig9")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("command", [["figure", "fig4"],
+                                         ["verify", str(SCENARIOS / "unconstrained_two_servers.json")]])
+    @pytest.mark.parametrize("alphas", [",", " ", ""])
+    def test_alpha_list_without_numbers_is_usage_error(self, capsys, command, alphas):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--alpha-list", alphas])
+        assert exc.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: teamsched {command[0]}")
+        assert "error: argument --alpha-list:" in err
+
     def test_validation_error_exit_one(self, tmp_path):
         path = write_scenario(tmp_path, base_doc(machines=[{"mass": 5.0}]))
         proc = self.run_cli("solve", str(path))

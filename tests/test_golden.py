@@ -5,6 +5,9 @@ scenarios and of ``golden/multi_group.json`` (quadratic delays, four machines
 on three access sets, selfish jobs on a fourth), numeric figure data and the
 ``verify`` stdout, whose gaps pin the lattice oracle's winning points.
 A change that moves any of these bytes must explain each moved digit.
+
+``cli.main`` builds its parser once per process; the tests after the golden
+cases check that reusing it changes no byte and no exit code.
 """
 
 from pathlib import Path
@@ -33,3 +36,57 @@ def test_output_bytes(golden, argv, capsys, monkeypatch):
     monkeypatch.delenv("TEAMSCHED_TOL", raising=False)
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def _run(argv, capsys):
+    code = cli.main(argv)
+    return code, capsys.readouterr().out.encode()
+
+
+def test_cases_twice_interleaved(capsys, monkeypatch):
+    monkeypatch.delenv("TEAMSCHED_TOL", raising=False)
+    order = [case for pair in zip(CASES, reversed(CASES)) for case in pair]
+    for golden, argv in order:
+        assert _run(argv, capsys) == (cli.EXIT_OK, (GOLDEN / golden).read_bytes()), golden
+
+
+@pytest.mark.parametrize("argv", [["figure", "fig9"], ["verify", "x", "--alpha-list", ","],
+                                  ["solve"], []])
+def test_usage_error_then_valid_command(argv, capsys, monkeypatch):
+    monkeypatch.delenv("TEAMSCHED_TOL", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: teamsched")
+    golden, valid = CASES[0]
+    assert _run(valid, capsys) == (cli.EXIT_OK, (GOLDEN / golden).read_bytes())
+
+
+@pytest.mark.parametrize("command", [[], ["solve"], ["sweep"], ["figure"], ["verify"]])
+def test_help_matches_fresh_parser(command, capsys):
+    def help_text(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(command + ["--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    cli.main(CASES[0][1])  # the shared parser has served a command before
+    capsys.readouterr()
+    assert help_text(cli.main) == help_text(cli.build_parser().parse_args)
+
+
+def test_tolerance_env_read_on_every_call(capsys, monkeypatch):
+    seen = []
+    solve = cli.solve_team_equilibrium
+    monkeypatch.setattr(cli, "solve_team_equilibrium",
+                        lambda instance, population, settings: seen.append(settings.tolerance)
+                        or solve(instance, population, settings))
+    argv = ["solve", str(SCENARIOS["unconstrained_two_servers"])]
+    for tol in (None, "1e-6", "1e-4", None):
+        if tol is None:
+            monkeypatch.delenv("TEAMSCHED_TOL", raising=False)
+        else:
+            monkeypatch.setenv("TEAMSCHED_TOL", tol)
+        assert cli.main(argv) == cli.EXIT_OK
+    assert seen == [1e-10, 1e-6, 1e-4, 1e-10]

@@ -209,6 +209,21 @@ class TestLatticeReference:
         assert cost == ref_cost
         assert ref_val == brute_force_minimum(instance, resolution)
 
+    @given(n=st.sampled_from([3, 4]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mirrored_last_servers_match_reference(self, n, data):
+        # the pair table scans half of each row past its first block
+        steps = data.draw(st.integers(1, 3 * oracle._BLOCK + 1))
+        coefficient = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4e307]), st.floats(0.0, 3.0))
+        delay = DelayFunction((data.draw(st.floats(0.0, 1.0)),)
+                              + tuple(data.draw(st.lists(coefficient, min_size=1, max_size=3))))
+        # one delay on every server and the attack off the last two
+        instance = GameInstance(n, (delay,) * n, data.draw(st.integers(1, n - 2)),
+                                data.draw(st.floats(0.0, 3.0)))
+        _, tables = _tables(instance, steps)
+        assert tables[-2].tobytes() == tables[-1].tobytes()
+        _reference_matches(instance, n / steps)
+
 
 def _block_cases():
     rng = random.Random(8)
@@ -270,6 +285,43 @@ class TestLatticeKernels:
         profile, _ = grid_search_optimum(instance, resolution)
         assert profile.loads != clean.loads
         _reference_matches(instance, resolution, tables)
+
+    @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.05)])
+    def test_nan_at_mirrored_entries_never_wins(self, monkeypatch, n, resolution):
+        # the same NaN entries in both of the last two tables keep them
+        # mirrored: every slice through those entries scores NaN
+        delay = random_instance(random.Random(n + 10), 1).delays[0]
+        instance = GameInstance(n, (delay,) * n, 1, 1.5)
+        steps = round(n / resolution)
+        _, tables = _tables(instance, steps)
+        clean, _, _ = reference_lattice(instance, resolution)
+        key = [round(x * steps / n) for x in clean.loads]
+        for k in key[-2:]:
+            tables[-2][k] = tables[-1][k] = math.nan
+        assert tables[-2].tobytes() == tables[-1].tobytes()
+        monkeypatch.setattr(oracle, "_contribution_tables",
+                            lambda *args: [table.copy() for table in tables])
+        profile, _ = grid_search_optimum(instance, resolution)
+        assert profile.loads != clean.loads
+        _reference_matches(instance, resolution, tables)
+
+    @pytest.mark.parametrize("steps", [1, oracle._BLOCK - 1, oracle._BLOCK, oracle._BLOCK + 1,
+                                       2 * oracle._BLOCK + 1, 3000])
+    @pytest.mark.parametrize("convex", [False, True])
+    def test_mirrored_pair_table_matches_full_width_kernel(self, steps, convex):
+        # a convex table puts each row's minimum at its middle column; a NaN
+        # at index j makes every row from j on score NaN, so it sits last
+        rng = np.random.default_rng(steps)
+        table = np.arange(steps + 1.0) ** 2 if convex else rng.uniform(0.0, 4.0, steps + 1)
+        table[rng.integers(1, steps + 1, 3)] = np.inf
+        table[steps] = math.nan
+        table[0] = 0.0
+        # -0.0 in place of +0.0 adds the same bits to every entry but makes
+        # the tables differ in bytes, so this call scans whole rows
+        unmirrored = table.copy()
+        unmirrored[unmirrored == 0.0] = -0.0
+        full_width = oracle._pair_table(table, unmirrored)
+        assert oracle._pair_table(table, table.copy()).tobytes() == full_width.tobytes()
 
     @given(n=st.sampled_from([3, 4]), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -363,6 +415,12 @@ class TestSecurityVerdicts:
         built.clear()
         assert verify_security(inst, pop, alphas, seed=3) == reused
         assert len(built) == 1 + len(alphas)
+
+    def test_empty_alpha_grid_rejected(self):
+        inst = GameInstance.linear(2)
+        pop = SchedulerPopulation.full_access(2, 1.0)
+        with pytest.raises(ValueError, match="alphas"):
+            verify_security(inst, pop, [])
 
     def test_deterministic_verdicts(self):
         inst = GameInstance.linear(2)
