@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -55,15 +56,19 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, settings=settings)
 
 
-def _alpha_list_arg(raw: str) -> str:
-    """``--alpha-list`` as given, once it holds at least one token."""
-    if not any(tok.strip() for tok in raw.split(",")):
+def _alpha_list(raw: str) -> list[float]:
+    """``--alpha-list`` as its attack strengths: at least one, each finite and >= 0."""
+    try:
+        alphas = [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        alphas = []
+    if not alphas:
         raise argparse.ArgumentTypeError(f"expected comma-separated attack strengths, got {raw!r}")
-    return raw
-
-
-def _parse_alpha_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    for alpha in alphas:
+        if not 0.0 <= alpha < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"attack strength must be finite and >= 0, got {alpha}")
+    return alphas
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -106,8 +111,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    alphas = _parse_alpha_list(args.alpha_list) if args.alpha_list is not None else None
-    text = figure_data(args.figure, numeric=args.numeric, alphas=alphas)
+    text = figure_data(args.figure, numeric=args.numeric, alphas=args.alpha_list)
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -115,7 +119,7 @@ def _cmd_figure(args) -> int:
 def _cmd_verify(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     if args.alpha_list is not None:
-        alphas = _parse_alpha_list(args.alpha_list)
+        alphas = args.alpha_list
     elif scenario.alpha_grid:
         alphas = list(scenario.alpha_grid)
     else:
@@ -161,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--numeric", action="store_true",
                    help="use the iterative/search solvers instead of closed forms")
-    p.add_argument("--alpha-list", type=_alpha_list_arg, default=None,
+    p.add_argument("--alpha-list", type=_alpha_list, default=None,
                    help="comma-separated attack strengths overriding the default grid")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("verify", help="run oracle security verdicts on a scenario")
     p.add_argument("scenario")
-    p.add_argument("--alpha-list", type=_alpha_list_arg, default=None,
+    p.add_argument("--alpha-list", type=_alpha_list, default=None,
                    help="comma-separated attack strengths (default: scenario sweep grid)")
     solver_flags(p)
     p.add_argument("--seed", type=int, default=0,

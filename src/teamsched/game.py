@@ -43,7 +43,7 @@ class DelayFunction:
     """Polynomial delay ``tau(x) = sum_j c_j x**j`` with nonnegative coefficients.
 
     Nonnegative coefficients make the delay convex and nondecreasing on
-    ``x >= 0`` by construction, and the derivative is available exactly. A
+    ``x >= 0`` by construction, and the marginal cost is available exactly. A
     coefficient whose marginal-cost term ``(j + 1) c_j`` overflows is
     rejected, so every marginal-cost slope is finite.
     """
@@ -78,9 +78,6 @@ class DelayFunction:
 
     def __call__(self, x: float) -> float:
         return horner(self.coefficients, x)
-
-    def derivative(self, x: float) -> float:
-        return horner([j * c for j, c in enumerate(self.coefficients)][1:], x)
 
 
 def eval_delay(f: DelayFunction, x: float, attack_bonus: float = 0.0) -> float:
@@ -194,10 +191,6 @@ class LoadProfile:
         if s <= 0.0:
             raise ValidationError("cannot normalize an all-zero load vector")
         return cls(tuple(x * (n / s) for x in clipped))
-
-    @classmethod
-    def balanced(cls, n: int) -> "LoadProfile":
-        return cls(tuple(1.0 for _ in range(n)))
 
     def __len__(self) -> int:
         return len(self.loads)

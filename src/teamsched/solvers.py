@@ -57,8 +57,8 @@ class SolveSettings:
     damping: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
         if not 0.0 < self.damping <= 1.0:
@@ -230,6 +230,16 @@ def _check_fill_args(instance: GameInstance, access: Iterable[int], mass: float,
     return servers, bg
 
 
+def _levels(instance: GameInstance, social: bool) -> tuple[list[tuple[float, ...]], list[float]]:
+    """Per-server level coefficients and attack offsets for :func:`_fill_common_level`.
+
+    The level is the marginal cost with ``social``, the delay otherwise.
+    """
+    coeffs = [d.marginal_coefficients if social else d.coefficients for d in instance.delays]
+    bonuses = [instance.attack_bonus(i) for i in range(1, instance.n + 1)]
+    return coeffs, bonuses
+
+
 def solve_wardrop(instance: GameInstance, access: Iterable[int], mass: float,
                   background: Sequence[float] | None = None) -> list[float]:
     """Selfish block allocation: every server the block uses ends up with
@@ -238,9 +248,7 @@ def solve_wardrop(instance: GameInstance, access: Iterable[int], mass: float,
     Returns a length-n vector (zero off the access set) summing to ``mass``.
     """
     servers, bg = _check_fill_args(instance, access, mass, background)
-    coeffs = [d.coefficients for d in instance.delays]
-    bonuses = [instance.attack_bonus(i) for i in range(1, instance.n + 1)]
-    return _fill_common_level(instance.n, servers, mass, bg, coeffs, bonuses)
+    return _fill_common_level(instance.n, servers, mass, bg, *_levels(instance, False))
 
 
 def solve_social_optimum(instance: GameInstance, access: Iterable[int], mass: float,
@@ -252,9 +260,7 @@ def solve_social_optimum(instance: GameInstance, access: Iterable[int], mass: fl
     access set is optimal.
     """
     servers, bg = _check_fill_args(instance, access, mass, background)
-    coeffs = [d.marginal_coefficients for d in instance.delays]
-    bonuses = [instance.attack_bonus(i) for i in range(1, instance.n + 1)]
-    return _fill_common_level(instance.n, servers, mass, bg, coeffs, bonuses)
+    return _fill_common_level(instance.n, servers, mass, bg, *_levels(instance, True))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +426,14 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
             m_res = 0.0
         return _report(instance, profile, s_res, m_res, settings.tolerance, iterations)
 
+    # the fills' level data depends only on the instance: build it once per
+    # solve, not on every fill
+    levels = {social: _levels(instance, social) for social in (False, True)}
+
     def respond(group: _Group, bg: Sequence[float] | None = None) -> list[float]:
         access, total, social, _ks = group
-        fill = solve_social_optimum if social else solve_wardrop
-        return fill(instance, access, total, bg)
+        servers, bg = _check_fill_args(instance, access, total, bg)
+        return _fill_common_level(n, servers, total, bg, *levels[social])
 
     # a lone group best-responds to an empty background, which is already
     # the equilibrium; skip the iteration and just certify

@@ -298,7 +298,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["figure", "fig4"],
                                          ["verify", str(SCENARIOS / "unconstrained_two_servers.json")]])
-    @pytest.mark.parametrize("alphas", [",", " ", ""])
+    @pytest.mark.parametrize("alphas", [",", " ", "", "abc", "1,x", "nan", "-1"])
     def test_alpha_list_without_numbers_is_usage_error(self, capsys, command, alphas):
         with pytest.raises(SystemExit) as exc:
             cli.main(command + ["--alpha-list", alphas])
@@ -338,6 +338,7 @@ class TestCli:
         ({"solver": {"max_outer_iterations": 2.7}}, "solver.max_outer_iterations"),
         # the marginal cost 2 * 1e308 overflows
         ({"servers": {"count": 2, "delays": [[0, 1], [0, 1e308]]}}, "servers.delays[2]"),
+        ({"solver": {"tolerance": float("inf")}}, "solver"),
     ])
     def test_bad_field_type_exit_one(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, base_doc(**overrides))
@@ -355,6 +356,13 @@ class TestCli:
         # the NaN residual stops the loop instead of running all 10000 sweeps
         sweeps = int(out.split("(iterations=")[1].split(")")[0])
         assert sweeps <= 10
+
+    def test_infinite_tolerance_is_usage_error(self, capsys):
+        argv = ["solve", str(SCENARIOS / "constrained_three_servers.json"), "--tol", "inf"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tolerance must be positive and finite, got inf\n"
 
     def test_figure_ignores_tolerance_env(self, monkeypatch, capsys):
         monkeypatch.setenv("TEAMSCHED_TOL", "1e-8")

@@ -503,8 +503,9 @@ class TestTeamEquilibrium:
         assert rep.iterations <= 10
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            SolveSettings(tolerance=0.0)
+        for tolerance in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SolveSettings(tolerance=tolerance)
         with pytest.raises(ValueError):
             SolveSettings(damping=0.0)
         with pytest.raises(ValueError):
