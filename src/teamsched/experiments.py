@@ -10,7 +10,7 @@ A scenario is one JSON document::
       "selfish": {"access": [1, 2]},
       "sweep": {"alpha": {"start": 0, "stop": 2, "points": 9},
                 "r": {"start": 0, "stop": 2, "points": 9}},
-      "solver": {"tolerance": 1e-10, "max_outer_iterations": 10000, "damping": 0.5},
+      "solver": {"tolerance": 1e-10, "max_outer_iterations": 10000},
       "stackelberg": false
     }
 
@@ -18,9 +18,9 @@ A scenario is one JSON document::
 lists use 1-based server indices and default to every server. The optional
 sweep block defines attack-strength and machine-mass grids; sweeping ``r``
 scales the machine masses proportionally, so it needs at least one machine.
-Every field is type-checked on load: a missing required field, a value of
-the wrong JSON type (a non-integral count, index or iteration cap included)
-or a sweep axis of more than :data:`MAX_GRID_POINTS` points raises
+Every field is type-checked on load: a missing required or an unknown field,
+a value of the wrong JSON type (a non-integral count, index or iteration cap
+included) or a sweep axis of more than :data:`MAX_GRID_POINTS` points raises
 :class:`ScenarioError` naming the dotted field.
 
 CSV output is pinned: comma separator, header row, 12 significant digits,
@@ -129,11 +129,21 @@ def _field(block: dict, key: str, where: str, kind: type, default=_MISSING,
     return _typed(value, name, kind, items)
 
 
+def _only(block: dict, where: str, *keys: str) -> dict:
+    """``block``, the object at ``where``, once no field outside ``keys`` is in it."""
+    for key in block:
+        if key not in keys:
+            name = f"{where}.{key}" if where else key
+            raise ScenarioError(f"scenario has unknown field '{name}'")
+    return block
+
+
 def _parse_grid(sweep: dict, axis: str) -> tuple[float, ...] | None:
     block = _field(sweep, axis, "sweep", dict, None)
     if block is None:
         return None
     where = f"sweep.{axis}"
+    _only(block, where, "start", "stop", "points")
     start = _field(block, "start", where, float)
     stop = _field(block, "stop", where, float)
     points = _field(block, "points", where, int)
@@ -165,8 +175,10 @@ def load_scenario(path: str | Path) -> Scenario:
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
+    _only(doc, "", "name", "servers", "attack", "machines", "selfish", "sweep", "solver",
+          "stackelberg")
 
-    servers = _field(doc, "servers", "", dict)
+    servers = _only(_field(doc, "servers", "", dict), "servers", "count", "delays")
     n = _field(servers, "count", "servers", int)
     delays = _field(servers, "delays", "servers", list)
     if len(delays) != n:
@@ -179,7 +191,7 @@ def load_scenario(path: str | Path) -> Scenario:
             delay_fns.append(DelayFunction(coeffs))
         except ValueError as exc:
             raise ScenarioError(f"scenario field '{where}': {exc}") from exc
-    attack = _field(doc, "attack", "", dict, {})
+    attack = _only(_field(doc, "attack", "", dict, {}), "attack", "target", "strength")
     target = _field(attack, "target", "attack", int, 1)
     strength = _field(attack, "strength", "attack", float, 0.0)
     try:
@@ -191,9 +203,10 @@ def load_scenario(path: str | Path) -> Scenario:
     pairs = []
     for k, m in enumerate(machines, start=1):
         where = f"machines[{k}]"
+        _only(m, where, "mass", "access")
         pairs.append((_field(m, "mass", where, float),
                       _field(m, "access", where, list, None, items=int)))
-    selfish = _field(doc, "selfish", "", dict, {})
+    selfish = _only(_field(doc, "selfish", "", dict, {}), "selfish", "access")
     selfish_access = _field(selfish, "access", "selfish", list, None, items=int)
     population = SchedulerPopulation.for_instance(n, pairs, selfish_access)
 
@@ -201,7 +214,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if issues:
         raise ValidationError("; ".join(issues))
 
-    sweep = _field(doc, "sweep", "", dict, {})
+    sweep = _only(_field(doc, "sweep", "", dict, {}), "sweep", "alpha", "r")
     alpha_grid = _parse_grid(sweep, "alpha")
     r_grid = _parse_grid(sweep, "r")
     if r_grid is not None:
@@ -210,13 +223,13 @@ def load_scenario(path: str | Path) -> Scenario:
         if r_grid[-1] > n:
             raise ScenarioError(f"sweep.r exceeds the total job mass {n}")
 
-    solver = _field(doc, "solver", "", dict, {})
+    solver = _only(_field(doc, "solver", "", dict, {}), "solver",
+                   "tolerance", "max_outer_iterations")
     tolerance = _field(solver, "tolerance", "solver", float, SolveSettings.tolerance)
     max_iterations = _field(solver, "max_outer_iterations", "solver", int,
                             SolveSettings.max_outer_iterations)
-    damping = _field(solver, "damping", "solver", float, SolveSettings.damping)
     try:
-        settings = SolveSettings(tolerance, max_iterations, damping)
+        settings = SolveSettings(tolerance, max_iterations)
     except ValueError as exc:
         raise ScenarioError(f"scenario field 'solver': {exc}") from exc
     return Scenario(_field(doc, "name", "", str, path.stem), instance, population,

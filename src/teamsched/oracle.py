@@ -21,6 +21,9 @@ if TYPE_CHECKING:
 
 #: refuse lattice searches that would evaluate more score entries than this
 CAPACITY_LIMIT = 10 ** 8
+#: the security verdicts' lattice resolution, and random team starts per attack
+_VERIFY_RESOLUTION = 1e-3
+_VERIFY_STARTS = 5
 #: rows per block of the lattice kernels: a block's score array takes 1.5 MB
 #: at the 3,000 steps of verify's resolution on three servers, 2 MB at 4,000
 _BLOCK = 64
@@ -236,9 +239,8 @@ class MonotonicityReport:
 
 
 def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulation,
-                           settings: SolveSettings, starts: int,
-                           rng: random.Random) -> list[float] | None:
-    """Team costs from the default start plus ``starts`` random ones.
+                           settings: SolveSettings, rng: random.Random) -> list[float] | None:
+    """Team costs from the default start plus :data:`_VERIFY_STARTS` random ones.
 
     Returns None when nothing converges. Multiple starts approximate the
     quantifier over all equilibria, which cannot be enumerated.
@@ -254,7 +256,7 @@ def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulati
         total = sum(weights.values())
         return tuple(mass * weights.get(i, 0.0) / total for i in range(1, n + 1))
 
-    for _ in range(starts):
+    for _ in range(_VERIFY_STARTS):
         selfish = random_block(population.selfish_access, max(0.0, population.selfish_mass))
         machines = tuple(random_block(population.machine_access[k], population.machine_masses[k])
                          for k in range(population.machine_count))
@@ -267,34 +269,34 @@ def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulati
 
 def verify_security(instance: GameInstance, population: SchedulerPopulation,
                     alphas: Sequence[float], tol: float = 1e-5, *,
-                    resolution: float = 1e-3, settings: SolveSettings | None = None,
-                    starts: int = 5, seed: int = 0) -> tuple[SecurityVerdict, SecurityVerdict]:
+                    settings: SolveSettings | None = None,
+                    seed: int = 0) -> tuple[SecurityVerdict, SecurityVerdict]:
     """Strong and weak verdicts from one scan over the attack-strength grid.
 
-    At each grid attack the worst multistart team cost is compared with the
-    lattice optimum (strong) and with the attack-oblivious baseline, the
-    no-attack optimum held fixed (weak). Returns ``(strong, weak)``; each
-    locates the largest gap of its own comparison. An empty ``alphas``
-    raises ``ValueError``.
+    At each grid attack the worst team cost of the default and five random
+    starts (drawn from ``seed``) is compared with the 1e-3 lattice optimum
+    (strong) and with the attack-oblivious baseline, the no-attack optimum
+    held fixed (weak). Returns ``(strong, weak)``; each locates the largest
+    gap of its own comparison. An empty ``alphas`` raises ``ValueError``.
     """
     if len(alphas) == 0:
         raise ValueError("alphas must hold at least one attack strength")
     settings = settings or SolveSettings()
     rng = random.Random(seed)
     pairs: dict = {}  # one pair table, reused across the scan while it stays the same
-    baseline_profile, _ = grid_search_optimum(replace(instance, attack_strength=0.0), resolution,
-                                              _pairs=pairs)
+    baseline_profile, _ = grid_search_optimum(replace(instance, attack_strength=0.0),
+                                              _VERIFY_RESOLUTION, _pairs=pairs)
 
     strong_gaps: list[tuple[float, float]] = []
     weak_gaps: list[tuple[float, float]] = []
     for alpha in alphas:
         attacked = replace(instance, attack_strength=float(alpha))
-        costs = _team_costs_multistart(attacked, population, settings, starts, rng)
+        costs = _team_costs_multistart(attacked, population, settings, rng)
         if costs is None:
             failed = SecurityVerdict(False, False, float(alpha), math.nan, inconclusive=True)
             return failed, failed
         worst_team = max(costs)
-        _, opt_cost = grid_search_optimum(attacked, resolution, _pairs=pairs)
+        _, opt_cost = grid_search_optimum(attacked, _VERIFY_RESOLUTION, _pairs=pairs)
         strong_gaps.append((float(alpha), worst_team - opt_cost))
         weak_gaps.append((float(alpha), worst_team - system_cost(attacked, baseline_profile)))
 
@@ -310,21 +312,17 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
 
 def verify_strong_security(instance: GameInstance, population: SchedulerPopulation,
                            alphas: Sequence[float], tol: float = 1e-5, *,
-                           resolution: float = 1e-3, settings: SolveSettings | None = None,
-                           starts: int = 5, seed: int = 0) -> SecurityVerdict:
+                           settings: SolveSettings | None = None, seed: int = 0) -> SecurityVerdict:
     """Does the team response match the lattice optimum at every grid attack?"""
-    return verify_security(instance, population, alphas, tol, resolution=resolution,
-                           settings=settings, starts=starts, seed=seed)[0]
+    return verify_security(instance, population, alphas, tol, settings=settings, seed=seed)[0]
 
 
 def verify_weak_security(instance: GameInstance, population: SchedulerPopulation,
                          alphas: Sequence[float], tol: float = 1e-5, *,
-                         resolution: float = 1e-3, settings: SolveSettings | None = None,
-                         starts: int = 5, seed: int = 0) -> SecurityVerdict:
+                         settings: SolveSettings | None = None, seed: int = 0) -> SecurityVerdict:
     """Does the team response stay at or below the attack-oblivious baseline
     (the no-attack optimum held fixed) at every grid attack?"""
-    return verify_security(instance, population, alphas, tol, resolution=resolution,
-                           settings=settings, starts=starts, seed=seed)[1]
+    return verify_security(instance, population, alphas, tol, settings=settings, seed=seed)[1]
 
 
 def monotonicity_sweep(instance: GameInstance, r_grid: Sequence[float], alpha: float,

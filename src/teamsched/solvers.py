@@ -4,10 +4,10 @@
   minimal (attacked) delay among the block's accessible servers.
 * :func:`solve_social_optimum` — allocate a block to minimize the mean system
   delay given a fixed background, by equalizing marginal costs.
-* :func:`solve_team_equilibrium` and :func:`solve_fully_selfish` — one damped
-  alternating best response over access groups, in which machines answer
-  with the social optimum (team) or with a Wardrop fill like the selfish
-  jobs (fully selfish), and a certificate gates the reported convergence.
+* :func:`solve_team_equilibrium` and :func:`solve_fully_selfish` — one
+  alternating best response over access groups, each moving halfway to its
+  answer: the social optimum for machines (team) or a Wardrop fill like the
+  selfish jobs' (fully selfish). A certificate gates reported convergence.
 
 Both fills equalize a common service level by Newton steps: each step
 replaces every level by its tangent at the server's current load and fills
@@ -42,6 +42,8 @@ _SETTLED = 1e-9
 #: a line flatter than this holds the common level at its start; the bound
 #: keeps the walk's sum of inverse slopes finite
 _FLAT_SLOPE = 1e-300
+#: share of the way each sweep moves a group toward its best response
+_BLEND = 0.5
 
 
 class InfeasibleError(ValueError):
@@ -50,19 +52,16 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Knobs for the best-response loop."""
+    """Stop rule of the best-response loop: certificate tolerance and sweep cap."""
 
     tolerance: float = 1e-10
     max_outer_iterations: int = 10_000
-    damping: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -346,7 +345,7 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
 
 
 # ---------------------------------------------------------------------------
-# damped best response
+# blended best response
 
 
 def _renorm(block: list[float], mass: float) -> list[float]:
@@ -397,7 +396,7 @@ def _split(masses: Sequence[float], n: int, groups: list[_Group],
 def _best_response(instance: GameInstance, population: SchedulerPopulation,
                    settings: SolveSettings | None, team: bool,
                    initial: DisaggregatedProfile | None = None) -> SolveReport:
-    """Damped alternating best response over the access groups.
+    """Alternating best response over the access groups, blended by :data:`_BLEND`.
 
     With ``team`` the machines answer with their constrained social optimum,
     otherwise every block answers with its Wardrop response. A sweep whose
@@ -453,9 +452,6 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
         blocks.append(_renorm([start[i - 1] if i in access else 0.0
                                for i in range(1, n + 1)], total))
 
-    damping = settings.damping
-    best_seen = math.inf
-    stalled = 0
     iterations = 0
     for iterations in range(1, settings.max_outer_iterations + 1):
         residuals = []
@@ -469,7 +465,7 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
                                  - instance.cost([bg[i] + br[i] for i in range(n)]))
             else:
                 residuals.append(_wardrop_gap(instance, access, blocks[g], loads, total))
-            blocks[g] = _renorm([o + damping * (v - o) for o, v in zip(blocks[g], br)], total)
+            blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], br)], total)
 
         residual = _worst(residuals)
         if math.isnan(residual):
@@ -480,27 +476,17 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
             report = certify(blocks, iterations)
             if report.converged:
                 return report
-        if residual < best_seen - 1e-16:
-            best_seen = residual
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 1000:
-                # settle oscillation at regime boundaries
-                damping = max(damping / 2.0, 1e-4)
-                stalled = 0
     return certify(blocks, iterations)
 
 
 def solve_team_equilibrium(instance: GameInstance, population: SchedulerPopulation,
                            settings: SolveSettings | None = None,
                            initial: DisaggregatedProfile | None = None) -> SolveReport:
-    """Joint machine/selfish equilibrium by damped alternating best response.
+    """Joint machine/selfish equilibrium by alternating best response.
 
-    Each sweep moves the selfish block toward its Wardrop response and each
-    machine access group toward its constrained social optimum, blending
-    with the damping factor; the damping is halved after 1000 sweeps without
-    residual improvement. ``converged`` is claimed only once a fresh
+    Every sweep moves the selfish block halfway toward its Wardrop response
+    and each machine access group halfway toward its constrained social
+    optimum, up to the sweep cap. ``converged`` is claimed only once a fresh
     :func:`equilibrium_residuals` certificate passes the tolerance.
     ``initial`` replaces the even spread over each access set as the start.
     """
@@ -512,10 +498,10 @@ def solve_fully_selfish(instance: GameInstance, population: SchedulerPopulation,
     """Equilibrium when every scheduler behaves selfishly.
 
     Machines become selfish classes that keep their access sets; classes
-    sharing an access set move as one block. The same damped best response
-    as :func:`solve_team_equilibrium` runs with Wardrop responses only, and
-    ``converged`` needs every class's Wardrop gap on the final loads within
-    the tolerance (reported as ``selfish_residual``).
+    sharing an access set move as one block. The same halfway-blended best
+    response as :func:`solve_team_equilibrium` runs with Wardrop responses
+    only, and ``converged`` needs every class's Wardrop gap on the final
+    loads within the tolerance (reported as ``selfish_residual``).
     """
     return _best_response(instance, population, settings, team=False)
 

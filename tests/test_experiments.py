@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from teamsched import ValidationError, cli, oracle
+from teamsched import ValidationError, cli, experiments, oracle
 from teamsched.experiments import (
     FIG2_DEFAULT_ALPHAS,
     ScenarioError,
@@ -15,7 +15,8 @@ from teamsched.experiments import (
     sweep_csv,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -85,6 +86,15 @@ class TestLoadScenario:
         doc = base_doc(sweep={"alpha": {"start": 0.0, "stop": 1.0, "points": 1e9}})
         with pytest.raises(ScenarioError, match=r"sweep\.alpha\.points"):
             load_scenario(write_scenario(tmp_path, doc))
+
+    def test_documented_examples_load(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        readme_doc = readme.split("## Scenario files")[1].split("```json")[1].split("```")[0]
+        module_doc = experiments.__doc__.split("::")[1].split("\n\n")[1]
+        for k, text in enumerate((readme_doc, module_doc)):
+            path = tmp_path / f"example{k}.json"
+            path.write_text(text)
+            assert load_scenario(path).instance.n >= 2
 
     def test_r_sweep_needs_machines(self, tmp_path):
         doc = base_doc(machines=[], sweep={"r": {"start": 0, "stop": 1, "points": 3}})
@@ -345,6 +355,21 @@ class TestCli:
         assert cli.main(["solve", str(path)]) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert f"'{field}'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"machines": [{"mass": 1.0, "acess": [2]}]}, "machines[1].acess"),
+        ({"solver": {"tolerence": 1e-3}}, "solver.tolerence"),
+        ({"solver": {"tolerance": 1e-10, "damping": 0.5}}, "solver.damping"),
+        ({"stackelburg": True}, "stackelburg"),
+        ({"sweep": {"alpha": {"start": 0, "stop": 1, "step": 0.1}}}, "sweep.alpha.step"),
+    ])
+    def test_unknown_field_exit_one(self, tmp_path, capsys, overrides, field):
+        # a misspelt or retired field must not silently fall back to its default
+        path = write_scenario(tmp_path, base_doc(**overrides))
+        assert cli.main(["solve", str(path)]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert f"unknown field '{field}'" in err
         assert out == ""
 
     def test_infinite_cost_not_converged(self, tmp_path, capsys):

@@ -506,10 +506,19 @@ class TestTeamEquilibrium:
         for tolerance in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 SolveSettings(tolerance=tolerance)
-        with pytest.raises(ValueError):
-            SolveSettings(damping=0.0)
-        with pytest.raises(ValueError):
-            SolveSettings(damping=1.5)
+
+    @pytest.mark.parametrize("n, alpha, r, cap", [
+        (3, 0.0025, 1.4, SolveSettings.max_outer_iterations),
+        (2, 0.0027, 1.23, 3000),
+    ])
+    def test_weak_attack_converges_at_fixed_blend(self, n, alpha, r, cap):
+        # a weak attack once stalled: halving the blend after 1000 sweeps
+        # without progress slowed the loop so it never reached the tolerance
+        rep = solve_team_equilibrium(GameInstance.linear(n, alpha),
+                                     SchedulerPopulation.full_access(n, r),
+                                     SolveSettings(max_outer_iterations=cap))
+        assert rep.converged
+        assert rep.cost == pytest.approx(team_cost_linear(n, r, alpha), abs=1e-6)
 
     def test_blocking_violations_raise(self):
         inst = GameInstance.linear(2, 1.0)
