@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated attack strengths (default: scenario sweep grid)")
     solver_flags(p)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for multi-start equilibrium checks")
+                   help="seed for the random team starts, drawn only for "
+                        "delays without an exact potential")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -404,7 +404,10 @@ class TestCli:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_USAGE
 
-    def test_verify_scans_once(self, monkeypatch, capsys):
+    @staticmethod
+    def _verify_calls(monkeypatch, capsys, scenario):
+        """Lattice searches and team solves of one ``verify --alpha-list 0.5,2``,
+        and its stdout."""
         calls = {"grid": 0, "team": 0}
 
         def counted(key, fn):
@@ -417,9 +420,19 @@ class TestCli:
                             counted("grid", oracle.grid_search_optimum))
         monkeypatch.setattr(oracle, "solve_team_equilibrium",
                             counted("team", oracle.solve_team_equilibrium))
-        code = cli.main(["verify", str(SCENARIOS / "constrained_three_servers.json"),
-                         "--alpha-list", "0.5,1.0"])
-        assert code == cli.EXIT_OK
-        assert "weak security: true" in capsys.readouterr().out
-        # one baseline lattice plus one per alpha; default plus 5 random starts per alpha
+        assert cli.main(["verify", str(scenario), "--alpha-list", "0.5,2"]) == cli.EXIT_OK
+        return calls, capsys.readouterr().out
+
+    def test_verify_scans_once(self, monkeypatch, capsys):
+        calls, out = self._verify_calls(monkeypatch, capsys,
+                                        SCENARIOS / "constrained_three_servers.json")
+        assert "weak security: true" in out
+        # one baseline lattice plus one per alpha; linear delays have an exact
+        # potential, so the default start alone per alpha
+        assert calls == {"grid": 1 + 2, "team": 1 * 2}
+
+    def test_verify_keeps_random_starts_without_potential(self, monkeypatch, capsys):
+        calls, out = self._verify_calls(monkeypatch, capsys, ROOT / "tests" / "golden" / "multi_group.json")
+        assert out.encode() == (ROOT / "tests" / "golden" / "verify_multi_group.txt").read_bytes()
+        # mixed degrees have no potential: default plus 5 random starts per alpha
         assert calls == {"grid": 1 + 2, "team": (1 + 5) * 2}

@@ -16,9 +16,11 @@ from teamsched import (
     LoadProfile,
     SchedulerPopulation,
     SolveSettings,
+    constrained_team_cost,
     grid_search_optimum,
     monotonicity_sweep,
     oracle,
+    solve_team_equilibrium,
     system_cost,
     team_cost_linear,
     verify_security,
@@ -99,6 +101,7 @@ class TestGridSearch:
         assert first[1] == second[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # steep cases overflow on purpose
 def _tables(instance, steps):
     """x * attacked delay of each server on the lattice axis, as floats."""
     step = instance.n / steps
@@ -110,6 +113,7 @@ def _tables(instance, steps):
     return step, tables
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reference_lattice(instance, resolution, tables=None):
     """One argmin per (k1, .., k_{n-2}) slice: the direct form of the search.
 
@@ -438,6 +442,83 @@ class TestSecurityVerdicts:
         assert not verdict.strong and not verdict.weak
         assert verdict.worst_alpha == 1.0
         assert math.isnan(verdict.gap)
+
+
+def _potential_cases():
+    """Instances with an exact potential at attacks in [0.01, 4]: linear at
+    n = 2, 3, 5 with full access (closed form ``team_cost_linear``) and in the
+    constrained family (``constrained_team_cost``), and distinct cubic slopes
+    with two machine groups on nested access sets (no closed form)."""
+    rng = random.Random(20261018)
+    cases = []
+    for n, constrained in ((2, False), (3, False), (3, True), (5, False), (5, True)):
+        for alpha in (0.01, rng.uniform(0.01, 4.0), 4.0):
+            if constrained:
+                population = SchedulerPopulation.for_instance(n, ((n - 1.0, range(2, n + 1)),), (1, 2))
+                closed = constrained_team_cost(n, alpha)
+                name = f"constrained{n}"
+            else:
+                r = rng.uniform(0.0, 2.0)
+                population = SchedulerPopulation.full_access(n, r)
+                closed = team_cost_linear(n, r, alpha)
+                name = f"linear{n}-r{r:.3f}"
+            cases.append((f"{name}-a{alpha:.3f}", GameInstance.linear(n, alpha), population, closed))
+    cubic = tuple(DelayFunction((0.5, 0.0, 0.0, c)) for c in (1.0, 0.5, 2.0))
+    nested = SchedulerPopulation.for_instance(3, ((0.8, (1, 2, 3)), (0.6, (2, 3))), (1, 2))
+    for alpha in (0.01, rng.uniform(0.01, 4.0), 4.0):
+        cases.append((f"cubic3-a{alpha:.3f}", GameInstance(3, cubic, 1, alpha), nested, None))
+    return cases
+
+
+POTENTIAL_CASES = _potential_cases()
+
+
+class TestPotential:
+    @pytest.mark.parametrize("instance", [
+        GameInstance.linear(2),
+        GameInstance.linear(5, 1.5, 3),
+        GameInstance.identical(3, (1.0, 0.0, 0.0, 2.0)),
+        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((3.0, 0.25))), 1, 1.0),
+    ], ids=["linear2", "linear5", "cubic_shared", "linear_intercepts"])
+    def test_has_potential(self, instance):
+        assert oracle._has_potential(instance)
+
+    @pytest.mark.parametrize("instance", [
+        GameInstance.identical(2, (0.0, 1.0, 1.0)),  # x + x**2
+        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((0.0, 0.0, 1.0))), 1, 1.0),
+        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((1.0,))), 1, 1.0),
+        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((1.0, 0.0))), 1, 1.0),
+        GameInstance.identical(2, (1.0,)),
+        GameInstance(3, (DelayFunction((0.0, 1.0, 0.5)), DelayFunction((0.0, 0.5, 1.0)),
+                         DelayFunction((0.0, 2.0, 0.25))), 1, 0.8),  # golden/multi_group.json
+    ], ids=["x_plus_x2", "mixed_degrees", "constant", "zero_slope", "all_constant", "multi_group"])
+    def test_has_no_potential(self, instance):
+        assert not oracle._has_potential(instance)
+
+    def test_potential_instance_draws_no_start(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        instance = GameInstance.linear(3, 1.0)
+        population = SchedulerPopulation.full_access(3, 0.5)
+        costs = oracle._team_costs_multistart(instance, population, SolveSettings(), rng)
+        assert rng.getstate() == state
+        assert costs == [solve_team_equilibrium(instance, population).cost]
+
+    @pytest.mark.parametrize("instance, population, closed", [c[1:] for c in POTENTIAL_CASES],
+                             ids=[c[0] for c in POTENTIAL_CASES])
+    def test_random_starts_reach_default_cost(self, monkeypatch, instance, population, closed):
+        # the random starts verify skips on potential instances: each one that
+        # converges ends at the default start's cost
+        assert oracle._has_potential(instance)
+        default = solve_team_equilibrium(instance, population)
+        assert default.converged
+        if closed is not None:
+            assert abs(default.cost - closed) <= 1e-8
+        monkeypatch.setattr(oracle, "_has_potential", lambda instance: False)
+        costs = oracle._team_costs_multistart(instance, population, SolveSettings(), random.Random(5))
+        assert costs[0] == default.cost
+        assert len(costs) > 1
+        assert max(abs(cost - default.cost) for cost in costs) <= 1e-8
 
 
 class TestMonotonicity:
