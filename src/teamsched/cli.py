@@ -3,8 +3,10 @@
 Subcommands: ``solve`` (one equilibrium, report to stdout), ``sweep``
 (scenario grid to CSV), ``figure`` (figure-data CSV), ``verify`` (security
 verdicts). Exit codes: 0 success, 1 validation/format error, 2 solver
-non-convergence, 3 usage error. ``TEAMSCHED_TOL`` overrides the default
-solver tolerance of the commands that take ``--tol``.
+non-convergence, 3 usage error. ``figure --numeric`` exits 2 without output
+as soon as one team solve does not converge. A set ``TEAMSCHED_TOL`` acts as
+``--tol`` on the commands that take it when the flag is absent: ``--tol``
+overrides the variable, which overrides the scenario's ``solver.tolerance``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import experiments, oracle, stackelberg
-from .experiments import Scenario, ScenarioError, figure_data, load_scenario, run_sweep, sweep_csv
+from .experiments import (NonConvergenceError, Scenario, ScenarioError, figure_data,
+                          load_scenario, run_sweep, sweep_csv)
 from .game import ValidationError
-from .solvers import SolveSettings, solve_team_equilibrium
+from .solvers import solve_team_equilibrium
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -36,15 +39,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_tolerance() -> float:
+def _env_tolerance() -> float | None:
+    """``TEAMSCHED_TOL`` as a number, or None when it is unset or unparseable."""
     raw = os.environ.get("TEAMSCHED_TOL")
     if raw is None:
-        return SolveSettings.tolerance
+        return None
     try:
         return float(raw)
     except ValueError:
         print(f"warning: ignoring bad TEAMSCHED_TOL={raw!r}", file=sys.stderr)
-        return SolveSettings.tolerance
+        return None
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -145,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def solver_flags(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance (default from TEAMSCHED_TOL or 1e-10)")
+                       help="residual tolerance (default: TEAMSCHED_TOL, else the "
+                            "scenario's solver.tolerance)")
         p.add_argument("--max-iters", type=int, default=None,
                        help="best-response iteration cap")
 
@@ -190,14 +195,15 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     if "tol" in args and args.tol is None:
-        env_tol = _default_tolerance()
-        if env_tol != SolveSettings.tolerance:
-            args.tol = env_tol
+        args.tol = _env_tolerance()
     try:
         return args.fn(args)
     except (ScenarioError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

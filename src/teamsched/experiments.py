@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 from . import closed_form, stackelberg
 from .game import (DelayFunction, GameInstance, LoadProfile, SchedulerPopulation,
                    ValidationError, system_cost, validate)
-from .solvers import SolveSettings, solve_fully_selfish, \
+from .solvers import SolveReport, SolveSettings, solve_fully_selfish, \
     solve_social_optimum, solve_team_equilibrium
 
 #: attack-strength curves drawn by the penetration figure (configurable)
@@ -48,6 +48,10 @@ FIGURE_IDS = ("fig2", "fig4", "fig5")
 
 class ScenarioError(ValueError):
     """Scenario file missing, unparsable, or structurally wrong."""
+
+
+class NonConvergenceError(RuntimeError):
+    """A numeric figure's team solve ended above its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point: the four benchmark costs plus the solved profiles."""
+    """One sweep point: the four benchmark costs plus the team's loads."""
 
     alpha: float
     r: float
@@ -73,13 +77,17 @@ class SweepRow:
     selfish_cost: float
     converged: bool
     team_loads: tuple[float, ...]
-    optimal_loads: tuple[float, ...]
-    baseline_loads: tuple[float, ...]
-    selfish_loads: tuple[float, ...]
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence[float | str]]) -> str:
+    """The pinned CSV text: numbers through :func:`_fmt`, strings as they are."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 #: JSON kinds that :func:`_typed` checks, as named in its messages
@@ -279,9 +287,6 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
             selfish_cost=selfish.cost,
             converged=team.converged and selfish.converged,
             team_loads=team.aggregate.loads,
-            optimal_loads=optimal.loads,
-            baseline_loads=baseline.loads,
-            selfish_loads=selfish.aggregate.loads,
         )
 
     return [solve_point(alpha, r) for alpha in alphas for r in rs]
@@ -292,95 +297,51 @@ def sweep_csv(scenario: Scenario, rows: Iterable[SweepRow]) -> str:
     n = scenario.instance.n
     header = ["alpha", "r", "team_cost", "optimal_cost", "baseline_cost",
               "selfish_cost", "converged"] + [f"x_{i}" for i in range(1, n + 1)]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [_fmt(row.alpha), _fmt(row.r), _fmt(row.team_cost),
-                 _fmt(row.optimal_cost), _fmt(row.baseline_cost),
-                 _fmt(row.selfish_cost), "true" if row.converged else "false"]
-        cells += [_fmt(x) for x in row.team_loads]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(header, ([row.alpha, row.r, row.team_cost, row.optimal_cost,
+                          row.baseline_cost, row.selfish_cost,
+                          "true" if row.converged else "false", *row.team_loads]
+                         for row in rows))
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
-def _fig2_numeric_cost(r: float, alpha: float) -> float:
-    instance = GameInstance.linear(2, alpha)
-    population = SchedulerPopulation.full_access(2, r)
-    return solve_team_equilibrium(instance, population).cost
+def _converged_team(instance: GameInstance, population: SchedulerPopulation) -> SolveReport:
+    """The team equilibrium, or :class:`NonConvergenceError` naming r and alpha."""
+    report = solve_team_equilibrium(instance, population)
+    if not report.converged:
+        raise NonConvergenceError(
+            f"team solve did not converge at r={population.machine_mass_total:g} "
+            f"alpha={instance.attack_strength:g}")
+    return report
 
 
-def _fig2(numeric: bool, alphas: Sequence[float] | None) -> str:
-    curve_alphas = tuple(alphas) if alphas else FIG2_DEFAULT_ALPHAS
-    rs = _grid(0.0, 2.0, 201)
-    header = ["r"] + [f"cost_alpha_{_fmt(a)}" for a in curve_alphas]
-
-    def row(r: float) -> str:
-        if numeric:
-            costs = [_fig2_numeric_cost(r, a) for a in curve_alphas]
-        else:
-            costs = [closed_form.team_cost_linear(2, r, a) for a in curve_alphas]
-        return ",".join([_fmt(r)] + [_fmt(c) for c in costs])
-
-    return "\n".join([",".join(header)] + [row(r) for r in rs]) + "\n"
+def _fig2_cost(r: float, alpha: float, numeric: bool) -> float:
+    if not numeric:
+        return closed_form.team_cost_linear(2, r, alpha)
+    return _converged_team(GameInstance.linear(2, alpha),
+                           SchedulerPopulation.full_access(2, r)).cost
 
 
-def _constrained_population(n: int) -> SchedulerPopulation:
-    """Machines on servers 2..n with mass n-1, selfish unit on servers {1, 2}."""
-    return SchedulerPopulation.for_instance(
-        n, ((float(n - 1), range(2, n + 1)),), (1, 2))
-
-
-def _fig4_row(alpha: float, n: int, numeric: bool) -> tuple[float, float, float, float]:
-    if numeric:
-        attacked = GameInstance.linear(n, alpha)
-        uninfluenced = solve_team_equilibrium(attacked, _constrained_population(n)).cost
-        stack = stackelberg.solve_stackelberg_numeric(n, alpha).cost
-        full = frozenset(range(1, n + 1))
-        optimal = system_cost(
-            attacked, LoadProfile.from_raw(solve_social_optimum(attacked, full, float(n))))
-    else:
-        uninfluenced = closed_form.constrained_team_cost(n, alpha)
-        stack = stackelberg.stackelberg_cost(n, alpha)
-        optimal = closed_form.optimal_cost_linear(n, alpha)
-    return alpha, uninfluenced, stack, optimal
-
-
-def _fig4(numeric: bool, alphas: Sequence[float] | None) -> str:
-    grid = list(alphas) if alphas else _grid(0.0, 3.0, 61)
-    header = ["alpha", "uninfluenced_cost", "stackelberg_cost", "optimal_cost"]
-    rows = [_fig4_row(a, 3, numeric) for a in grid]
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _fig5_row(alpha: float, n: int, numeric: bool) -> list[float]:
-    if numeric:
-        attacked = GameInstance.linear(n, alpha)
-        uninfluenced = solve_team_equilibrium(attacked, _constrained_population(n)).aggregate
-        stack = stackelberg.solve_stackelberg_numeric(n, alpha).aggregate
-        full = frozenset(range(1, n + 1))
-        optimal = LoadProfile.from_raw(solve_social_optimum(attacked, full, float(n)))
-    else:
-        uninfluenced = closed_form.selfish_profile_linear(n, alpha)
-        stack = stackelberg.optimal_stackelberg_solution(n, alpha).aggregate
-        optimal = closed_form.optimal_profile_linear(n, alpha)
-    return [alpha, *uninfluenced.loads, *stack.loads, *optimal.loads]
-
-
-def _fig5(numeric: bool, alphas: Sequence[float] | None) -> str:
-    n = 3
-    grid = list(alphas) if alphas else _grid(0.0, 3.0, 61)
-    header = ["alpha"]
-    for profile in ("uninfluenced", "stackelberg", "optimal"):
-        header += [f"{profile}_x_{i}" for i in range(1, n + 1)]
-    rows = [_fig5_row(a, n, numeric) for a in grid]
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _constrained_point(alpha: float, numeric: bool) -> tuple[tuple[float, LoadProfile], ...]:
+    """``(cost, profile)`` of the uninfluenced team, the Stackelberg commitment
+    and the optimum on three linear servers, with machines of mass 2 on
+    servers {2, 3} and the selfish unit on {1, 2}.
+    """
+    if not numeric:
+        return ((closed_form.constrained_team_cost(3, alpha),
+                 closed_form.selfish_profile_linear(3, alpha)),
+                (stackelberg.stackelberg_cost(3, alpha),
+                 stackelberg.optimal_stackelberg_solution(3, alpha).aggregate),
+                (closed_form.optimal_cost_linear(3, alpha),
+                 closed_form.optimal_profile_linear(3, alpha)))
+    attacked = GameInstance.linear(3, alpha)
+    team = _converged_team(attacked, SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2)))
+    stack = stackelberg.solve_stackelberg_numeric(3, alpha)
+    optimal = LoadProfile.from_raw(solve_social_optimum(attacked, (1, 2, 3), 3.0))
+    return ((team.cost, team.aggregate), (stack.cost, stack.aggregate),
+            (system_cost(attacked, optimal), optimal))
 
 
 def figure_data(figure_id: str, *, numeric: bool = False,
@@ -391,12 +352,21 @@ def figure_data(figure_id: str, *, numeric: bool = False,
     strength. ``fig4``: the three benchmark costs vs attack strength in the
     constrained three-server setting. ``fig5``: per-server loads vs attack
     strength for the same three profiles. ``numeric`` forces the iterative /
-    search solvers instead of the closed forms, for cross-validation.
+    search solvers instead of the closed forms, for cross-validation; a team
+    solve that does not converge raises :class:`NonConvergenceError`.
     """
     if figure_id == "fig2":
-        return _fig2(numeric, alphas)
+        curves = tuple(alphas) if alphas else FIG2_DEFAULT_ALPHAS
+        return _csv(["r"] + [f"cost_alpha_{_fmt(a)}" for a in curves],
+                    ([r] + [_fig2_cost(r, a, numeric) for a in curves]
+                     for r in _grid(0.0, 2.0, 201)))
+    if figure_id not in FIGURE_IDS:
+        raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
+    points = ((a, _constrained_point(a, numeric)) for a in alphas or _grid(0.0, 3.0, 61))
     if figure_id == "fig4":
-        return _fig4(numeric, alphas)
-    if figure_id == "fig5":
-        return _fig5(numeric, alphas)
-    raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
+        return _csv(["alpha", "uninfluenced_cost", "stackelberg_cost", "optimal_cost"],
+                    ([a] + [cost for cost, _ in point] for a, point in points))
+    profiles = ("uninfluenced", "stackelberg", "optimal")
+    return _csv(["alpha"] + [f"{p}_x_{i}" for p in profiles for i in (1, 2, 3)],
+                ([a] + [x for _, profile in point for x in profile.loads]
+                 for a, point in points))

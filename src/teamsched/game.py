@@ -301,10 +301,6 @@ class DisaggregatedProfile:
                 totals[i] += x
         return tuple(totals)
 
-    def aggregate(self) -> LoadProfile:
-        """Aggregate profile; raises if the blocks do not form a valid one."""
-        return LoadProfile(self.aggregate_loads())
-
 
 def validate(instance: GameInstance, population: SchedulerPopulation) -> list[str]:
     """Check every cross-field invariant; return violations as data.

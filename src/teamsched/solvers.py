@@ -525,8 +525,9 @@ def _report(instance: GameInstance, profile: DisaggregatedProfile,
 
 
 def validate_for_solve(instance: GameInstance, population: SchedulerPopulation) -> list[str]:
-    """Subset of :func:`teamsched.game.validate` violations that make a solve unrunnable."""
-    blocking = ("mass-overflow", "empty-access", "bad-server-index",
-                "bad-attack-target", "nonfinite-attack-strength", "negative-attack-strength",
-                "nonpositive-machine-mass", "selfish-mass-mismatch")
-    return [v for v in validate(instance, population) if v.startswith(blocking)]
+    """:func:`teamsched.game.validate` violations that make a solve unrunnable.
+
+    That is every violation but ``intercept-mismatch``: the solvers run on
+    unequal intercepts, and a new violation code blocks solves by default.
+    """
+    return [v for v in validate(instance, population) if not v.startswith("intercept-mismatch")]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,45 @@ class TestCli:
         monkeypatch.setenv("TEAMSCHED_TOL", "1e-8")
         assert cli.main(["figure", "fig4", "--alpha-list", "1"]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("alpha,")
+
+    @pytest.mark.parametrize("env, flag, expected", [
+        (None, None, 1e-3),
+        ("1e-10", None, 1e-10),  # the built-in default still beats the scenario's
+        ("1e-9", "1e-6", 1e-6),
+        ("abc", None, 1e-3),
+    ])
+    def test_tolerance_precedence(self, tmp_path, monkeypatch, capsys, env, flag, expected):
+        # --tol, else a parseable TEAMSCHED_TOL, else the scenario's solver.tolerance
+        seen = []
+        solve = cli.solve_team_equilibrium
+        monkeypatch.setattr(cli, "solve_team_equilibrium",
+                            lambda instance, population, settings:
+                            seen.append(settings.tolerance) or solve(instance, population,
+                                                                     settings))
+        if env is None:
+            monkeypatch.delenv("TEAMSCHED_TOL", raising=False)
+        else:
+            monkeypatch.setenv("TEAMSCHED_TOL", env)
+        doc = json.loads((SCENARIOS / "constrained_three_servers.json").read_text())
+        doc["solver"]["tolerance"] = 1e-3
+        argv = ["solve", str(write_scenario(tmp_path, doc))]
+        assert cli.main(argv + (["--tol", flag] if flag else [])) == cli.EXIT_OK
+        assert seen == [expected]
+        assert ("warning: ignoring bad TEAMSCHED_TOL" in capsys.readouterr().err) == (env == "abc")
+
+    @pytest.mark.parametrize("figure, r", [("fig2", "0"), ("fig4", "2"), ("fig5", "2")])
+    def test_numeric_figure_stall_exits_two(self, tmp_path, monkeypatch, capsys, figure, r):
+        solve = experiments.solve_team_equilibrium
+        monkeypatch.setattr(experiments, "solve_team_equilibrium",
+                            lambda instance, population: replace(
+                                solve(instance, population), converged=False))
+        out = tmp_path / "figure.csv"
+        argv = ["figure", figure, "--numeric", "--alpha-list", "1.3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: team solve did not converge at r={r} alpha=1.3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["figure", "fig4", "--tol", "1e-8"],

@@ -2,8 +2,9 @@
 
 ``golden/`` holds the ``solve`` stdout and ``sweep`` CSV of the shipped
 scenarios and of ``golden/multi_group.json`` (quadratic delays, four machines
-on three access sets, selfish jobs on a fourth), numeric figure data and the
-``verify`` stdout, whose gaps pin the lattice oracle's winning points.
+on three access sets, selfish jobs on a fourth), the closed-form figures on
+their default grids, numeric figure data and the ``verify`` stdout, whose
+gaps pin the lattice oracle's winning points.
 A change that moves any of these bytes must explain each moved digit.
 
 ``cli.main`` builds its parser once per process; the tests after the golden
@@ -26,6 +27,8 @@ CASES = [(f"{command}_{name}.{ext}", [command, str(path)])
          for command, ext in (("solve", "txt"), ("sweep", "csv"))]
 CASES += [(f"{fig}_numeric.csv", ["figure", fig, "--numeric", "--alpha-list", "0,0.5,1.3,2.5"])
           for fig in ("fig4", "fig5")]
+CASES += [(f"{fig}.csv", ["figure", fig]) for fig in ("fig2", "fig4", "fig5")]
+CASES += [("fig2_numeric.csv", ["figure", "fig2", "--numeric", "--alpha-list", "1"])]
 CASES += [(f"verify_{name}.txt",
            ["verify", str(path)] + (["--alpha-list", "0.5,2"] if name == "multi_group" else []))
           for name, path in SCENARIOS.items()]

@@ -1,11 +1,13 @@
+import inspect
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamsched import solvers
+from teamsched import game, solvers
 from teamsched.game import horner
 from teamsched import (
     DisaggregatedProfile,
@@ -375,6 +377,43 @@ class TestSocialOptimum:
         y = solve_social_optimum(inst, set(range(1, n + 1)), float(n))
         _, lattice_cost = grid_search_optimum(inst, 1e-3)
         assert inst.cost(y) <= lattice_cost + 1e-5
+
+
+#: one (instance, population) per violation code, each breaking only that invariant
+_LINEAR2 = GameInstance.linear(2, 1.0)
+_FULL2 = SchedulerPopulation.full_access(2, 1.0)
+BLOCKING_CASES = {
+    "mass-overflow": (_LINEAR2, SchedulerPopulation.for_instance(2, ((2.1, None),))),
+    "empty-access": (_LINEAR2, SchedulerPopulation((1.0,), (frozenset(),), frozenset({1, 2}),
+                                                   1.0)),
+    "bad-server-index": (_LINEAR2, SchedulerPopulation.for_instance(2, ((1.0, (1, 3)),))),
+    "bad-attack-target": (GameInstance.linear(2, 1.0, attack_target=5), _FULL2),
+    "nonfinite-attack-strength": (GameInstance.linear(2, math.inf), _FULL2),
+    "negative-attack-strength": (GameInstance.linear(2, -1.0), _FULL2),
+    "nonpositive-machine-mass": (_LINEAR2, SchedulerPopulation.for_instance(2, ((-0.5, None),))),
+    "selfish-mass-mismatch": (_LINEAR2, SchedulerPopulation(
+        (1.0,), (frozenset({1, 2}),), frozenset({1, 2}), 0.5)),
+}
+
+
+class TestValidateForSolve:
+    def test_cases_cover_every_code_but_intercept_mismatch(self):
+        source = inspect.getsource(game.validate)
+        codes = set(re.findall(r'append\(\s*f?"([a-z-]+): ', source))
+        assert codes == set(BLOCKING_CASES) | {"intercept-mismatch"}
+
+    @pytest.mark.parametrize("code", sorted(BLOCKING_CASES))
+    def test_every_other_code_blocks_the_solve(self, code):
+        instance, population = BLOCKING_CASES[code]
+        assert [v.split(":")[0] for v in game.validate(instance, population)] == [code]
+        with pytest.raises(ValidationError, match=code):
+            solve_team_equilibrium(instance, population)
+
+    def test_intercept_mismatch_alone_still_solves(self):
+        instance = GameInstance(2, ((0.0, 1.0), (1.0, 1.0)), 1, 1.0)
+        assert [v.split(":")[0] for v in game.validate(instance, _FULL2)] == [
+            "intercept-mismatch"]
+        assert solve_team_equilibrium(instance, _FULL2).converged
 
 
 class TestTeamEquilibrium:
