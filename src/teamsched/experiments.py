@@ -18,6 +18,8 @@ A scenario is one JSON document::
 lists use 1-based server indices and default to every server. The optional
 sweep block defines attack-strength and machine-mass grids; sweeping ``r``
 scales the machine masses proportionally, so it needs at least one machine.
+``stackelberg`` adds the leader-follower solution, whose model needs three or
+more servers with delay ``[0, 1]`` and the attack on server 1.
 Every field is type-checked on load: a missing required or an unknown field,
 a value of the wrong JSON type (a non-integral count, index or iteration cap
 included) or a sweep axis of more than :data:`MAX_GRID_POINTS` points raises
@@ -240,9 +242,14 @@ def load_scenario(path: str | Path) -> Scenario:
         settings = SolveSettings(tolerance, max_iterations)
     except ValueError as exc:
         raise ScenarioError(f"scenario field 'solver': {exc}") from exc
+    leader = _field(doc, "stackelberg", "", bool, False)
+    # the Stackelberg model is n >= 3 unit-slope linear servers attacked at server 1
+    if leader and not (n >= 3 and target == 1
+                       and all(d.coefficients == (0.0, 1.0) for d in delay_fns)):
+        raise ScenarioError("scenario field 'stackelberg': needs servers.count >= 3, "
+                            "every delay [0, 1] and attack.target 1")
     return Scenario(_field(doc, "name", "", str, path.stem), instance, population,
-                    alpha_grid, r_grid, settings,
-                    _field(doc, "stackelberg", "", bool, False))
+                    alpha_grid, r_grid, settings, leader)
 
 
 def _population_at_mass(population: SchedulerPopulation, n: int, r: float) -> SchedulerPopulation:

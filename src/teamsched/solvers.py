@@ -7,7 +7,9 @@
 * :func:`solve_team_equilibrium` and :func:`solve_fully_selfish` — one
   alternating best response over access groups, each moving halfway to its
   answer: the social optimum for machines (team) or a Wardrop fill like the
-  selfish jobs' (fully selfish). A certificate gates reported convergence.
+  selfish jobs' (fully selfish). A certificate gates reported convergence;
+  it and each sweep's stop test score every block by one rule: a selfish
+  block's worst delay gap, or the cost a machine block's best response saves.
 
 Both fills equalize a common service level by Newton steps: each step
 replaces every level by its tangent at the server's current load and fills
@@ -28,7 +30,6 @@ from .game import (
     SchedulerPopulation,
     ValidationError,
     eval_delay,
-    horner,
     validate,
 )
 
@@ -173,16 +174,14 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
         slopes = {}
         for i in servers:
             coeffs = level_coeffs[i - 1]
+            # a line is its own tangent, taken at the background
+            at = 0.0
             if len(coeffs) > 2 and any(coeffs[2:]):
                 curved = True
                 at = y[i - 1]
-                value, slope = _value_and_slope(coeffs, background[i - 1] + at)
-            else:
-                at = 0.0
-                value = horner(coeffs, background[i - 1])
-                slope = coeffs[1] if len(coeffs) > 1 else 0.0
+            value, slope = _value_and_slope(coeffs, background[i - 1] + at)
             if not slope >= _FLAT_SLOPE:
-                slope = (horner(coeffs, background[i - 1] + at + mass) - value) / mass
+                slope = (_value_and_slope(coeffs, background[i - 1] + at + mass)[0] - value) / mass
             if not (slope >= _FLAT_SLOPE and slope * mass > 0.0):
                 slope = 0.0
             start = value - slope * at + bonuses[i - 1]
@@ -266,6 +265,10 @@ def solve_social_optimum(instance: GameInstance, access: Iterable[int], mass: fl
 # residuals
 
 
+#: one block of the population: (access, mass, optimizes the system)
+_Member = tuple[frozenset[int], float, bool]
+
+
 def _worst(residuals: Iterable[float]) -> float:
     """Largest residual, at least 0; a NaN residual (``inf - inf``) stays NaN."""
     worst = 0.0
@@ -276,26 +279,50 @@ def _worst(residuals: Iterable[float]) -> float:
     return worst
 
 
-def _delay_vector(instance: GameInstance, loads: Sequence[float]) -> list[float]:
-    return [eval_delay(instance.delays[i - 1], loads[i - 1], instance.attack_bonus(i))
-            for i in range(1, instance.n + 1)]
-
-
 def _used_eps(block_mass: float) -> float:
     """Block loads at or below this count as unused, off access included."""
     return _USED_EPS * max(1.0, block_mass)
 
 
-def _wardrop_gap(instance: GameInstance, access: frozenset[int],
-                 block: Sequence[float], loads: Sequence[float], block_mass: float) -> float:
-    """Worst delay excess over the block's best accessible server."""
-    if block_mass <= _USED_EPS:
+def _residual(instance: GameInstance, access: frozenset[int], mass: float, social: bool,
+              block: Sequence[float], loads: Sequence[float],
+              response: Sequence[float] | None = None) -> float:
+    """One block's residual at the aggregate ``loads``.
+
+    A selfish block scores the worst delay excess, over its best accessible
+    server, of a server on which it holds more than :func:`_used_eps`. A
+    social block scores the cost its best response to the other blocks
+    would save; ``response`` is that best response when the caller has
+    filled it already. A block of mass at most :data:`_USED_EPS` scores 0.
+    """
+    if mass <= _USED_EPS:
         return 0.0
-    delays = _delay_vector(instance, loads)
+    if social:
+        bg = [max(0.0, x - b) for x, b in zip(loads, block)]
+        if response is None:
+            response = solve_social_optimum(instance, access, mass, bg)
+        return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)])
+    delays = [eval_delay(d, x, instance.attack_bonus(i))
+              for i, (d, x) in enumerate(zip(instance.delays, loads), start=1)]
     best = min(delays[i - 1] for i in access)
-    eps = _used_eps(block_mass)
-    return _worst(delays[i - 1] - best for i in range(1, instance.n + 1)
-                  if block[i - 1] > eps)
+    eps = _used_eps(mass)
+    return _worst(d - best for d, b in zip(delays, block) if b > eps)
+
+
+def _certificate(instance: GameInstance, members: Sequence[_Member],
+                 blocks: Sequence[Sequence[float]], loads: Sequence[float]) -> tuple[float, float]:
+    """Worst :func:`_residual` over the selfish blocks and over the social blocks."""
+    residuals = [(social, _residual(instance, access, mass, social, block, loads))
+                 for (access, mass, social), block in zip(members, blocks)]
+    return (_worst(r for social, r in residuals if not social),
+            _worst(r for social, r in residuals if social))
+
+
+def _members(population: SchedulerPopulation, team: bool) -> list[_Member]:
+    """The selfish population, then each machine, social with ``team``."""
+    return [(population.selfish_access, population.selfish_mass, False)] + [
+        (access, mass, team)
+        for access, mass in zip(population.machine_access, population.machine_masses)]
 
 
 def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulation,
@@ -315,33 +342,15 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
         raise ValidationError(
             f"profile has {len(profile.per_machine)} machine blocks, "
             f"population has {population.machine_count}")
-    selfish_eps = _used_eps(population.selfish_mass)
-    for i in range(1, n + 1):
-        if i not in population.selfish_access and profile.selfish[i - 1] > selfish_eps:
-            raise ValidationError(f"selfish mass on inaccessible server {i}")
-    for k, block in enumerate(profile.per_machine):
-        machine_eps = _used_eps(population.machine_masses[k])
+    members = _members(population, team=True)
+    blocks = (profile.selfish,) + profile.per_machine
+    for k, ((access, mass, _social), block) in enumerate(zip(members, blocks)):
+        eps = _used_eps(mass)
         for i in range(1, n + 1):
-            if i not in population.machine_access[k] and block[i - 1] > machine_eps:
-                raise ValidationError(f"machine {k + 1} mass on inaccessible server {i}")
-
-    loads = profile.aggregate_loads()
-    selfish_res = _wardrop_gap(instance, population.selfish_access, profile.selfish,
-                               loads, population.selfish_mass)
-
-    improvements = []
-    current_cost = instance.cost(loads)
-    for k in range(population.machine_count):
-        mass = population.machine_masses[k]
-        if mass <= _USED_EPS:
-            continue
-        block = profile.per_machine[k]
-        bg = [loads[i] - block[i] for i in range(n)]
-        bg = [max(0.0, b) for b in bg]
-        br = solve_social_optimum(instance, population.machine_access[k], mass, bg)
-        br_cost = instance.cost([bg[i] + br[i] for i in range(n)])
-        improvements.append(current_cost - br_cost)
-    return selfish_res, _worst(improvements)
+            if i not in access and block[i - 1] > eps:
+                who = f"machine {k}" if k else "selfish"
+                raise ValidationError(f"{who} mass on inaccessible server {i}")
+    return _certificate(instance, members, blocks, profile.aggregate_loads())
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +369,32 @@ def _loads(n: int, blocks: Sequence[Sequence[float]]) -> list[float]:
     return [math.fsum(b[i] for b in blocks) for i in range(n)]
 
 
-#: one best-response group: (access, total mass, optimizes the system, members)
-_Group = tuple[frozenset[int], float, bool, list[int]]
-
-
-def _group_by_access(blocks: Iterable[tuple[frozenset[int], float, bool]]) -> list[_Group]:
-    """Group ``(access, mass, social)`` blocks by ``(access, social)``, skipping empty ones.
+def _group_by_access(members: Sequence[_Member]) -> tuple[list[_Member], list[list[int]]]:
+    """Group the members by ``(access, social)``, skipping empty ones.
 
     Social blocks (machines) share the system objective, so a joint optimum
     of their aggregate mass satisfies each member's optimality condition;
-    selfish blocks with one access set share every Wardrop condition. Groups
-    come in order of first appearance.
+    selfish blocks with one access set share every Wardrop condition.
+    Returns the groups, each one ``(access, total mass, social)`` block, and
+    their member indices, in order of first appearance.
     """
-    blocks = list(blocks)
-    members: dict[tuple[frozenset[int], bool], list[int]] = {}
-    for k, (access, mass, social) in enumerate(blocks):
+    indices: dict[tuple[frozenset[int], bool], list[int]] = {}
+    for k, (access, mass, social) in enumerate(members):
         if mass > _USED_EPS:
-            members.setdefault((access, social), []).append(k)
-    return [(access, math.fsum(blocks[k][1] for k in ks), social, ks)
-            for (access, social), ks in members.items()]
+            indices.setdefault((access, social), []).append(k)
+    groups = [(access, math.fsum(members[k][1] for k in ks), social)
+              for (access, social), ks in indices.items()]
+    return groups, list(indices.values())
 
 
-def _split(masses: Sequence[float], n: int, groups: list[_Group],
-           group_blocks: list[list[float]]) -> DisaggregatedProfile:
+def _split(n: int, members: Sequence[_Member], groups: Sequence[_Member],
+           indices: Sequence[list[int]], group_blocks: list[list[float]]) -> DisaggregatedProfile:
     """Profile with each group block split across its members proportionally
     to mass; member 0 is the selfish population, member k + 1 machine k."""
-    blocks: list[tuple[float, ...]] = [tuple([0.0] * n)] * len(masses)
-    for (_access, total, _social, ks), block in zip(groups, group_blocks):
+    blocks: list[tuple[float, ...]] = [(0.0,) * n] * len(members)
+    for (_access, total, _social), ks, block in zip(groups, indices, group_blocks):
         for k in ks:
-            frac = masses[k] / total
+            frac = members[k][1] / total
             blocks[k] = tuple(v * frac for v in block)
     return DisaggregatedProfile(blocks[0], tuple(blocks[1:]))
 
@@ -399,45 +405,39 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     """Alternating best response over the access groups, blended by :data:`_BLEND`.
 
     With ``team`` the machines answer with their constrained social optimum,
-    otherwise every block answers with its Wardrop response. A sweep whose
-    in-sweep residuals pass the tolerance still needs the certificate on the
-    split profile before it claims convergence: :func:`equilibrium_residuals`
-    for the team, each group's Wardrop gap on the final loads otherwise. A
-    NaN in-sweep residual ends the loop at once with that certificate.
+    otherwise every block answers with its Wardrop response. Each sweep
+    scores every group by :func:`_residual` on its own fill. A sweep whose
+    residuals pass the tolerance still needs the certificate on the split
+    profile before it claims convergence: :func:`equilibrium_residuals` for
+    the team, :func:`_certificate` over the groups otherwise. A NaN residual
+    ends the loop at once with that certificate.
     """
     settings = settings or SolveSettings()
     issues = validate_for_solve(instance, population)
     if issues:
         raise ValidationError("; ".join(issues))
     n = instance.n
-    masses = (population.selfish_mass,) + population.machine_masses
-    groups = _group_by_access(zip((population.selfish_access,) + population.machine_access,
-                                  masses, (False,) + (team,) * population.machine_count))
+    members = _members(population, team)
+    groups, indices = _group_by_access(members)
 
     def certify(blocks: list[list[float]], iterations: int) -> SolveReport:
-        profile = _split(masses, n, groups, blocks)
+        profile = _split(n, members, groups, indices, blocks)
         if team:
             s_res, m_res = equilibrium_residuals(instance, population, profile)
         else:
-            loads = _loads(n, blocks)
-            s_res = _worst(_wardrop_gap(instance, access, block, loads, total)
-                           for (access, total, _social, _ks), block in zip(groups, blocks))
-            m_res = 0.0
+            s_res, m_res = _certificate(instance, groups, blocks, _loads(n, blocks))
         return _report(instance, profile, s_res, m_res, settings.tolerance, iterations)
 
     # the fills' level data depends only on the instance: build it once per
     # solve, not on every fill
     levels = {social: _levels(instance, social) for social in (False, True)}
 
-    def respond(group: _Group, bg: Sequence[float] | None = None) -> list[float]:
-        access, total, social, _ks = group
-        servers, bg = _check_fill_args(instance, access, total, bg)
-        return _fill_common_level(n, servers, total, bg, *levels[social])
-
     # a lone group best-responds to an empty background, which is already
     # the equilibrium; skip the iteration and just certify
     if initial is None and len(groups) == 1:
-        return certify([respond(groups[0])], 1)
+        (access, total, social), = groups
+        servers, bg = _check_fill_args(instance, access, total, None)
+        return certify([_fill_common_level(n, servers, total, bg, *levels[social])], 1)
 
     if initial is not None:
         if (len(initial.selfish) != n
@@ -445,7 +445,7 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
             raise ValidationError("initial profile dimensions do not match the population")
         starts = (initial.selfish,) + initial.per_machine
     blocks = []
-    for access, total, _social, ks in groups:
+    for (access, total, _social), ks in zip(groups, indices):
         # the members' initial blocks, or an even spread over the access set
         start = ([1.0] * n if initial is None
                  else [math.fsum(starts[k][i] for k in ks) for i in range(n)])
@@ -455,16 +455,12 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     iterations = 0
     for iterations in range(1, settings.max_outer_iterations + 1):
         residuals = []
-        for g, group in enumerate(groups):
-            access, total, social, _ks = group
+        for g, (access, total, social) in enumerate(groups):
             loads = _loads(n, blocks)
-            bg = [max(0.0, loads[i] - blocks[g][i]) for i in range(n)]
-            br = respond(group, bg)
-            if social:
-                residuals.append(instance.cost(loads)
-                                 - instance.cost([bg[i] + br[i] for i in range(n)]))
-            else:
-                residuals.append(_wardrop_gap(instance, access, blocks[g], loads, total))
+            servers, bg = _check_fill_args(
+                instance, access, total, [max(0.0, x - b) for x, b in zip(loads, blocks[g])])
+            br = _fill_common_level(n, servers, total, bg, *levels[social])
+            residuals.append(_residual(instance, access, total, social, blocks[g], loads, br))
             blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], br)], total)
 
         residual = _worst(residuals)

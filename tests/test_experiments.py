@@ -358,6 +358,25 @@ class TestCli:
         assert f"'{field}'" in err
         assert out == ""
 
+    # the leader-follower model is n >= 3 servers of delay [0, 1] attacked
+    # at server 1; before the check, the first case printed the team report
+    # and exited 3 and the second printed a linear-server Stackelberg cost
+    @pytest.mark.parametrize("base, change", [
+        ("unconstrained_two_servers", {"stackelberg": True}),
+        ("stackelberg_three_servers",
+         {"servers": {"count": 3, "delays": [[0, 1, 1], [0, 1, 1], [0, 1, 1]]}}),
+        ("stackelberg_three_servers",
+         {"servers": {"count": 3, "delays": [[0, 1], [0, 2], [0, 1]]}}),
+        ("stackelberg_three_servers", {"attack": {"target": 2, "strength": 1.0}}),
+    ])
+    def test_stackelberg_outside_its_model_exit_one(self, tmp_path, capsys, base, change):
+        doc = json.loads((SCENARIOS / f"{base}.json").read_text())
+        doc.update(change)
+        assert cli.main(["solve", str(write_scenario(tmp_path, doc))]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert "scenario field 'stackelberg': " in err
+        assert out == ""
+
     @pytest.mark.parametrize("overrides, field", [
         ({"machines": [{"mass": 1.0, "acess": [2]}]}, "machines[1].acess"),
         ({"solver": {"tolerence": 1e-3}}, "solver.tolerence"),

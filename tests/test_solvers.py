@@ -1,13 +1,17 @@
 import inspect
+import itertools
 import math
+import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamsched import game, solvers
+from teamsched.experiments import load_scenario
 from teamsched.game import horner
 from teamsched import (
     DisaggregatedProfile,
@@ -682,3 +686,75 @@ class TestSharedLoop:
             used = [i for i in range(1, inst.n + 1) if block[i - 1] > 1e-12]
             assert set(used) <= access
             assert max(delays[i - 1] - best for i in used) <= 1e-10
+
+
+def _multi_group_instances():
+    """Seeded polynomial instances whose machines split into several access groups."""
+    rng = random.Random(14)
+    cases = []
+    for _ in range(6):
+        n = rng.choice((3, 4))
+        delays = [(0.0, rng.uniform(0.2, 2.0)) + tuple(rng.uniform(0.0, 1.0)
+                                                      for _ in range(rng.randint(0, 2)))
+                  for _ in range(n)]
+        subsets = [s for size in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), size)]
+        access = rng.sample(subsets, 4)
+        masses = [rng.uniform(0.1, 0.6) for _ in range(3)]
+        cases.append((GameInstance(n, delays, rng.randint(1, n), rng.uniform(0.0, 2.0)),
+                      SchedulerPopulation.for_instance(n, tuple(zip(masses, access[1:])), access[0])))
+    return cases
+
+
+def _golden_multi_group():
+    scenario = load_scenario(Path(__file__).parent / "golden" / "multi_group.json")
+    return scenario.instance, scenario.population
+
+
+def reference_selfish_residual(instance, population, profile):
+    """Worst delay gap of any class, from ``eval_delay`` alone, when no two
+    classes share an access set (each class is then its own block)."""
+    blocks = (profile.selfish,) + profile.per_machine
+    members = zip((population.selfish_access,) + population.machine_access,
+                  (population.selfish_mass,) + population.machine_masses, blocks)
+    loads = [math.fsum(b[i] for b in blocks) for i in range(instance.n)]
+    delays = [eval_delay(instance.delays[i], loads[i], instance.attack_bonus(i + 1))
+              for i in range(instance.n)]
+    worst = 0.0
+    for access, mass, block in members:
+        if mass <= 1e-12:
+            continue
+        best = min(delays[i - 1] for i in access)
+        used = [i for i in range(instance.n) if block[i] > 1e-12 * max(1.0, mass)]
+        worst = max([worst] + [delays[i] - best for i in used])
+    return worst
+
+
+class TestOneResidualRule:
+    # the sweep's stop test and both certificates score a block by one rule
+
+    @pytest.mark.parametrize("instance, population",
+                             _multi_group_instances() + [_golden_multi_group()])
+    def test_team_report_is_its_certificate(self, instance, population):
+        rep = solve_team_equilibrium(instance, population)
+        assert rep.converged
+        assert (rep.selfish_residual, rep.machine_residual) == equilibrium_residuals(
+            instance, population, rep.profile)
+
+    @pytest.mark.parametrize("instance, population", _multi_group_instances())
+    def test_fully_selfish_residual_matches_reference(self, instance, population):
+        rep = solve_fully_selfish(instance, population)
+        assert rep.converged
+        assert rep.selfish_residual == reference_selfish_residual(instance, population, rep.profile)
+        assert rep.machine_residual == 0.0
+
+    def test_negative_rounding_selfish_mass_solves(self):
+        # the machines leave a selfish mass of 3 - 3.0000000000000004 < 0,
+        # which validate accepts; that block takes no part in either solve
+        inst = GameInstance.linear(3, 1.0)
+        pop = SchedulerPopulation.for_instance(3, ((2.0000000000000004, None), (1.0, (2, 3))))
+        assert pop.selfish_mass < 0.0
+        team = solve_team_equilibrium(inst, pop)
+        assert (team.selfish_residual, team.machine_residual) == (0.0, 0.0)
+        selfish = solve_fully_selfish(inst, pop)
+        assert (selfish.selfish_residual, selfish.machine_residual) == (2.910360841212878e-11, 0.0)
+        assert team.converged and selfish.converged
