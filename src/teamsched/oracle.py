@@ -25,8 +25,8 @@ CAPACITY_LIMIT = 10 ** 8
 #: attack on instances without an exact potential
 _VERIFY_RESOLUTION = 1e-3
 _VERIFY_STARTS = 5
-#: rows per block of the lattice kernels: a block's score array takes 1.5 MB
-#: at the 3,000 steps of verify's resolution on three servers, 2 MB at 4,000
+#: rows per block of the pair table: a block's score array takes 64 * (steps + 1)
+#: floats, 3 MB at the 6,000 steps of verify's resolution on six servers
 _BLOCK = 64
 
 
@@ -40,11 +40,10 @@ def lattice_size(n: int, steps: int) -> int:
 
 
 def _search_entries(n: int, steps: int) -> int:
-    """Score entries :func:`grid_search_optimum` evaluates: from three servers
-    on, the pair table's slices plus one row entry per remaining head point."""
-    if n < 3:
-        return lattice_size(n, steps)
-    return lattice_size(3, steps) + lattice_size(n - 1, steps)
+    """Score entries :func:`grid_search_optimum` evaluates: one pair table of
+    C(steps + 2, 2) slices for each server from the second to the last but
+    one, then one vector over the first server's loads."""
+    return max(n - 2, 0) * math.comb(steps + 2, 2) + steps + 1
 
 
 def _contribution_tables(instance: GameInstance, steps: int, step: float) -> list[np.ndarray]:
@@ -60,21 +59,15 @@ def _contribution_tables(instance: GameInstance, steps: int, step: float) -> lis
     return tables
 
 
-def _reversed_windows(values: np.ndarray) -> np.ndarray:
-    """Strided view ``w[i, j] = values[steps - i - j]`` for ``i + j <= steps``, +inf past it."""
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    steps = len(values) - 1
-    return sliding_window_view(np.concatenate((values[::-1], np.full(steps, np.inf))), steps + 1)
-
-
 def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """Smallest score of the last two servers' slice for every remaining mass.
+    """Min-plus convolution: the smallest ``near[k] + far[m - k]`` over
+    ``k <= m`` for every mass ``m``, and a row that holds a NaN scores NaN.
 
-    Row ``m`` holds ``near[k] + far[m - k]`` for ``k <= m``, and a row that
-    holds a NaN scores NaN. A block of rows takes the columns up to its last
-    row only, and its entries past the diagonal are set to +inf.
+    Rows run in blocks of :data:`_BLOCK`; each row is a strided window over
+    the reversed ``far``, padded with +inf, so every entry is the same float
+    addition as one argmin per slice would make. A block takes the columns
+    up to its last row only, and its entries past the diagonal are set to
+    +inf.
 
     Mirrored tables (``near`` and ``far`` bit-identical, as when the last two
     servers share a delay and neither is attacked) score each entry of a row
@@ -84,10 +77,12 @@ def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
     diagonal of every row in it.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     steps = len(near) - 1
     mirrored = near.tobytes() == far.tobytes()
-    windows = _reversed_windows(far)[::-1]  # windows[m, k] = far[m - k]
+    padded = np.concatenate((far[::-1], np.full(steps, np.inf)))
+    windows = sliding_window_view(padded, steps + 1)[::-1]  # windows[m, k] = far[m - k]
     past_diagonal = ~np.tri(_BLOCK, dtype=bool)
     pair_val = np.empty(steps + 1)
     buffer = np.empty(_BLOCK * (steps + 1))
@@ -103,36 +98,15 @@ def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
 
 
 def _first_minimum(scores: np.ndarray) -> int:
-    """Flat index of the first minimum of ``scores``, NaN read as +inf
+    """Index of the first minimum of ``scores``, NaN read as +inf
     (a NaN in ``scores`` is overwritten with +inf)."""
     import numpy as np
 
     k = int(scores.argmin())  # argmin stops at a NaN: map them and rerun
-    if math.isnan(scores.flat[k]):
+    if math.isnan(scores[k]):
         scores[np.isnan(scores)] = np.inf
         k = int(scores.argmin())
     return k
-
-
-def _head_rows(first: np.ndarray, second: np.ndarray, pair_val: np.ndarray) -> tuple[int, int]:
-    """First minimum over ``(k1, k2)`` of ``(first[k1] + second[k2]) + pair_val[steps - k1 - k2]``
-    in row-major order, NaN read as +inf; ``(0, 0)`` if every score is +inf."""
-    import numpy as np
-
-    steps = len(first) - 1
-    windows = _reversed_windows(pair_val)
-    head, best_val = (0, 0), math.inf
-    buffer = np.empty(_BLOCK * (steps + 1))
-    for a in range(0, steps + 1, _BLOCK):
-        b = min(a + _BLOCK, steps + 1)
-        width = steps + 1 - a
-        scores = buffer[: (b - a) * width].reshape(b - a, width)
-        np.add(first[a:b, None], second[:width], out=scores)
-        np.add(scores, windows[a:b, :width], out=scores)
-        k = _first_minimum(scores)
-        if scores.flat[k] < best_val:
-            head, best_val = (a + k // width, k % width), scores.flat[k]
-    return head
 
 
 def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
@@ -141,42 +115,42 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
 
     Each server has a table ``T_i[k] = x_k * tau_i^attack(x_k)`` on the axis
     ``x_k = k * n / steps``; a point ``(k_1, .., k_n)`` summing to ``steps``
-    scores ``(T_1 + T_2) + (T_3 + T_4)`` (``T_1 + (T_2 + T_3)`` at three
-    servers). From three servers on, a pair table holds, for every remaining
-    mass ``m``, the smallest score of the last two servers' slice. Three
-    servers then take one argmin over ``k_1`` against it, four servers the
-    first minimum over ``(k_1, k_2)``. Both run as numpy kernels over blocks
-    of :data:`_BLOCK` rows: each row is a strided window over the reversed
-    table, padded with +inf, so every lattice point is scored with the same
-    float additions as one argmin per slice would make. Float rounding is
-    monotone, so the winner's score is the minimum over every lattice point.
-    The winning slice's split comes from one last argmin. Memory stays
-    O(block * steps).
+    scores the right fold ``T_1 + (T_2 + (.. + (T_{n-1} + T_n)))``. The search
+    is one right fold of :func:`_pair_table`: the tail of the last server is
+    ``T_n``, and the tail of servers ``j..n`` is the pair table of ``T_j``
+    against the tail of servers ``j+1..n``, so it holds, for every mass, the
+    smallest score of those servers' slice. A walk from the full mass then
+    fixes one server at a time: server 1 takes the first minimum of
+    ``T_1[k] + tail_2[steps - k]``, and each later server the argmin of
+    ``T_j[k] + tail_{j+1}[m - k]`` over the mass ``m`` left to it. Float
+    rounding is monotone, so the winner's score is the minimum over every
+    lattice point. Memory stays O(block * steps).
 
-    Ties: the last two servers take the first minimum of each slice (lowest
-    ``k_{n-1}``), a row its first minimum (lowest ``k_{n-2}``), and a later
-    row wins only if strictly lower (lowest ``k_1``), so reruns are
-    byte-identical. From three servers on, a slice holding a NaN scores NaN
-    and a NaN score never wins. Where every score is +inf or NaN the first
-    point in that search order wins, with cost inf. For polynomial delays
-    the winner is within a Lipschitz-constant multiple of the resolution of
-    the true optimum. Guards: at most four servers, ``resolution >= 1e-4``,
-    a finite attack strength and at most :data:`CAPACITY_LIMIT` score
-    entries (O(steps^2) from three servers on).
+    Ties: each server takes the lowest load among the minima of its slice,
+    so reruns are byte-identical. A slice holding a NaN scores NaN, and
+    server 1 reads a NaN score as +inf, so it never wins. Where every score
+    is +inf or NaN, every server but the last takes load 0 (a later server
+    takes a NaN first, as its slice's minimum did), with cost inf. For
+    polynomial delays the winner is within a Lipschitz-constant multiple of
+    the resolution of the true optimum. Guards: a finite ``resolution`` of
+    at least 1e-4 that leaves at least one lattice step, a finite attack
+    strength and at most :data:`CAPACITY_LIMIT` score entries
+    (:func:`_search_entries`, O((n - 2) * steps^2)): every server count up
+    to six runs at verify's 1e-3, seven are refused.
 
     ``_pairs`` is :func:`verify_security`'s memo for one scan: it keeps the
-    last pair table, keyed on the exact bytes of the last two servers'
-    tables, which stay the same across attack strengths whenever the attack
-    targets neither of those servers.
+    last call's tails, each keyed on the exact bytes of the tables it folds.
+    Those stay the same across attack strengths for every server after the
+    attacked one, so an attack on server 1 rebuilds no tail.
     """
     n = instance.n
-    if n > 4:
-        raise CapacityError(f"lattice search supports at most 4 servers, got {n}")
-    if resolution < 1e-4:
-        raise ValueError(f"resolution must be at least 1e-4, got {resolution}")
+    if not math.isfinite(resolution) or resolution < 1e-4:
+        raise ValueError(f"resolution must be finite and at least 1e-4, got {resolution}")
     if not math.isfinite(instance.attack_strength):
         raise ValueError(f"attack strength must be finite, got {instance.attack_strength}")
     steps = round(n / resolution)
+    if steps < 1:
+        raise ValueError(f"resolution {resolution} leaves no lattice step on {n} servers")
     entries = _search_entries(n, steps)
     if entries > CAPACITY_LIMIT:
         raise CapacityError(
@@ -184,28 +158,27 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     import numpy as np
 
     step = n / steps
+    memo = {} if _pairs is None else _pairs
     with np.errstate(over="ignore", invalid="ignore"):
         tables = _contribution_tables(instance, steps, step)
-        if n == 1:
-            best_key = (steps,)
-        elif n == 2:
-            k = int(np.argmin(tables[0] + tables[1][::-1]))
-            best_key = (k, steps - k)
-        else:
-            near, far = tables[-2], tables[-1]
-            pairs = {} if _pairs is None else _pairs
-            key = (near.tobytes(), far.tobytes())
-            if key not in pairs:
-                pairs.clear()
-                pairs[key] = _pair_table(near, far)
-            pair_val = pairs[key]
-            if n == 3:
-                head = (_first_minimum(tables[0] + pair_val[::-1]),)
-            else:
-                head = _head_rows(tables[0], tables[1], pair_val)
-            m = steps - sum(head)
-            k = int(np.argmin(near[: m + 1] + far[m::-1]))  # argmin picks a NaN first, as the table did
-            best_key = head + (k, m - k)
+        raw = [table.tobytes() for table in tables]
+        # tails[j]: the best score of servers j+1.., which server j is scored against
+        tails, built = [tables[-1]], {}
+        for j in range(n - 2, 0, -1):
+            key = tuple(raw[j:])
+            built[key] = memo[key] if key in memo else _pair_table(tables[j], tails[0])
+            tails.insert(0, built[key])
+        memo.clear()
+        memo.update(built)
+
+        best_key, m = [], steps
+        for j in range(n - 1):
+            scores = tables[j][: m + 1] + tails[j][m::-1]
+            # a later server's argmin picks a NaN first, as its slice's minimum did
+            k = _first_minimum(scores) if j == 0 else int(np.argmin(scores))
+            best_key.append(k)
+            m -= k
+        best_key.append(m)
 
     profile = LoadProfile.from_raw([k * step for k in best_key])
     return profile, system_cost(instance, profile)
@@ -310,21 +283,24 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
 
     At each grid attack the team cost is compared with the 1e-3 lattice
     optimum (strong) and with the attack-oblivious baseline, the no-attack
-    optimum held fixed (weak). Where the delays give the team game an exact
-    potential (:func:`_has_potential`: one common degree, ``b_i + c_i x**d``
-    with ``c_i > 0``), every equilibrium has the same cost and the default
-    start's solve is the team cost; the verdict is inconclusive exactly when
-    that solve does not converge. Otherwise the team cost is the worst over
-    the default start and five random starts drawn from ``seed``, and the
-    verdict is inconclusive when none of them converges. Returns
-    ``(strong, weak)``; each locates the largest gap of its own comparison.
-    An empty ``alphas`` raises ``ValueError``.
+    optimum held fixed (weak). The lattice runs at every server count up to
+    six; from seven servers on it raises :class:`CapacityError`. The scan
+    keeps the lattice's tails from one attack to the next, so the servers
+    after the attacked one are folded once per scan. Where the delays give
+    the team game an exact potential (:func:`_has_potential`: one common
+    degree, ``b_i + c_i x**d`` with ``c_i > 0``), every equilibrium has the
+    same cost and the default start's solve is the team cost; the verdict is
+    inconclusive exactly when that solve does not converge. Otherwise the
+    team cost is the worst over the default start and five random starts
+    drawn from ``seed``, and the verdict is inconclusive when none of them
+    converges. Returns ``(strong, weak)``; each locates the largest gap of
+    its own comparison. An empty ``alphas`` raises ``ValueError``.
     """
     if len(alphas) == 0:
         raise ValueError("alphas must hold at least one attack strength")
     settings = settings or SolveSettings()
     rng = random.Random(seed)
-    pairs: dict = {}  # one pair table, reused across the scan while it stays the same
+    pairs: dict = {}  # the last search's tails, reused while their tables stay the same
     baseline_profile, _ = grid_search_optimum(replace(instance, attack_strength=0.0),
                                               _VERIFY_RESOLUTION, _pairs=pairs)
 

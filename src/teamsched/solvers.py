@@ -286,22 +286,24 @@ def _used_eps(block_mass: float) -> float:
 
 def _residual(instance: GameInstance, access: frozenset[int], mass: float, social: bool,
               block: Sequence[float], loads: Sequence[float],
-              response: Sequence[float] | None = None) -> float:
+              response: tuple[Sequence[float], Sequence[float]] | None = None) -> float:
     """One block's residual at the aggregate ``loads``.
 
     A selfish block scores the worst delay excess, over its best accessible
     server, of a server on which it holds more than :func:`_used_eps`. A
     social block scores the cost its best response to the other blocks
-    would save; ``response`` is that best response when the caller has
-    filled it already. A block of mass at most :data:`_USED_EPS` scores 0.
+    would save; ``response`` is ``(background, best response)`` when the
+    caller has built the other blocks' loads and filled the response
+    already. A block of mass at most :data:`_USED_EPS` scores 0.
     """
     if mass <= _USED_EPS:
         return 0.0
     if social:
-        bg = [max(0.0, x - b) for x, b in zip(loads, block)]
         if response is None:
-            response = solve_social_optimum(instance, access, mass, bg)
-        return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)])
+            bg = [max(0.0, x - b) for x, b in zip(loads, block)]
+            response = bg, solve_social_optimum(instance, access, mass, bg)
+        bg, br = response
+        return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, br)])
     delays = [eval_delay(d, x, instance.attack_bonus(i))
               for i, (d, x) in enumerate(zip(instance.delays, loads), start=1)]
     best = min(delays[i - 1] for i in access)
@@ -460,7 +462,7 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
             servers, bg = _check_fill_args(
                 instance, access, total, [max(0.0, x - b) for x, b in zip(loads, blocks[g])])
             br = _fill_common_level(n, servers, total, bg, *levels[social])
-            residuals.append(_residual(instance, access, total, social, blocks[g], loads, br))
+            residuals.append(_residual(instance, access, total, social, blocks[g], loads, (bg, br)))
             blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], br)], total)
 
         residual = _worst(residuals)

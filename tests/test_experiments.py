@@ -268,6 +268,16 @@ class TestCli:
         assert "strong security: false" in proc.stdout
         assert "weak security: true" in proc.stdout
 
+    def test_verify_five_servers(self, tmp_path):
+        # full access: the team answers every attack with the system optimum,
+        # which the lattice checks at five servers as at two or three
+        doc = base_doc(servers={"count": 5, "delays": [[0, 1]] * 5}, machines=[{"mass": 4.0}])
+        proc = self.run_cli("verify", str(write_scenario(tmp_path, doc)),
+                            "--alpha-list", "0,0.5,1,2,4")
+        assert proc.returncode == 0, proc.stderr
+        assert "strong security: true" in proc.stdout
+        assert "weak security: true" in proc.stdout
+
     def test_verify_inconclusive_names_alpha(self):
         proc = self.run_cli("verify", str(SCENARIOS / "constrained_three_servers.json"),
                             "--alpha-list", "0.5,1.0", "--max-iters", "1")

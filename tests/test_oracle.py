@@ -19,6 +19,7 @@ from teamsched import (
     constrained_team_cost,
     grid_search_optimum,
     monotonicity_sweep,
+    optimal_cost_linear,
     oracle,
     solve_team_equilibrium,
     system_cost,
@@ -57,9 +58,10 @@ class TestGridSearch:
             assert cost <= true_cost + 5e-2  # Lipschitz * resolution slack
 
     def test_capacity_guards(self):
+        # the guard counts score entries: 5 * C(7002, 2) at 7 servers, 1e-3
         with pytest.raises(CapacityError):
-            grid_search_optimum(GameInstance.linear(5, 1.0), 1e-3)
-        # the guard counts score entries: 2 * C(40002, 2) at 4 servers, 1e-4
+            grid_search_optimum(GameInstance.linear(7, 1.0), 1e-3)
+        # 2 * C(40002, 2) at 4 servers, 1e-4
         with pytest.raises(CapacityError):
             grid_search_optimum(GameInstance.linear(4, 1.0), 1e-4)
         with pytest.raises(CapacityError):
@@ -67,18 +69,29 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_optimum(GameInstance.linear(2, 1.0), 1e-5)
 
+    @pytest.mark.parametrize("resolution", [5.0, math.inf, math.nan, -math.inf])
+    def test_rejects_resolution_without_lattice_steps(self, resolution):
+        # 5.0 rounds 2 / 5 to zero steps; inf and NaN are no resolution at all
+        with pytest.raises(ValueError, match="resolution"):
+            grid_search_optimum(GameInstance.linear(2, 1.0), resolution)
+
     def test_four_servers_at_verify_resolution(self):
         # 2 * C(4002, 2) score entries: within the limit although the
         # lattice has about 1.07e10 points
         _, cost = grid_search_optimum(GameInstance.linear(4, 1.0), 1e-3)
         assert abs(cost - team_cost_linear(4, 4.0, 1.0)) <= 1e-3
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_six_servers_at_verify_resolution(self):
+        # 4 * C(6002, 2) score entries, the most servers verify's 1e-3 allows
+        _, cost = grid_search_optimum(GameInstance.linear(6, 1.5), 1e-3)
+        assert abs(cost - optimal_cost_linear(6, 1.5)) <= 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rejects_infinite_attack(self, n):
         with pytest.raises(ValueError, match="attack strength"):
             grid_search_optimum(GameInstance.linear(n, math.inf), 0.1)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_score_infinite_gives_first_point(self, n):
         # every lattice point overflows: x * 1e308 summed over loads adding to n
         inst = GameInstance(n, (DelayFunction((1e308,)),) * n, 1, 1.0)
@@ -113,49 +126,55 @@ def _tables(instance, steps):
     return step, tables
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def reference_lattice(instance, resolution, tables=None):
-    """One argmin per (k1, .., k_{n-2}) slice: the direct form of the search.
+def _slice(near, tail, m):
+    """Scores ``near[k] + tail[m - k]`` of one slice, ``k <= m``."""
+    return [near[k] + tail[m - k] for k in range(m + 1)]
 
-    Returns the profile, its cost and the winner's table value
-    ``(T0 + T1) + (T2 + T3)`` (``T0 + (T1 + T2)`` at three servers).
-    ``tables`` replaces the instance's own tables when given.
+
+def _slice_min(scores):
+    """A slice's minimum; a slice holding a NaN scores NaN."""
+    return math.nan if any(math.isnan(s) for s in scores) else min(scores)
+
+
+def reference_lattice(instance, resolution, tables=None):
+    """The search as one right fold of per-slice minima, in pure Python.
+
+    The tail of the last server is its table, and the tail of servers j on
+    holds, for every mass m, the minimum over k of ``T_j[k] + tail[m - k]``
+    against the tail of servers j+1 on. A walk from the full mass fixes one
+    server at a time at the lowest k among its slice's minima; the first
+    server reads NaN as +inf, a later one takes a NaN first. Returns the
+    profile, its cost and the winner's table value. ``tables`` replaces the
+    instance's own tables when given.
     """
     n = instance.n
     steps = round(n / resolution)
     step, own = _tables(instance, steps)
-    tables = own if tables is None else tables
-    best_key, best_val = None, math.inf
-    if n == 3:
-        for k1 in range(steps + 1):
-            m = steps - k1
-            totals = tables[1][: m + 1] + tables[2][m::-1]
-            k2 = int(np.argmin(totals))
-            val = float(tables[0][k1]) + float(totals[k2])
-            if val < best_val:
-                best_val = val
-                best_key = (k1, k2, m - k2)
-    else:
-        for k1 in range(steps + 1):
-            for k2 in range(steps - k1 + 1):
-                m = steps - k1 - k2
-                totals = tables[2][: m + 1] + tables[3][m::-1]
-                k3 = int(np.argmin(totals))
-                val = float(tables[0][k1]) + float(tables[1][k2]) + float(totals[k3])
-                if val < best_val:
-                    best_val = val
-                    best_key = (k1, k2, k3, m - k3)
-    if best_key is None:  # every score is +inf or NaN: the first point in search order
-        k = int(np.argmin(tables[-2] + tables[-1][::-1]))
-        best_key = (0,) * (n - 2) + (k, steps - k)
-    profile = LoadProfile.from_raw([k * step for k in best_key])
-    return profile, system_cost(instance, profile), best_val
+    tables = [table.tolist() for table in (own if tables is None else tables)]
+    tails = [tables[-1]]
+    for near in reversed(tables[1:-1]):
+        tails.insert(0, [_slice_min(_slice(near, tails[0], m)) for m in range(steps + 1)])
+    key, m = [], steps
+    for j, (near, tail) in enumerate(zip(tables[:-1], tails)):
+        scores = _slice(near, tail, m)
+        nan_at = [k for k, score in enumerate(scores) if math.isnan(score)]
+        if j == 0:
+            scores = [math.inf if k in nan_at else score for k, score in enumerate(scores)]
+        k = nan_at[0] if j and nan_at else scores.index(min(scores))
+        key.append(k)
+        m -= k
+    key.append(m)
+    profile = LoadProfile.from_raw([k * step for k in key])
+    return profile, system_cost(instance, profile), lattice_value(tables, key)
 
 
 def lattice_value(tables, key):
-    """Table value of one lattice point, in the search's float association."""
+    """Table value of one lattice point, the right fold ``T_1 + (T_2 + (.. + T_n))``."""
     t = [float(table[k]) for table, k in zip(tables, key)]
-    return t[0] + (t[1] + t[2]) if len(t) == 3 else (t[0] + t[1]) + (t[2] + t[3])
+    value = t[-1]
+    for term in reversed(t[:-1]):
+        value = term + value
+    return value
 
 
 def brute_force_minimum(instance, resolution):
@@ -184,18 +203,20 @@ def random_instance(rng, n):
 def _lattice_cases():
     rng = random.Random(20261018)
     cases = []
-    for n, resolutions in ((3, (0.01,)), (4, (0.1, 0.05))):
+    # brute force visits every lattice point: coarser from four servers on
+    coarse = {4: 0.05, 5: 0.25}
+    for n in (3, 4, 5):
         for alpha in (0.0, 0.5, 1.5):  # symmetric servers: ties on the lattice
-            for resolution in resolutions:
+            for resolution in ((0.01,) if n == 3 else (2 * coarse[n], coarse[n])):
                 cases.append((f"linear{n}-a{alpha}-r{resolution}",
                               GameInstance.linear(n, alpha), resolution))
         for seed in range(4):
-            resolution = 0.01 if n == 3 else rng.uniform(0.05, 0.1)
+            resolution = 0.01 if n == 3 else rng.uniform(coarse[n], 2 * coarse[n])
             cases.append((f"poly{n}-{seed}-r{resolution:.3f}", random_instance(rng, n), resolution))
         # x * 5e307 * x overflows from x ~ 1.9 on: part of the lattice scores +inf
         for steep in (1, n - 1, n):
             delays = tuple(DelayFunction((0.0, 5e307 if i == steep else 1.0)) for i in range(1, n + 1))
-            resolution = 0.01 if n == 3 else 0.1
+            resolution = 0.01 if n == 3 else 2 * coarse[n]
             cases.append((f"inf{n}-s{steep}-r{resolution}", GameInstance(n, delays, 1, 1.0), resolution))
     return cases
 
@@ -213,7 +234,7 @@ class TestLatticeReference:
         assert cost == ref_cost
         assert ref_val == brute_force_minimum(instance, resolution)
 
-    @given(n=st.sampled_from([3, 4]), data=st.data())
+    @given(n=st.sampled_from([3, 4, 5]), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_mirrored_last_servers_match_reference(self, n, data):
         # the pair table scans half of each row past its first block
@@ -233,7 +254,7 @@ def _block_cases():
     rng = random.Random(8)
     block = oracle._BLOCK
     cases = []
-    for n in (3, 4):
+    for n in (3, 4, 5):
         for steps in (block - 1, block, block + 1, 2 * block + 1):
             for name, instance in (("linear", GameInstance.linear(n, 1.5)),
                                    ("poly", random_instance(rng, n))):
@@ -274,7 +295,7 @@ class TestLatticeKernels:
     def test_three_servers_at_verify_resolution(self, instance):
         _reference_matches(instance, 1e-3)
 
-    @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.05)])
+    @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.05), (5, 0.25)])
     def test_nan_entries_never_win(self, monkeypatch, n, resolution):
         # NaN at the clean winner's entries of the first and the two last
         # servers: its row, and every slice through those entries, score NaN
@@ -290,7 +311,7 @@ class TestLatticeKernels:
         assert profile.loads != clean.loads
         _reference_matches(instance, resolution, tables)
 
-    @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.05)])
+    @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.05), (5, 0.25)])
     def test_nan_at_mirrored_entries_never_wins(self, monkeypatch, n, resolution):
         # the same NaN entries in both of the last two tables keep them
         # mirrored: every slice through those entries scores NaN
@@ -327,7 +348,7 @@ class TestLatticeKernels:
         full_width = oracle._pair_table(table, unmirrored)
         assert oracle._pair_table(table, table.copy()).tobytes() == full_width.tobytes()
 
-    @given(n=st.sampled_from([3, 4]), data=st.data())
+    @given(n=st.sampled_from([3, 4, 5]), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_instances_match_reference(self, n, data):
         steps = data.draw(st.integers(1, 2 * oracle._BLOCK + 1 if n == 3 else oracle._BLOCK + 2))
@@ -398,12 +419,12 @@ class TestSecurityVerdicts:
         assert weak == verify_weak_security(inst, pop, [0.5, 1.0], seed=3)
         assert not strong.strong and strong.weak
 
-    @pytest.mark.parametrize("target, builds", [(1, 1), (3, 3)])
-    def test_pair_table_reuse_matches_fresh_searches(self, monkeypatch, target, builds):
-        # the last two servers' tables stay the same across the scan only
-        # when the attack targets neither of them
-        inst = replace(GameInstance.linear(3), attack_target=target)
-        pop = SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))
+    @staticmethod
+    def _tail_reuse_matches_fresh_searches(monkeypatch, n, target, builds):
+        # the tail of servers j.. stays the same across the scan only when the
+        # attack targets none of them: an attack on server 1 rebuilds none
+        inst = replace(GameInstance.linear(n), attack_target=target)
+        pop = SchedulerPopulation.for_instance(n, ((2.0, range(2, n + 1)),), (1, 2))
         alphas = [0.5, 1.5]
         built = []
         pair_table = oracle._pair_table
@@ -418,7 +439,17 @@ class TestSecurityVerdicts:
                             lambda instance, resolution=1e-3, *, _pairs=None: grid(instance, resolution))
         built.clear()
         assert verify_security(inst, pop, alphas, seed=3) == reused
-        assert len(built) == 1 + len(alphas)
+        assert len(built) == (n - 2) * (1 + len(alphas))
+
+    @pytest.mark.parametrize("target, builds", [(1, 1), (3, 3)])
+    def test_pair_table_reuse_matches_fresh_searches(self, monkeypatch, target, builds):
+        self._tail_reuse_matches_fresh_searches(monkeypatch, 3, target, builds)
+
+    @pytest.mark.parametrize("target, builds", [(1, 3), (3, 1 + 2 * 3)])
+    def test_tail_reuse_at_five_servers(self, monkeypatch, target, builds):
+        # tails of servers 2..5, 3..5 and 4..5: an attack on server 3 keeps
+        # only the last one
+        self._tail_reuse_matches_fresh_searches(monkeypatch, 5, target, builds)
 
     def test_empty_alpha_grid_rejected(self):
         inst = GameInstance.linear(2)
