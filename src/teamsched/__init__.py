@@ -20,7 +20,6 @@ from .game import (
     SchedulerPopulation,
     ValidationError,
     eval_delay,
-    eval_marginal_cost,
     system_cost,
     validate,
 )

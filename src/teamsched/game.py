@@ -4,8 +4,8 @@ A system has ``n`` identical-intercept servers, a total job mass of ``n``
 (one unit per server), and an additive attack that inflates the delay of a
 single server by a constant. Schedulers are either machines (which minimize
 the mean system delay) or selfish jobs (which minimize their own delay).
-This module holds the value types shared by every solver plus the delay /
-marginal-cost / system-cost primitives.
+This module holds the value types shared by every solver, the one
+polynomial evaluator and the delay / system-cost primitives.
 
 Server indices are 1-based in every public interface; server 1 is the
 conventional attack target.
@@ -30,12 +30,14 @@ def _as_floats(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def horner(coefficients: Sequence[float], x: float) -> float:
-    """Value at ``x`` of the polynomial with the given coefficients, constant first."""
-    acc = 0.0
+def horner(coefficients: Sequence[float], x: float) -> tuple[float, float]:
+    """Value and slope at ``x`` of the polynomial with the given coefficients,
+    constant first. ``x`` may also be a numpy array, evaluated elementwise."""
+    value = slope = 0.0
     for c in reversed(coefficients):
-        acc = acc * x + c
-    return acc
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class DelayFunction:
         return tuple((j + 1) * c for j, c in enumerate(self.coefficients))
 
     def __call__(self, x: float) -> float:
-        return horner(self.coefficients, x)
+        return horner(self.coefficients, x)[0]
 
 
 def eval_delay(f: DelayFunction, x: float, attack_bonus: float = 0.0) -> float:
@@ -87,19 +89,6 @@ def eval_delay(f: DelayFunction, x: float, attack_bonus: float = 0.0) -> float:
     if attack_bonus < 0.0:
         raise ValueError(f"attack bonus must be nonnegative, got {attack_bonus}")
     return f(x) + attack_bonus
-
-
-def eval_marginal_cost(f: DelayFunction, x: float, attack_bonus: float = 0.0) -> float:
-    """Marginal contribution ``tau(x) + x tau'(x)`` to total delay, plus the attack offset.
-
-    Equalizing this quantity across used servers characterizes allocations
-    that minimize the mean system delay.
-    """
-    if x < 0.0:
-        raise ValueError(f"load must be nonnegative, got {x}")
-    if attack_bonus < 0.0:
-        raise ValueError(f"attack bonus must be nonnegative, got {attack_bonus}")
-    return horner(f.marginal_coefficients, x) + attack_bonus
 
 
 @dataclass(frozen=True)

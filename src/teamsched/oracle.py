@@ -51,12 +51,8 @@ def _contribution_tables(instance: GameInstance, steps: int, step: float) -> lis
     import numpy as np  # imported here so that solves never load numpy
 
     axis = np.arange(steps + 1, dtype=np.float64) * step
-    tables = []
-    for i in range(1, instance.n + 1):
-        coeffs = np.asarray(instance.delays[i - 1].coefficients, dtype=np.float64)
-        delay = np.polynomial.polynomial.polyval(axis, coeffs) + instance.attack_bonus(i)
-        tables.append(axis * delay)
-    return tables
+    return [axis * (f(axis) + instance.attack_bonus(i))
+            for i, f in enumerate(instance.delays, start=1)]
 
 
 def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .game import (
     SchedulerPopulation,
     ValidationError,
     eval_delay,
+    horner,
     validate,
 )
 
@@ -87,15 +88,6 @@ class SolveReport:
 
 # ---------------------------------------------------------------------------
 # level-equalizing fills
-
-
-def _value_and_slope(coeffs: Sequence[float], x: float) -> tuple[float, float]:
-    """Value and derivative at ``x`` of the polynomial, constant first."""
-    value = slope = 0.0
-    for c in reversed(coeffs):
-        slope = slope * x + value
-        value = value * x + c
-    return value, slope
 
 
 def _walk(n: int, mass: float, starts: dict[int, float],
@@ -179,9 +171,9 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
             if len(coeffs) > 2 and any(coeffs[2:]):
                 curved = True
                 at = y[i - 1]
-            value, slope = _value_and_slope(coeffs, background[i - 1] + at)
+            value, slope = horner(coeffs, background[i - 1] + at)
             if not slope >= _FLAT_SLOPE:
-                slope = (_value_and_slope(coeffs, background[i - 1] + at + mass)[0] - value) / mass
+                slope = (horner(coeffs, background[i - 1] + at + mass)[0] - value) / mass
             if not (slope >= _FLAT_SLOPE and slope * mass > 0.0):
                 slope = 0.0
             start = value - slope * at + bonuses[i - 1]
@@ -214,8 +206,8 @@ def _check_fill_args(instance: GameInstance, access: Iterable[int], mass: float,
     for i in servers:
         if not 1 <= i <= instance.n:
             raise ValidationError(f"access references server {i}, instance has {instance.n}")
-    if mass < 0.0:
-        raise ValueError(f"mass must be nonnegative, got {mass}")
+    if not 0.0 <= mass < math.inf:
+        raise ValueError(f"mass must be finite and nonnegative, got {mass}")
     if background is None:
         bg = [0.0] * instance.n
     else:
@@ -223,8 +215,8 @@ def _check_fill_args(instance: GameInstance, access: Iterable[int], mass: float,
         if len(bg) != instance.n:
             raise ValidationError(
                 f"background has {len(bg)} entries, instance has {instance.n}")
-        if any(b < 0.0 for b in bg):
-            raise ValidationError(f"background loads must be nonnegative: {bg}")
+        if not all(0.0 <= b < math.inf for b in bg):
+            raise ValidationError(f"background loads must be finite and nonnegative: {bg}")
     return servers, bg
 
 

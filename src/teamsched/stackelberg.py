@@ -67,8 +67,8 @@ def follower_best_response(leader_loads: Sequence[float], n: int, alpha: float) 
         raise ValidationError(f"leader vector has {len(loads)} entries, expected {n}")
     if abs(loads[0]) > 1e-9:
         raise ValidationError(f"leader cannot schedule on the attacked server, got {loads[0]}")
-    if any(v < -1e-12 for v in loads):
-        raise ValidationError(f"leader loads must be nonnegative: {loads}")
+    if not all(-1e-12 <= v < math.inf for v in loads):
+        raise ValidationError(f"leader loads must be finite and nonnegative: {loads}")
     if abs(math.fsum(loads) - (n - 1)) > 1e-9:
         raise ValidationError(
             f"leader mass {math.fsum(loads)!r} differs from required {n - 1}")

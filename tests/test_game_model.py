@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +13,20 @@ from teamsched import (
     SchedulerPopulation,
     ValidationError,
     eval_delay,
-    eval_marginal_cost,
     system_cost,
     validate,
 )
+from teamsched.game import horner
 
 
 def poly_value(coeffs, x):
     # direct power-sum evaluation, independent of the Horner path under test
     return math.fsum(c * x ** j for j, c in enumerate(coeffs))
+
+
+def marginal_cost(f, x, bonus=0.0):
+    """tau(x) + x tau'(x) + bonus, the level every social fill equalizes."""
+    return horner(f.marginal_coefficients, x)[0] + bonus
 
 
 class TestDelayFunction:
@@ -46,21 +53,45 @@ class TestDelayFunction:
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
             eval_delay(DelayFunction((0.0, 1.0)), -0.1)
-        with pytest.raises(ValueError):
-            eval_marginal_cost(DelayFunction((0.0, 1.0)), -0.1)
+
+
+class TestHorner:
+    @given(
+        coeffs=st.lists(st.floats(0.0, 1e300), max_size=6).map(lambda c: c or [0.0]),
+        steps=st.integers(1, 3000),
+        step=st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_value_matches_polyval_bit_for_bit(self, coeffs, steps, step):
+        axis = np.arange(steps + 1, dtype=np.float64) * step
+        with np.errstate(over="ignore", invalid="ignore"):  # large coefficients overflow
+            ours = horner(coeffs, axis)[0]
+            theirs = np.polynomial.polynomial.polyval(axis, np.asarray(coeffs, dtype=np.float64))
+        assert ours.tobytes() == theirs.tobytes()
+
+    @given(
+        coeffs=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+        numerator=st.integers(0, 64),
+    )
+    def test_slope_is_exact_derivative_at_dyadic_points(self, coeffs, numerator):
+        # small integers at x = k / 16 keep every power and sum exact in floats
+        x = Fraction(numerator, 16)
+        value, slope = horner([float(c) for c in coeffs], float(x))
+        assert value == sum(c * x ** j for j, c in enumerate(coeffs))
+        assert slope == sum(j * c * x ** (j - 1) for j, c in enumerate(coeffs) if j)
 
 
 class TestMarginalCost:
     def test_linear(self):
         # tau + x tau' = 2x
-        assert eval_marginal_cost(DelayFunction((0.0, 1.0)), 1.0) == 2.0
+        assert marginal_cost(DelayFunction((0.0, 1.0)), 1.0) == 2.0
 
     def test_linear_attacked(self):
-        assert eval_marginal_cost(DelayFunction((0.0, 1.0)), 0.75, 1.0) == 2.5
+        assert marginal_cost(DelayFunction((0.0, 1.0)), 0.75, 1.0) == 2.5
 
     def test_constant_delay(self):
         f = DelayFunction((3.0,))
-        assert eval_marginal_cost(f, 7.0, 2.0) == 5.0
+        assert marginal_cost(f, 7.0, 2.0) == 5.0
 
     @given(
         coeffs=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5),
@@ -75,7 +106,7 @@ class TestMarginalCost:
             return z * poly_value(coeffs, z)
 
         fd = (total_delay(x + h) - total_delay(x - h)) / (2 * h)
-        mc = eval_marginal_cost(f, x)
+        mc = marginal_cost(f, x)
         assert abs(mc - fd) <= 1e-6 * max(1.0, abs(mc))
 
     @given(
@@ -86,7 +117,7 @@ class TestMarginalCost:
     @settings(max_examples=60, deadline=None)
     def test_never_below_delay(self, coeffs, x, bonus):
         f = DelayFunction(tuple(coeffs))
-        assert eval_marginal_cost(f, x, bonus) >= eval_delay(f, x, bonus)
+        assert marginal_cost(f, x, bonus) >= eval_delay(f, x, bonus)
 
 
 class TestLoadProfile:

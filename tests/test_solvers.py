@@ -137,7 +137,7 @@ def _invert_level(coeffs, target, lo, hi):
     The caller guarantees poly(lo) <= target. Linear and quadratic levels are
     inverted exactly; higher degrees fall back to bisection.
     """
-    if horner(coeffs, hi) <= target:
+    if horner(coeffs, hi)[0] <= target:
         return hi
     degree = len(coeffs) - 1
     while degree > 0 and coeffs[degree] == 0.0:
@@ -161,7 +161,7 @@ def _invert_level(coeffs, target, lo, hi):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # float resolution reached
             break
-        if horner(coeffs, mid) <= target:
+        if horner(coeffs, mid)[0] <= target:
             a = mid
         else:
             b = mid
@@ -176,14 +176,14 @@ def _bisect_fill(n, servers, mass, background, level_coeffs, bonuses, starts):
         for i in servers:
             b = background[i - 1]
             target = level - bonuses[i - 1]
-            if horner(level_coeffs[i - 1], b) > target:
+            if horner(level_coeffs[i - 1], b)[0] > target:
                 continue
             z = _invert_level(level_coeffs[i - 1], target, b, b + mass)
             out[i - 1] = z - b
         return out
 
     lo = min(starts.values())
-    hi = max(horner(level_coeffs[i - 1], background[i - 1] + mass) + bonuses[i - 1]
+    hi = max(horner(level_coeffs[i - 1], background[i - 1] + mass)[0] + bonuses[i - 1]
              for i in servers)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -200,7 +200,7 @@ def reference_bisect_fill(levels, background, bonuses, access, mass):
     """Bisection of the common level to float resolution over per-server
     inversions, rescaled to the mass: the direct form of the fill."""
     n = len(levels)
-    starts = {i: horner(levels[i - 1], background[i - 1]) + bonuses[i - 1] for i in access}
+    starts = {i: horner(levels[i - 1], background[i - 1])[0] + bonuses[i - 1] for i in access}
     y = _bisect_fill(n, sorted(access), mass, background, levels, bonuses, starts)
     total = math.fsum(y)
     return [v * (mass / total) for v in y] if total > 0.0 else y
@@ -214,7 +214,7 @@ def level_gap(levels, background, bonuses, access, mass, y):
     even after taking ``1e-12 * mass``.
     """
     eps = 1e-12 * mass
-    at = {i: horner(levels[i - 1], background[i - 1] + y[i - 1]) + bonuses[i - 1]
+    at = {i: horner(levels[i - 1], background[i - 1] + y[i - 1])[0] + bonuses[i - 1]
           for i in access}
     used = [at[i] for i in access if y[i - 1] > eps]
     if not used:
@@ -222,7 +222,7 @@ def level_gap(levels, background, bonuses, access, mass, y):
     top, low = max(used), min(used)
     gap = (top - low) / top if top > 0.0 else 0.0
     for i in access:
-        start = horner(levels[i - 1], background[i - 1] + eps) + bonuses[i - 1]
+        start = horner(levels[i - 1], background[i - 1] + eps)[0] + bonuses[i - 1]
         if y[i - 1] <= eps and start < low:
             gap = max(gap, (low - start) / low)
     return gap
@@ -327,7 +327,7 @@ class TestNewtonFill:
         # within the level gap the bisection left
         tol = 2.0 * level_gap(*args, ref) + 1e-12
         for i in access:
-            ours, theirs = (horner(levels[i - 1], background[i - 1] + z[i - 1])
+            ours, theirs = (horner(levels[i - 1], background[i - 1] + z[i - 1])[0]
                             + bonuses[i - 1] for z in (y, ref))
             assert (abs(y[i - 1] - ref[i - 1]) <= 1e-9 * mass
                     or abs(ours - theirs) <= tol * max(ours, theirs))
@@ -381,6 +381,19 @@ class TestSocialOptimum:
         y = solve_social_optimum(inst, set(range(1, n + 1)), float(n))
         _, lattice_cost = grid_search_optimum(inst, 1e-3)
         assert inst.cost(y) <= lattice_cost + 1e-5
+
+
+@pytest.mark.parametrize("solve", [solve_wardrop, solve_social_optimum])
+class TestFillInputs:
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_mass(self, solve, mass):
+        with pytest.raises(ValueError, match="mass must be finite and nonnegative"):
+            solve(GameInstance.linear(3, 1.0), [1, 2, 3], mass)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_background(self, solve, bad):
+        with pytest.raises(ValidationError, match="background loads must be finite"):
+            solve(GameInstance.linear(3, 1.0), [1, 2, 3], 1.0, [0.0, bad, 0.0])
 
 
 #: one (instance, population) per violation code, each breaking only that invariant

@@ -44,6 +44,11 @@ class TestFollowerResponse:
         with pytest.raises(ValidationError):
             follower_best_response([0.0, 1.0, 0.5], 3, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_leader_load_rejected(self, bad):
+        with pytest.raises(ValidationError, match="leader loads must be finite"):
+            follower_best_response([0.0, bad, 1.0], 3, 0.5)
+
     def test_nash_split_consistency(self):
         # whichever side carries mass must not strictly prefer the other
         for alpha in (0.0, 0.5, 1.3, 2.0, 4.0):
