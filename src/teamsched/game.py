@@ -249,9 +249,12 @@ class SchedulerPopulation:
 
     @classmethod
     def full_access(cls, n: int, machine_mass: float, machines: int = 1) -> "SchedulerPopulation":
-        """``machines`` identical full-access machines sharing ``machine_mass``."""
+        """``machines`` identical full-access machines sharing ``machine_mass``;
+        a zero mass means no machines."""
         if machines < 0:
             raise ValueError("machine count must be nonnegative")
+        if not machine_mass >= 0.0:
+            raise ValueError(f"machine mass must be nonnegative, got {machine_mass}")
         if machine_mass <= 0.0 or machines == 0:
             return cls.for_instance(n, ())
         share = machine_mass / machines

@@ -25,7 +25,8 @@ CAPACITY_LIMIT = 10 ** 8
 #: attack on instances without an exact potential
 _VERIFY_RESOLUTION = 1e-3
 _VERIFY_STARTS = 5
-#: rows per block of the pair table: a block's score array takes 64 * (steps + 1)
+#: rows per block of the blocked pair-table kernel, which runs only on the
+#: tables the slope merge declines: a block's score array takes 64 * (steps + 1)
 #: floats, 3 MB at the 6,000 steps of verify's resolution on six servers
 _BLOCK = 64
 
@@ -58,6 +59,77 @@ def _contribution_tables(instance: GameInstance, steps: int, step: float) -> lis
 def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
     """Min-plus convolution: the smallest ``near[k] + far[m - k]`` over
     ``k <= m`` for every mass ``m``, and a row that holds a NaN scores NaN.
+
+    Two finite tables whose exact slopes never decrease (:func:`_exact_slopes`)
+    take the slope merge :func:`_merged_pair_table`, O(steps log steps). Every
+    other pair takes the blocked kernel :func:`_blocked_pair_table`,
+    O(steps^2), such as a table with a non-finite entry or difference, most
+    constant delays' tables ``b * x``, whose rounded entries wobble, and the
+    rounded tail of identical servers. Both kernels give the same bits
+    wherever the merge answers.
+    """
+    merged = _merged_pair_table(near, far)
+    return _blocked_pair_table(near, far) if merged is None else merged
+
+
+def _exact_slopes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """First differences of ``table`` as exact pairs ``(s, e)``, or None.
+
+    ``s`` is the rounded difference and ``e`` its exact remainder (TwoSum),
+    so ``s + e`` is the real slope. Rounding is monotone, so lexicographic
+    order on ``(s, e)`` is the order of the real slopes. None unless every
+    pair is finite and the real slopes never decrease (the table is exactly
+    convex); a non-finite entry or difference leaves some ``e`` NaN. A table
+    holding -0.0 is declined too: ``-0.0 + -0.0`` ties ``+0.0`` in a row,
+    and the kernels may keep different zeros. No oracle table holds one.
+    """
+    import numpy as np
+
+    before, after = table[:-1], table[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = after - before
+        v = s - after
+        e = (after - (s - v)) - (before + v)
+    if not np.isfinite(e).all() or (np.signbit(table) & (table == 0.0)).any():
+        return None
+    rising = (s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (e[1:] >= e[:-1]))
+    return (s, e) if rising.all() else None
+
+
+def _merged_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray | None:
+    """:func:`_pair_table` by a merge of slopes, or None when a table declines.
+
+    For exactly convex tables the exact minimum of row ``m`` takes the ``m``
+    smallest of both tables' slopes (Bussieck et al., Oper. Res. Lett. 15,
+    1994). ``k(m)``, the number of ``near`` slopes among them after a stable
+    sort with ``near`` first on ties, reaches it, and the row scores
+    ``near[k] + far[m - k]``: the same float addition the blocked kernel
+    makes at that ``k``. Rounding is monotone, so the float minimum of a row
+    is the rounded exact minimum, which that addition gives; exact ties are
+    equal real sums and round alike. A table merged with itself interleaves,
+    so mirrored tables take ``k(m) = ceil(m / 2)`` without a sort.
+    """
+    import numpy as np
+
+    near_slopes = _exact_slopes(near)
+    if near_slopes is None:
+        return None
+    steps = len(near) - 1
+    mass = np.arange(steps + 1)
+    if near.tobytes() == far.tobytes():
+        k = (mass + 1) // 2
+    else:
+        far_slopes = _exact_slopes(far)
+        if far_slopes is None:
+            return None
+        order = np.lexsort((np.concatenate((near_slopes[1], far_slopes[1])),
+                            np.concatenate((near_slopes[0], far_slopes[0]))))
+        k = np.concatenate(([0], np.cumsum(order[:steps] < steps)))
+    return near[k] + far[mass - k]
+
+
+def _blocked_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """:func:`_pair_table` for any two tables, O(steps^2).
 
     Rows run in blocks of :data:`_BLOCK`; each row is a strided window over
     the reversed ``far``, padded with +inf, so every entry is the same float
@@ -120,7 +192,11 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     ``T_1[k] + tail_2[steps - k]``, and each later server the argmin of
     ``T_j[k] + tail_{j+1}[m - k]`` over the mass ``m`` left to it. Float
     rounding is monotone, so the winner's score is the minimum over every
-    lattice point. Memory stays O(block * steps).
+    lattice point. A fold whose two tables are finite and exactly convex
+    takes the O(steps log steps) slope merge, any other the O(steps^2)
+    blocked kernel (:func:`_pair_table`), with the same bits: the first fold
+    of polynomial delays usually merges, while the rounded tail of identical
+    servers and the tables of constant delays do not.
 
     Ties: each server takes the lowest load among the minima of its slice,
     so reruns are byte-identical. A slice holding a NaN scores NaN, and
@@ -131,8 +207,9 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     the resolution of the true optimum. Guards: a finite ``resolution`` of
     at least 1e-4 that leaves at least one lattice step, a finite attack
     strength and at most :data:`CAPACITY_LIMIT` score entries
-    (:func:`_search_entries`, O((n - 2) * steps^2)): every server count up
-    to six runs at verify's 1e-3, seven are refused.
+    (:func:`_search_entries`, the entries the blocked kernel would score on
+    every fold, whichever kernel runs): every server count up to six runs at
+    verify's 1e-3, seven are refused.
 
     ``_pairs`` is :func:`verify_security`'s memo for one scan: it keeps the
     last call's tails, each keyed on the exact bytes of the tables it folds.
@@ -271,6 +348,13 @@ def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulati
     return costs or None
 
 
+def _check_tol(tol: float) -> None:
+    """A NaN tolerance fails every gap comparison and an infinite one passes
+    every one, without a word."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def verify_security(instance: GameInstance, population: SchedulerPopulation,
                     alphas: Sequence[float], tol: float = 1e-5, *,
                     settings: SolveSettings | None = None,
@@ -290,10 +374,12 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
     team cost is the worst over the default start and five random starts
     drawn from ``seed``, and the verdict is inconclusive when none of them
     converges. Returns ``(strong, weak)``; each locates the largest gap of
-    its own comparison. An empty ``alphas`` raises ``ValueError``.
+    its own comparison. An empty ``alphas``, or a ``tol`` that is not
+    finite and nonnegative, raises ``ValueError``.
     """
     if len(alphas) == 0:
         raise ValueError("alphas must hold at least one attack strength")
+    _check_tol(tol)
     settings = settings or SolveSettings()
     rng = random.Random(seed)
     pairs: dict = {}  # the last search's tails, reused while their tables stay the same
@@ -344,9 +430,14 @@ def monotonicity_sweep(instance: GameInstance, r_grid: Sequence[float], alpha: f
     """Team cost along an ascending machine-mass grid with full access.
 
     Costs should never increase as more mass moves under machine control.
+    An empty or descending grid, or a ``tol`` that is not finite and
+    nonnegative, raises ``ValueError``.
     """
+    _check_tol(tol)
     settings = settings or SolveSettings()
     grid = [float(r) for r in r_grid]
+    if not grid:
+        raise ValueError("machine-mass grid must hold at least one mass")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("machine-mass grid must be ascending")
     attacked = replace(instance, attack_strength=float(alpha))

@@ -236,6 +236,16 @@ class TestCli:
             [sys.executable, "-m", "teamsched.cli", *args],
             capture_output=True, text=True, env=env)
 
+    @pytest.mark.parametrize("args", [
+        ["verify", str(SCENARIOS / "constrained_three_servers.json"), "--alpha-list", "0.5,1"],
+        ["solve", str(SCENARIOS / "missing.json")],
+    ], ids=["verify", "missing-file"])
+    def test_package_runs_as_module(self, capsys, args):
+        proc = subprocess.run([sys.executable, "-m", "teamsched", *args],
+                              capture_output=True, text=True)
+        code = cli.main(args)
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
     def test_solve_exit_zero(self):
         proc = self.run_cli("solve", str(SCENARIOS / "unconstrained_two_servers.json"))
         assert proc.returncode == 0

@@ -208,6 +208,18 @@ class TestSystemCost:
         assert abs(c1 - c2) <= 1e-12 * max(1.0, abs(c1))
 
 
+class TestFullAccess:
+    @pytest.mark.parametrize("mass", [-1.0, -1e-300, math.nan])
+    def test_rejects_negative_or_nan_mass(self, mass):
+        with pytest.raises(ValueError, match="machine mass"):
+            SchedulerPopulation.full_access(3, mass)
+
+    def test_zero_mass_means_no_machines(self):
+        pop = SchedulerPopulation.full_access(3, 0.0)
+        assert pop.machine_count == 0
+        assert pop.selfish_mass == 3.0
+
+
 class TestValidate:
     def test_well_formed(self):
         inst = GameInstance.linear(2, 1.0)

@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from teamsched import (
     verify_strong_security,
     verify_weak_security,
 )
+from teamsched.experiments import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestGridSearch:
@@ -287,6 +291,14 @@ class TestLatticeKernels:
         assert round(instance.n / resolution) == steps
         _reference_matches(instance, resolution)
 
+    @pytest.mark.parametrize("instance, steps", [c[1:] for c in BLOCK_CASES],
+                             ids=[c[0] for c in BLOCK_CASES])
+    def test_blocked_kernel_around_block_size(self, monkeypatch, instance, steps):
+        # most of these tables take the slope merge on their first fold:
+        # here every fold runs through the blocked kernel
+        monkeypatch.setattr(oracle, "_pair_table", oracle._blocked_pair_table)
+        _reference_matches(instance, instance.n / steps)
+
     @pytest.mark.parametrize("instance", [
         GameInstance.linear(3, 1.5),
         random_instance(random.Random(3), 3),
@@ -360,6 +372,80 @@ class TestLatticeKernels:
                        for _ in range(n))
         instance = GameInstance(n, delays, data.draw(st.integers(1, n)), data.draw(st.floats(0.0, 3.0)))
         _reference_matches(instance, n / steps)
+
+
+def _declined_tables():
+    """Tables the slope merge must leave to the blocked kernel."""
+    _, constant = _tables(GameInstance.identical(3, (1.0,)), 300)
+    _, wobbly = _tables(GameInstance.identical(3, (0.7,)), 3000)
+    _, linear = _tables(GameInstance.linear(3), 300)
+    with_inf, with_nan = linear[0].copy(), linear[0].copy()
+    with_inf[150] = math.inf
+    with_nan[7] = math.nan
+    _, steep = _tables(GameInstance(3, (DelayFunction((0.0, 5e307)),) * 3, 1, 1.0), 300)
+    return [
+        ("constant", constant[1]),
+        ("constant-0.7", wobbly[1]),
+        ("inf-entry", with_inf),
+        ("nan-entry", with_nan),
+        ("overflow", steep[1]),
+        # the rounded tail of identical servers is not exactly convex
+        ("identical-tail", oracle._pair_table(linear[1], linear[2])),
+    ]
+
+
+DECLINED_TABLES = _declined_tables()
+
+
+class TestMergeKernel:
+    """The slope merge against the blocked kernel it stands in front of."""
+
+    @given(steps=st.integers(1, 3000), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_merge_matches_blocked_kernel(self, steps, data):
+        # tiny, subnormal and huge coefficients; 4e307 overflows part of a table
+        coefficient = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-20, 1.0, 4e307]),
+                                st.floats(0.0, 1e-300), st.floats(0.0, 1e-12), st.floats(0.0, 3.0))
+
+        def delay():
+            return DelayFunction((data.draw(st.floats(0.0, 1.0)),)
+                                 + tuple(data.draw(st.lists(coefficient, min_size=1, max_size=3))))
+
+        instance = GameInstance(2, (delay(), delay()), data.draw(st.integers(1, 2)),
+                                data.draw(st.floats(0.0, 3.0)))
+        _, (near, far) = _tables(instance, steps)
+        if data.draw(st.booleans()):
+            far = near.copy()
+        with np.errstate(over="ignore"):  # steep tables overflow on purpose
+            blocked = oracle._blocked_pair_table(near, far)
+            merged = oracle._merged_pair_table(near, far)
+            assert merged is None or merged.tobytes() == blocked.tobytes()
+            assert oracle._pair_table(near, far).tobytes() == blocked.tobytes()
+
+    @pytest.mark.parametrize("table", [c[1] for c in DECLINED_TABLES],
+                             ids=[c[0] for c in DECLINED_TABLES])
+    @np.errstate(over="ignore")  # the steep table overflows on purpose
+    def test_gate_declines(self, table):
+        _, (convex, _, _) = _tables(GameInstance.linear(3, 1.0), len(table) - 1)
+        assert oracle._exact_slopes(convex) is not None
+        assert oracle._exact_slopes(table) is None
+        for near, far in ((table, convex), (convex, table), (table, table.copy())):
+            assert oracle._merged_pair_table(near, far) is None
+            assert oracle._pair_table(near, far).tobytes() == \
+                oracle._blocked_pair_table(near, far).tobytes()
+
+    def test_verify_scan_never_enters_blocked_kernel(self, monkeypatch):
+        scenario = load_scenario(SCENARIOS / "constrained_three_servers.json")
+        merged, blocked = [], []
+        merge, kernel = oracle._merged_pair_table, oracle._blocked_pair_table
+        monkeypatch.setattr(oracle, "_merged_pair_table",
+                            lambda near, far: merged.append(1) or merge(near, far))
+        monkeypatch.setattr(oracle, "_blocked_pair_table",
+                            lambda near, far: blocked.append(1) or kernel(near, far))
+        strong, _ = verify_security(scenario.instance, scenario.population,
+                                    scenario.alpha_grid, settings=scenario.settings)
+        assert not strong.inconclusive
+        assert merged and not blocked
 
 
 class TestSecurityVerdicts:
@@ -456,6 +542,14 @@ class TestSecurityVerdicts:
         pop = SchedulerPopulation.full_access(2, 1.0)
         with pytest.raises(ValueError, match="alphas"):
             verify_security(inst, pop, [])
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+    def test_rejects_tolerance(self, tol):
+        # a NaN tolerance would make every gap comparison false
+        inst = GameInstance.linear(3)
+        pop = SchedulerPopulation.full_access(3, 1.0)
+        with pytest.raises(ValueError, match="tol"):
+            verify_security(inst, pop, [1.0], tol)
 
     def test_deterministic_verdicts(self):
         inst = GameInstance.linear(2)
@@ -590,3 +684,17 @@ class TestMonotonicity:
         report = monotonicity_sweep(inst, [0.4, 0.8], 1.0,
                                     settings=SolveSettings(max_outer_iterations=1))
         assert report.inconclusive
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+    def test_rejects_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            monotonicity_sweep(GameInstance.linear(2), [0.5, 1.0], 1.0, tol)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="grid"):
+            monotonicity_sweep(GameInstance.linear(2), [], 1.0)
+
+    def test_rejects_negative_machine_mass(self):
+        # a negative mass would otherwise pass as no machines
+        with pytest.raises(ValueError, match="machine mass"):
+            monotonicity_sweep(GameInstance.linear(2), [-1.0, 1.0], 1.0)
