@@ -81,7 +81,10 @@ def _exact_slopes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     pair is finite and the real slopes never decrease (the table is exactly
     convex); a non-finite entry or difference leaves some ``e`` NaN. A table
     holding -0.0 is declined too: ``-0.0 + -0.0`` ties ``+0.0`` in a row,
-    and the kernels may keep different zeros. No oracle table holds one.
+    and the kernels may keep different zeros. An oracle table holds -0.0
+    only under a negative attack strength, which the Python API accepts:
+    the attacked table's entry 0 is ``0.0 * (tau(0) + bonus)``, -0.0 when
+    that sum is negative. Such a table takes the blocked kernel.
     """
     import numpy as np
 
@@ -106,26 +109,22 @@ def _merged_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray | None:
     ``near[k] + far[m - k]``: the same float addition the blocked kernel
     makes at that ``k``. Rounding is monotone, so the float minimum of a row
     is the rounded exact minimum, which that addition gives; exact ties are
-    equal real sums and round alike. A table merged with itself interleaves,
-    so mirrored tables take ``k(m) = ceil(m / 2)`` without a sort.
+    equal real sums and round alike. Mirrored tables (bit-identical) take
+    their slopes once.
     """
     import numpy as np
 
     near_slopes = _exact_slopes(near)
     if near_slopes is None:
         return None
+    far_slopes = near_slopes if near.tobytes() == far.tobytes() else _exact_slopes(far)
+    if far_slopes is None:
+        return None
     steps = len(near) - 1
-    mass = np.arange(steps + 1)
-    if near.tobytes() == far.tobytes():
-        k = (mass + 1) // 2
-    else:
-        far_slopes = _exact_slopes(far)
-        if far_slopes is None:
-            return None
-        order = np.lexsort((np.concatenate((near_slopes[1], far_slopes[1])),
-                            np.concatenate((near_slopes[0], far_slopes[0]))))
-        k = np.concatenate(([0], np.cumsum(order[:steps] < steps)))
-    return near[k] + far[mass - k]
+    order = np.lexsort((np.concatenate((near_slopes[1], far_slopes[1])),
+                        np.concatenate((near_slopes[0], far_slopes[0]))))
+    k = np.concatenate(([0], np.cumsum(order[:steps] < steps)))
+    return near[k] + far[np.arange(steps + 1) - k]
 
 
 def _blocked_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:

@@ -383,12 +383,16 @@ def _declined_tables():
     with_inf[150] = math.inf
     with_nan[7] = math.nan
     _, steep = _tables(GameInstance(3, (DelayFunction((0.0, 5e307)),) * 3, 1, 1.0), 300)
+    # a negative attack strength, which the Python API accepts: entry 0 is 0.0 * -0.5
+    _, negative = _tables(GameInstance.linear(3, -0.5), 300)
+    assert math.copysign(1.0, negative[0][0]) == -1.0
     return [
         ("constant", constant[1]),
         ("constant-0.7", wobbly[1]),
         ("inf-entry", with_inf),
         ("nan-entry", with_nan),
         ("overflow", steep[1]),
+        ("negative-zero", negative[0]),
         # the rounded tail of identical servers is not exactly convex
         ("identical-tail", oracle._pair_table(linear[1], linear[2])),
     ]
@@ -411,8 +415,9 @@ class TestMergeKernel:
             return DelayFunction((data.draw(st.floats(0.0, 1.0)),)
                                  + tuple(data.draw(st.lists(coefficient, min_size=1, max_size=3))))
 
+        # a negative attack leaves -0.0 in the attacked table, which the gate declines
         instance = GameInstance(2, (delay(), delay()), data.draw(st.integers(1, 2)),
-                                data.draw(st.floats(0.0, 3.0)))
+                                data.draw(st.floats(-3.0, 3.0)))
         _, (near, far) = _tables(instance, steps)
         if data.draw(st.booleans()):
             far = near.copy()
