@@ -30,6 +30,17 @@ def _as_floats(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def as_count(value: float, what: str) -> int:
+    """``value`` as an ``int``; a value that is not an integer (2.5, NaN, inf)
+    raises ``ValueError`` naming ``what``, and an integral float passes."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def horner(coefficients: Sequence[float], x: float) -> tuple[float, float]:
     """Value and slope at ``x`` of the polynomial with the given coefficients,
     constant first. ``x`` may also be a numpy array, evaluated elementwise."""
@@ -108,9 +119,9 @@ class GameInstance:
     attack_strength: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"server count must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", as_count(self.n, "server count"))
+        if self.n < 1:
+            raise ValueError(f"server count must be positive, got {self.n}")
         delays = tuple(
             d if isinstance(d, DelayFunction) else DelayFunction(_as_floats(d))
             for d in self.delays
@@ -251,6 +262,7 @@ class SchedulerPopulation:
     def full_access(cls, n: int, machine_mass: float, machines: int = 1) -> "SchedulerPopulation":
         """``machines`` identical full-access machines sharing ``machine_mass``;
         a zero mass means no machines."""
+        machines = as_count(machines, "machine count")
         if machines < 0:
             raise ValueError("machine count must be nonnegative")
         if not machine_mass >= 0.0:
@@ -309,7 +321,7 @@ def validate(instance: GameInstance, population: SchedulerPopulation) -> list[st
             issues.append(
                 f"intercept-mismatch: server {i} has tau(0)={instance.delays[i - 1].intercept}, "
                 f"server 1 has {base}")
-    if not 1 <= instance.attack_target <= n:
+    if instance.attack_target not in range(1, n + 1):  # 2.0 passes, 1.5 does not
         issues.append(f"bad-attack-target: {instance.attack_target} not in 1..{n}")
     if not math.isfinite(instance.attack_strength):
         issues.append(f"nonfinite-attack-strength: {instance.attack_strength}")

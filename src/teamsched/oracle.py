@@ -79,12 +79,7 @@ def _exact_slopes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     so ``s + e`` is the real slope. Rounding is monotone, so lexicographic
     order on ``(s, e)`` is the order of the real slopes. None unless every
     pair is finite and the real slopes never decrease (the table is exactly
-    convex); a non-finite entry or difference leaves some ``e`` NaN. A table
-    holding -0.0 is declined too: ``-0.0 + -0.0`` ties ``+0.0`` in a row,
-    and the kernels may keep different zeros. An oracle table holds -0.0
-    only under a negative attack strength, which the Python API accepts:
-    the attacked table's entry 0 is ``0.0 * (tau(0) + bonus)``, -0.0 when
-    that sum is negative. Such a table takes the blocked kernel.
+    convex); a non-finite entry or difference leaves some ``e`` NaN.
     """
     import numpy as np
 
@@ -93,7 +88,7 @@ def _exact_slopes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         s = after - before
         v = s - after
         e = (after - (s - v)) - (before + v)
-    if not np.isfinite(e).all() or (np.signbit(table) & (table == 0.0)).any():
+    if not np.isfinite(e).all():
         return None
     rising = (s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (e[1:] >= e[:-1]))
     return (s, e) if rising.all() else None
@@ -135,19 +130,11 @@ def _blocked_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
     addition as one argmin per slice would make. A block takes the columns
     up to its last row only, and its entries past the diagonal are set to
     +inf.
-
-    Mirrored tables (``near`` and ``far`` bit-identical, as when the last two
-    servers share a delay and neither is attacked) score each entry of a row
-    twice: float addition is commutative, so columns ``k <= m // 2`` hold
-    every score of row ``m``, NaN included. From the second block on, a block
-    takes only the columns up to half its last row, all of them below the
-    diagonal of every row in it.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     steps = len(near) - 1
-    mirrored = near.tobytes() == far.tobytes()
     padded = np.concatenate((far[::-1], np.full(steps, np.inf)))
     windows = sliding_window_view(padded, steps + 1)[::-1]  # windows[m, k] = far[m - k]
     past_diagonal = ~np.tri(_BLOCK, dtype=bool)
@@ -155,11 +142,9 @@ def _blocked_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
     buffer = np.empty(_BLOCK * (steps + 1))
     for m0 in range(0, steps + 1, _BLOCK):
         m1 = min(m0 + _BLOCK, steps + 1)
-        width = (m1 - 1) // 2 + 1 if mirrored and m0 else m1
-        sums = buffer[: (m1 - m0) * width].reshape(m1 - m0, width)
-        np.add(near[:width], windows[m0:m1, :width], out=sums)
-        if width == m1:
-            np.copyto(sums[:, m0:], np.inf, where=past_diagonal[: m1 - m0, : m1 - m0])
+        sums = buffer[: (m1 - m0) * m1].reshape(m1 - m0, m1)
+        np.add(near[:m1], windows[m0:m1, :m1], out=sums)
+        np.copyto(sums[:, m0:], np.inf, where=past_diagonal[: m1 - m0, : m1 - m0])
         sums.min(axis=1, out=pair_val[m0:m1])
     return pair_val
 
@@ -204,8 +189,9 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     takes a NaN first, as its slice's minimum did), with cost inf. For
     polynomial delays the winner is within a Lipschitz-constant multiple of
     the resolution of the true optimum. Guards: a finite ``resolution`` of
-    at least 1e-4 that leaves at least one lattice step, a finite attack
-    strength and at most :data:`CAPACITY_LIMIT` score entries
+    at least 1e-4 that leaves at least one lattice step, an attack target
+    among the servers, a finite, nonnegative attack strength (so no table
+    holds -0.0) and at most :data:`CAPACITY_LIMIT` score entries
     (:func:`_search_entries`, the entries the blocked kernel would score on
     every fold, whichever kernel runs): every server count up to six runs at
     verify's 1e-3, seven are refused.
@@ -218,8 +204,10 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     n = instance.n
     if not math.isfinite(resolution) or resolution < 1e-4:
         raise ValueError(f"resolution must be finite and at least 1e-4, got {resolution}")
-    if not math.isfinite(instance.attack_strength):
-        raise ValueError(f"attack strength must be finite, got {instance.attack_strength}")
+    if instance.attack_target not in range(1, n + 1):
+        raise ValueError(f"attack target must be a server in 1..{n}, got {instance.attack_target}")
+    if not 0.0 <= instance.attack_strength < math.inf:
+        raise ValueError(f"attack strength must be in [0, inf), got {instance.attack_strength}")
     steps = round(n / resolution)
     if steps < 1:
         raise ValueError(f"resolution {resolution} leaves no lattice step on {n} servers")

@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .game import (
+    MASS_TOL,
     DisaggregatedProfile,
     GameInstance,
     LoadProfile,
     SchedulerPopulation,
     ValidationError,
+    as_count,
     eval_delay,
     horner,
     validate,
@@ -62,6 +64,8 @@ class SolveSettings:
     def __post_init__(self) -> None:
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        object.__setattr__(self, "max_outer_iterations",
+                           as_count(self.max_outer_iterations, "max_outer_iterations"))
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
 
@@ -324,10 +328,11 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
     """Certificates that ``profile`` is a team equilibrium.
 
     Returns ``(selfish_residual, machine_residual)``; both at or below the
-    solver tolerance certify the profile. Dimension mismatches and a block
+    solver tolerance certify the profile. Dimension mismatches, a block
     load outside the block's access set above ``1e-12 * max(1, block mass)``
     (the threshold below which the Wardrop gap counts a server as unused)
-    raise :class:`ValidationError`.
+    and a block that is no finite, nonnegative split of its member's mass
+    (to ``MASS_TOL * max(1, mass)``) raise :class:`ValidationError`.
     """
     n = instance.n
     if len(profile.selfish) != n:
@@ -339,11 +344,14 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
     members = _members(population, team=True)
     blocks = (profile.selfish,) + profile.per_machine
     for k, ((access, mass, _social), block) in enumerate(zip(members, blocks)):
+        who = f"machine {k}" if k else "selfish"
         eps = _used_eps(mass)
         for i in range(1, n + 1):
             if i not in access and block[i - 1] > eps:
-                who = f"machine {k}" if k else "selfish"
                 raise ValidationError(f"{who} mass on inaccessible server {i}")
+        if (not all(0.0 <= x < math.inf for x in block)
+                or abs(math.fsum(block) - mass) > MASS_TOL * max(1.0, mass)):
+            raise ValidationError(f"{who} block {block} is no nonnegative split of mass {mass!r}")
     return _certificate(instance, members, blocks, profile.aggregate_loads())
 
 
@@ -407,12 +415,17 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     ends the loop at once with that certificate.
     """
     settings = settings or SolveSettings()
-    issues = validate_for_solve(instance, population)
+    # the solvers run on unequal intercepts; every other violation blocks the
+    # solve, and what passes here the fills take unchecked
+    issues = [v for v in validate(instance, population) if not v.startswith("intercept-mismatch")]
     if issues:
         raise ValidationError("; ".join(issues))
     n = instance.n
     members = _members(population, team)
     groups, indices = _group_by_access(members)
+    # the fills' servers and level data, built once per solve, not on every fill
+    servers = [sorted(access) for access, _total, _social in groups]
+    levels = {social: _levels(instance, social) for social in (False, True)}
 
     def certify(blocks: list[list[float]], iterations: int) -> SolveReport:
         profile = _split(n, members, groups, indices, blocks)
@@ -422,16 +435,11 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
             s_res, m_res = _certificate(instance, groups, blocks, _loads(n, blocks))
         return _report(instance, profile, s_res, m_res, settings.tolerance, iterations)
 
-    # the fills' level data depends only on the instance: build it once per
-    # solve, not on every fill
-    levels = {social: _levels(instance, social) for social in (False, True)}
-
     # a lone group best-responds to an empty background, which is already
     # the equilibrium; skip the iteration and just certify
     if initial is None and len(groups) == 1:
-        (access, total, social), = groups
-        servers, bg = _check_fill_args(instance, access, total, None)
-        return certify([_fill_common_level(n, servers, total, bg, *levels[social])], 1)
+        (_access, total, social), = groups
+        return certify([_fill_common_level(n, servers[0], total, [0.0] * n, *levels[social])], 1)
 
     if initial is not None:
         if (len(initial.selfish) != n
@@ -451,9 +459,8 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
         residuals = []
         for g, (access, total, social) in enumerate(groups):
             loads = _loads(n, blocks)
-            servers, bg = _check_fill_args(
-                instance, access, total, [max(0.0, x - b) for x, b in zip(loads, blocks[g])])
-            br = _fill_common_level(n, servers, total, bg, *levels[social])
+            bg = [max(0.0, x - b) for x, b in zip(loads, blocks[g])]
+            br = _fill_common_level(n, servers[g], total, bg, *levels[social])
             residuals.append(_residual(instance, access, total, social, blocks[g], loads, (bg, br)))
             blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], br)], total)
 
@@ -513,11 +520,3 @@ def _report(instance: GameInstance, profile: DisaggregatedProfile,
         iterations=iterations,
     )
 
-
-def validate_for_solve(instance: GameInstance, population: SchedulerPopulation) -> list[str]:
-    """:func:`teamsched.game.validate` violations that make a solve unrunnable.
-
-    That is every violation but ``intercept-mismatch``: the solvers run on
-    unequal intercepts, and a new violation code blocks solves by default.
-    """
-    return [v for v in validate(instance, population) if not v.startswith("intercept-mismatch")]

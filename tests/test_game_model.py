@@ -214,6 +214,13 @@ class TestFullAccess:
         with pytest.raises(ValueError, match="machine mass"):
             SchedulerPopulation.full_access(3, mass)
 
+    def test_rejects_non_integral_machine_count(self):
+        with pytest.raises(ValueError, match="machine count must be an integer"):
+            SchedulerPopulation.full_access(3, 1.0, machines=2.5)
+
+    def test_integral_float_machine_count(self):
+        assert SchedulerPopulation.full_access(3, 1.0, machines=2.0).machine_masses == (0.5, 0.5)
+
     def test_zero_mass_means_no_machines(self):
         pop = SchedulerPopulation.full_access(3, 0.0)
         assert pop.machine_count == 0
@@ -262,3 +269,10 @@ class TestValidate:
         pop = SchedulerPopulation.full_access(2, 1.0)
         issues = validate(inst, pop)
         assert any(v.startswith("bad-attack-target") for v in issues)
+
+    def test_non_integral_attack_target(self):
+        # target 1.5 once passed and attacked no server
+        pop = SchedulerPopulation.full_access(3, 1.0)
+        issues = validate(GameInstance(3, ((0.0, 1.0),) * 3, 1.5, 2.0), pop)
+        assert [v.split(":")[0] for v in issues] == ["bad-attack-target"]
+        assert validate(GameInstance(3, ((0.0, 1.0),) * 3, 2.0, 2.0), pop) == []

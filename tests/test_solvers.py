@@ -563,6 +563,22 @@ class TestTeamEquilibrium:
             with pytest.raises(ValueError):
                 SolveSettings(tolerance=tolerance)
 
+    @pytest.mark.parametrize("cap", [2.5, math.inf, math.nan])
+    def test_settings_reject_non_integral_sweep_cap(self, cap):
+        # 2.5 once passed and failed in the solve with a raw TypeError
+        with pytest.raises(ValueError, match="max_outer_iterations must be an integer"):
+            SolveSettings(1e-10, cap)
+
+    def test_integral_float_sweep_cap_is_an_int(self):
+        cap = SolveSettings(1e-10, 5.0).max_outer_iterations
+        assert cap == 5 and type(cap) is int
+
+    def test_non_integral_attack_target_blocks_the_solve(self):
+        # target 1.5 once attacked no server: cost 1.0 instead of 1.444
+        instance = GameInstance(3, ((0.0, 1.0),) * 3, 1.5, 2.0)
+        with pytest.raises(ValidationError, match="bad-attack-target"):
+            solve_team_equilibrium(instance, SchedulerPopulation.full_access(3, 1.0))
+
     @pytest.mark.parametrize("n, alpha, r, cap", [
         (3, 0.0025, 1.4, SolveSettings.max_outer_iterations),
         (2, 0.0027, 1.23, 3000),
@@ -645,6 +661,23 @@ class TestResiduals:
         else:
             with pytest.raises(ValidationError, match="selfish mass on inaccessible server 10"):
                 equilibrium_residuals(inst, pop, profile)
+
+
+    @pytest.mark.parametrize("selfish, machine, who", [
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), "selfish"),
+        ((1.0, 1.0, 0.0), (0.5, 0.5, 0.5), "machine 1"),
+        ((1.0, 1.0, 0.0), (0.1, 0.1, 0.1), "machine 1"),
+        ((2.5, -0.5, 0.0), (0.5, 0.5, 0.0), "selfish"),
+        ((1.0, 1.0, math.nan), (0.5, 0.5, 0.0), "selfish"),
+        ((1.0, 1.0, 0.0), (math.inf, 0.5, 0.0), "machine 1"),
+    ], ids=["all-zero", "machine-heavy", "machine-light", "negative", "nan", "inf"])
+    def test_rejects_profile_off_the_masses(self, selfish, machine, who):
+        # the all-zero profile once read (0.0, 0.0), and both machine blocks a
+        # machine residual of 0.0
+        inst = GameInstance.linear(3, 1.0)
+        pop = SchedulerPopulation.full_access(3, 1.0)
+        with pytest.raises(ValidationError, match=f"^{who} block"):
+            equilibrium_residuals(inst, pop, DisaggregatedProfile(selfish, (machine,)))
 
 
 class TestFullySelfish:
