@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game import LoadProfile
+from .game import LoadProfile, as_count
 
 REGIME_OPTIMAL = "optimal"
 REGIME_INTERMEDIATE = "intermediate"
@@ -20,7 +20,7 @@ REGIME_SELFISH = "selfish"
 
 def _check_domain(n: int, alpha: float = 0.0, min_n: int = 2) -> None:
     """Reject a non-integral or too small server count and a bad attack strength."""
-    if int(n) != n or n < min_n:
+    if as_count(n, "server count") < min_n:
         raise ValueError(f"server count must be an integer >= {min_n}, got {n}")
     if not math.isfinite(alpha) or alpha < 0.0:
         raise ValueError(f"attack strength must be finite and >= 0, got {alpha}")

@@ -134,15 +134,14 @@ class GameInstance:
     @classmethod
     def linear(cls, n: int, attack_strength: float = 0.0, attack_target: int = 1) -> "GameInstance":
         """Identical unit-slope linear servers, ``tau_i(x) = x``."""
-        return cls(n, tuple(DelayFunction((0.0, 1.0)) for _ in range(n)),
-                   attack_target, attack_strength)
+        return cls.identical(n, (0.0, 1.0), attack_strength, attack_target)
 
     @classmethod
     def identical(cls, n: int, coefficients: Sequence[float],
                   attack_strength: float = 0.0, attack_target: int = 1) -> "GameInstance":
         """All servers sharing one delay polynomial."""
         f = DelayFunction(_as_floats(coefficients))
-        return cls(n, tuple(f for _ in range(n)), attack_target, attack_strength)
+        return cls(n, (f,) * as_count(n, "server count"), attack_target, attack_strength)
 
     def attack_bonus(self, server: int) -> float:
         """Delay offset suffered at 1-based ``server`` under the attack."""
@@ -250,6 +249,7 @@ class SchedulerPopulation:
         ``machines`` is a sequence of ``(mass, access)`` pairs; ``None`` access
         means every server. The selfish mass is whatever the machines leave.
         """
+        n = as_count(n, "server count")
         everything = frozenset(range(1, n + 1))
         masses = tuple(float(m) for m, _ in machines)
         access = tuple(everything if a is None else frozenset(int(i) for i in a)
@@ -331,7 +331,7 @@ def validate(instance: GameInstance, population: SchedulerPopulation) -> list[st
     total_machine = population.machine_mass_total
     if total_machine > n + 1e-12:
         issues.append(f"mass-overflow: machine masses sum to {total_machine} > {n}")
-    if abs(population.selfish_mass - (n - total_machine)) > MASS_TOL:
+    if not abs(population.selfish_mass - (n - total_machine)) <= MASS_TOL:  # NaN fails
         issues.append(
             f"selfish-mass-mismatch: stored {population.selfish_mass}, "
             f"expected {n - total_machine}")

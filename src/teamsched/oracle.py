@@ -19,15 +19,20 @@ from .solvers import SolveSettings, solve_team_equilibrium
 if TYPE_CHECKING:
     import numpy as np
 
-#: refuse lattice searches that would evaluate more score entries than this
-CAPACITY_LIMIT = 10 ** 8
-#: the security verdicts' lattice resolution, and random team starts per
-#: attack on instances without an exact potential
+#: refuse lattice searches that would evaluate more score entries than ten
+#: servers take at the verdicts' resolution, ``_search_entries(10, 10_000)``
+CAPACITY_LIMIT = 400_130_009
+#: the security verdicts' lattice resolution, the largest team-minus-reference
+#: gap they pass (meaningful only at that resolution), random team starts per
+#: attack on instances without an exact potential, and the largest cost rise
+#: between neighbouring machine masses the monotonicity sweep lets pass
 _VERIFY_RESOLUTION = 1e-3
+_GAP_TOL = 1e-5
 _VERIFY_STARTS = 5
+_MONOTONE_TOL = 1e-8
 #: rows per block of the blocked pair-table kernel, which runs only on the
 #: tables the slope merge declines: a block's score array takes 64 * (steps + 1)
-#: floats, 3 MB at the 6,000 steps of verify's resolution on six servers
+#: floats, 5 MB at the 10,000 steps of verify's resolution on ten servers
 _BLOCK = 64
 
 
@@ -193,8 +198,8 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     among the servers, a finite, nonnegative attack strength (so no table
     holds -0.0) and at most :data:`CAPACITY_LIMIT` score entries
     (:func:`_search_entries`, the entries the blocked kernel would score on
-    every fold, whichever kernel runs): every server count up to six runs at
-    verify's 1e-3, seven are refused.
+    every fold, whichever kernel runs): every server count up to ten runs at
+    verify's 1e-3, eleven are refused.
 
     ``_pairs`` is :func:`verify_security`'s memo for one scan: it keeps the
     last call's tails, each keyed on the exact bytes of the tables it folds.
@@ -335,38 +340,29 @@ def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulati
     return costs or None
 
 
-def _check_tol(tol: float) -> None:
-    """A NaN tolerance fails every gap comparison and an infinite one passes
-    every one, without a word."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-
-
 def verify_security(instance: GameInstance, population: SchedulerPopulation,
-                    alphas: Sequence[float], tol: float = 1e-5, *,
-                    settings: SolveSettings | None = None,
+                    alphas: Sequence[float], *, settings: SolveSettings | None = None,
                     seed: int = 0) -> tuple[SecurityVerdict, SecurityVerdict]:
     """Strong and weak verdicts from one scan over the attack-strength grid.
 
     At each grid attack the team cost is compared with the 1e-3 lattice
     optimum (strong) and with the attack-oblivious baseline, the no-attack
-    optimum held fixed (weak). The lattice runs at every server count up to
-    six; from seven servers on it raises :class:`CapacityError`. The scan
-    keeps the lattice's tails from one attack to the next, so the servers
-    after the attacked one are folded once per scan. Where the delays give
-    the team game an exact potential (:func:`_has_potential`: one common
-    degree, ``b_i + c_i x**d`` with ``c_i > 0``), every equilibrium has the
-    same cost and the default start's solve is the team cost; the verdict is
-    inconclusive exactly when that solve does not converge. Otherwise the
+    optimum held fixed (weak); a gap of at most :data:`_GAP_TOL` passes. The
+    lattice runs at every server count up to ten; from eleven servers on it
+    raises :class:`CapacityError`. The scan keeps the lattice's tails from
+    one attack to the next, so the servers after the attacked one are folded
+    once per scan. Where the delays give the team game an exact potential
+    (:func:`_has_potential`: one common degree, ``b_i + c_i x**d`` with
+    ``c_i > 0``), every equilibrium has the same cost and the default
+    start's solve is the team cost; the verdict is inconclusive exactly
+    when that solve does not converge. Otherwise the
     team cost is the worst over the default start and five random starts
     drawn from ``seed``, and the verdict is inconclusive when none of them
     converges. Returns ``(strong, weak)``; each locates the largest gap of
-    its own comparison. An empty ``alphas``, or a ``tol`` that is not
-    finite and nonnegative, raises ``ValueError``.
+    its own comparison. An empty ``alphas`` raises ``ValueError``.
     """
     if len(alphas) == 0:
         raise ValueError("alphas must hold at least one attack strength")
-    _check_tol(tol)
     settings = settings or SolveSettings()
     rng = random.Random(seed)
     pairs: dict = {}  # the last search's tails, reused while their tables stay the same
@@ -386,8 +382,8 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
         strong_gaps.append((float(alpha), worst_team - opt_cost))
         weak_gaps.append((float(alpha), worst_team - system_cost(attacked, baseline_profile)))
 
-    strong = all(g <= tol for _, g in strong_gaps)
-    weak = all(g <= tol for _, g in weak_gaps)
+    strong = all(g <= _GAP_TOL for _, g in strong_gaps)
+    weak = all(g <= _GAP_TOL for _, g in weak_gaps)
 
     def verdict(gaps: list[tuple[float, float]]) -> SecurityVerdict:
         worst_alpha, gap = max(gaps, key=lambda ag: ag[1])
@@ -397,30 +393,28 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
 
 
 def verify_strong_security(instance: GameInstance, population: SchedulerPopulation,
-                           alphas: Sequence[float], tol: float = 1e-5, *,
-                           settings: SolveSettings | None = None, seed: int = 0) -> SecurityVerdict:
+                           alphas: Sequence[float], *, settings: SolveSettings | None = None,
+                           seed: int = 0) -> SecurityVerdict:
     """Does the team response match the lattice optimum at every grid attack?"""
-    return verify_security(instance, population, alphas, tol, settings=settings, seed=seed)[0]
+    return verify_security(instance, population, alphas, settings=settings, seed=seed)[0]
 
 
 def verify_weak_security(instance: GameInstance, population: SchedulerPopulation,
-                         alphas: Sequence[float], tol: float = 1e-5, *,
-                         settings: SolveSettings | None = None, seed: int = 0) -> SecurityVerdict:
+                         alphas: Sequence[float], *, settings: SolveSettings | None = None,
+                         seed: int = 0) -> SecurityVerdict:
     """Does the team response stay at or below the attack-oblivious baseline
     (the no-attack optimum held fixed) at every grid attack?"""
-    return verify_security(instance, population, alphas, tol, settings=settings, seed=seed)[1]
+    return verify_security(instance, population, alphas, settings=settings, seed=seed)[1]
 
 
-def monotonicity_sweep(instance: GameInstance, r_grid: Sequence[float], alpha: float,
-                       tol: float = 1e-8,
+def monotonicity_sweep(instance: GameInstance, r_grid: Sequence[float], alpha: float, *,
                        settings: SolveSettings | None = None) -> MonotonicityReport:
     """Team cost along an ascending machine-mass grid with full access.
 
-    Costs should never increase as more mass moves under machine control.
-    An empty or descending grid, or a ``tol`` that is not finite and
-    nonnegative, raises ``ValueError``.
+    Costs should never increase, beyond :data:`_MONOTONE_TOL`, as more mass
+    moves under machine control. An empty or descending grid raises
+    ``ValueError``.
     """
-    _check_tol(tol)
     settings = settings or SolveSettings()
     grid = [float(r) for r in r_grid]
     if not grid:
@@ -435,5 +429,5 @@ def monotonicity_sweep(instance: GameInstance, r_grid: Sequence[float], alpha: f
         if not report.converged:
             return MonotonicityReport(False, tuple(costs), inconclusive=True)
         costs.append(report.cost)
-    ok = all(b <= a + tol for a, b in zip(costs, costs[1:]))
+    ok = all(b <= a + _MONOTONE_TOL for a, b in zip(costs, costs[1:]))
     return MonotonicityReport(ok, tuple(costs))

@@ -323,17 +323,26 @@ def _members(population: SchedulerPopulation, team: bool) -> list[_Member]:
         for access, mass in zip(population.machine_access, population.machine_masses)]
 
 
+def _check_solvable(instance: GameInstance, population: SchedulerPopulation) -> None:
+    """Raise :class:`ValidationError` on every :func:`validate` violation but unequal
+    intercepts, which the solvers run on; the fills take what passes unchecked."""
+    issues = [v for v in validate(instance, population) if not v.startswith("intercept-mismatch")]
+    if issues:
+        raise ValidationError("; ".join(issues))
+
+
 def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulation,
                           profile: DisaggregatedProfile) -> tuple[float, float]:
     """Certificates that ``profile`` is a team equilibrium.
 
     Returns ``(selfish_residual, machine_residual)``; both at or below the
-    solver tolerance certify the profile. Dimension mismatches, a block
-    load outside the block's access set above ``1e-12 * max(1, block mass)``
-    (the threshold below which the Wardrop gap counts a server as unused)
-    and a block that is no finite, nonnegative split of its member's mass
-    (to ``MASS_TOL * max(1, mass)``) raise :class:`ValidationError`.
+    solver tolerance certify the profile. Pairs :func:`_check_solvable` rejects,
+    dimension mismatches, a block load outside the block's access set above
+    ``1e-12 * max(1, block mass)`` (below it the Wardrop gap counts a server
+    as unused) and a block that is no finite, nonnegative split of its
+    member's mass (to ``MASS_TOL * max(1, mass)``) raise :class:`ValidationError`.
     """
+    _check_solvable(instance, population)
     n = instance.n
     if len(profile.selfish) != n:
         raise ValidationError(f"selfish block has {len(profile.selfish)} entries, expected {n}")
@@ -350,7 +359,7 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
             if i not in access and block[i - 1] > eps:
                 raise ValidationError(f"{who} mass on inaccessible server {i}")
         if (not all(0.0 <= x < math.inf for x in block)
-                or abs(math.fsum(block) - mass) > MASS_TOL * max(1.0, mass)):
+                or not abs(math.fsum(block) - mass) <= MASS_TOL * max(1.0, mass)):
             raise ValidationError(f"{who} block {block} is no nonnegative split of mass {mass!r}")
     return _certificate(instance, members, blocks, profile.aggregate_loads())
 
@@ -415,11 +424,7 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     ends the loop at once with that certificate.
     """
     settings = settings or SolveSettings()
-    # the solvers run on unequal intercepts; every other violation blocks the
-    # solve, and what passes here the fills take unchecked
-    issues = [v for v in validate(instance, population) if not v.startswith("intercept-mismatch")]
-    if issues:
-        raise ValidationError("; ".join(issues))
+    _check_solvable(instance, population)
     n = instance.n
     members = _members(population, team)
     groups, indices = _group_by_access(members)

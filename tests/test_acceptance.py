@@ -161,7 +161,7 @@ def test_criterion_7_property_suites():
     ]
     for instance, alpha in templates:
         grid = [instance.n * i / 99 for i in range(100)]
-        report = monotonicity_sweep(instance, grid, alpha, tol=1e-8)
+        report = monotonicity_sweep(instance, grid, alpha)
         assert not report.inconclusive
         assert report.nonincreasing
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from teamsched import (
     optimal_profile_linear,
     penetration_threshold,
     selfish_profile_linear,
+    stackelberg_cost,
     system_cost,
     team_cost_linear,
 )
@@ -84,6 +86,16 @@ class TestTeamCost:
             team_cost_linear(2, 2.5, 1.0)
         with pytest.raises(ValueError):
             team_cost_linear(1, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5])
+    def test_server_count_named(self, n):
+        # NaN once failed with "cannot convert float NaN to integer"
+        for call in (lambda: team_cost_linear(n, 1.0, 1.0), lambda: stackelberg_cost(n, 1.0)):
+            with pytest.raises(ValueError, match="server count must be an integer"):
+                call()
+
+    def test_integral_float_server_count(self):
+        assert team_cost_linear(3.0, 1.0, 1.0) == team_cost_linear(3, 1.0, 1.0)
 
     def test_continuous_at_both_knees(self):
         for n, alpha in NA_PAIRS:

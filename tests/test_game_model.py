@@ -227,6 +227,24 @@ class TestFullAccess:
         assert pop.selfish_mass == 3.0
 
 
+class TestServerCount:
+    # the classmethods once raised a raw TypeError on 3.0, which the
+    # GameInstance constructor itself accepts
+    def test_integral_float(self):
+        assert GameInstance.linear(3.0) == GameInstance.linear(3)
+        assert GameInstance.identical(3.0, (0, 1)) == GameInstance.identical(3, (0, 1))
+        assert SchedulerPopulation.for_instance(3.0, ()) == SchedulerPopulation.for_instance(3, ())
+        assert SchedulerPopulation.full_access(3.0, 1.0) == SchedulerPopulation.full_access(3, 1.0)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_non_integral_named(self, n):
+        for build in (lambda: GameInstance.linear(n), lambda: GameInstance.identical(n, (0, 1)),
+                      lambda: SchedulerPopulation.for_instance(n, ()),
+                      lambda: SchedulerPopulation.full_access(n, 1.0)):
+            with pytest.raises(ValueError, match="server count must be an integer"):
+                build()
+
+
 class TestValidate:
     def test_well_formed(self):
         inst = GameInstance.linear(2, 1.0)
@@ -269,6 +287,12 @@ class TestValidate:
         pop = SchedulerPopulation.full_access(2, 1.0)
         issues = validate(inst, pop)
         assert any(v.startswith("bad-attack-target") for v in issues)
+
+    def test_nan_selfish_mass(self):
+        # once passed: abs(nan - expected) > MASS_TOL is False
+        pop = SchedulerPopulation((1.0,), (frozenset({1, 2, 3}),), frozenset({1, 2, 3}), math.nan)
+        issues = validate(GameInstance.linear(3, 1.0), pop)
+        assert [v.split(":")[0] for v in issues] == ["selfish-mass-mismatch"]
 
     def test_non_integral_attack_target(self):
         # target 1.5 once passed and attacked no server

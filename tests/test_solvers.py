@@ -426,6 +426,34 @@ class TestValidateForSolve:
         with pytest.raises(ValidationError, match=code):
             solve_team_equilibrium(instance, population)
 
+    @pytest.mark.parametrize("code", sorted(BLOCKING_CASES))
+    def test_every_other_code_blocks_the_certificate(self, code):
+        instance, population = BLOCKING_CASES[code]
+        zeros = (0.0,) * instance.n
+        profile = DisaggregatedProfile(zeros, (zeros,) * population.machine_count)
+        with pytest.raises(ValidationError, match=code):
+            equilibrium_residuals(instance, population, profile)
+
+    @pytest.mark.parametrize("server", [5, 0])
+    def test_certificate_rejects_selfish_server_off_the_instance(self, server):
+        # server 5 once raised a raw IndexError, and server 0 read server 3's
+        # delay and scored (2.0, 0.33)
+        inst = GameInstance.linear(3, 1.0)
+        pop = SchedulerPopulation.for_instance(3, ((1.0, None),), (server, 1, 2))
+        profile = DisaggregatedProfile((1.0, 1.0, 0.0), ((1 / 3, 1 / 3, 1 / 3),))
+        with pytest.raises(ValidationError, match=f"bad-server-index: .* server {server}"):
+            equilibrium_residuals(inst, pop, profile)
+
+    def test_nan_selfish_mass_blocks_solve_and_certificate(self):
+        # the solve once dropped the selfish group and reported loads
+        # (0, 1.5, 1.5) as converged, and the certificate passed them
+        inst = GameInstance.linear(3, 1.0)
+        pop = SchedulerPopulation((1.0,), (frozenset({1, 2, 3}),), frozenset({1, 2, 3}), math.nan)
+        with pytest.raises(ValidationError, match="selfish-mass-mismatch"):
+            solve_team_equilibrium(inst, pop)
+        with pytest.raises(ValidationError, match="selfish-mass-mismatch"):
+            equilibrium_residuals(inst, pop, DisaggregatedProfile((0.0,) * 3, ((0.0, 0.5, 0.5),)))
+
     def test_intercept_mismatch_alone_still_solves(self):
         instance = GameInstance(2, ((0.0, 1.0), (1.0, 1.0)), 1, 1.0)
         assert [v.split(":")[0] for v in game.validate(instance, _FULL2)] == [
