@@ -19,7 +19,6 @@ from .game import (
     LoadProfile,
     SchedulerPopulation,
     ValidationError,
-    eval_delay,
     system_cost,
     validate,
 )

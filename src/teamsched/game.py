@@ -93,15 +93,6 @@ class DelayFunction:
         return horner(self.coefficients, x)[0]
 
 
-def eval_delay(f: DelayFunction, x: float, attack_bonus: float = 0.0) -> float:
-    """Delay at load ``x``, degraded by a constant attack offset."""
-    if x < 0.0:
-        raise ValueError(f"load must be nonnegative, got {x}")
-    if attack_bonus < 0.0:
-        raise ValueError(f"attack bonus must be nonnegative, got {attack_bonus}")
-    return f(x) + attack_bonus
-
-
 @dataclass(frozen=True)
 class GameInstance:
     """``n`` servers with polynomial delays and a single additive attack.
@@ -177,19 +168,18 @@ class LoadProfile:
 
     @classmethod
     def from_raw(cls, loads: Sequence[float]) -> "LoadProfile":
-        """Clamp numeric dust and rescale to exact mass before constructing.
+        """Rescale to exact mass before constructing.
 
-        Negative loads clamp to 0; a NaN or infinite load raises.
+        A NaN or infinite load raises, and so does a negative one.
         """
         raw = _as_floats(loads)
         if any(not math.isfinite(x) for x in raw):
             raise ValidationError(f"non-finite load in profile: {raw}")
-        clipped = [max(0.0, x) for x in raw]
-        s = math.fsum(clipped)
-        n = len(clipped)
+        s = math.fsum(raw)
+        n = len(raw)
         if s <= 0.0:
             raise ValidationError("cannot normalize an all-zero load vector")
-        return cls(tuple(x * (n / s) for x in clipped))
+        return cls(tuple(x * (n / s) for x in raw))
 
     def __len__(self) -> int:
         return len(self.loads)
@@ -230,14 +220,15 @@ class SchedulerPopulation:
 
     def __post_init__(self) -> None:
         masses = _as_floats(self.machine_masses)
-        access = tuple(frozenset(int(i) for i in a) for a in self.machine_access)
+        access = tuple(frozenset(as_count(i, "server index") for i in a)
+                       for a in self.machine_access)
         if len(masses) != len(access):
             raise ValueError(
                 f"{len(masses)} machine masses but {len(access)} access sets")
         object.__setattr__(self, "machine_masses", masses)
         object.__setattr__(self, "machine_access", access)
         object.__setattr__(self, "selfish_access",
-                           frozenset(int(i) for i in self.selfish_access))
+                           frozenset(as_count(i, "server index") for i in self.selfish_access))
         object.__setattr__(self, "selfish_mass", float(self.selfish_mass))
 
     @classmethod
@@ -252,10 +243,8 @@ class SchedulerPopulation:
         n = as_count(n, "server count")
         everything = frozenset(range(1, n + 1))
         masses = tuple(float(m) for m, _ in machines)
-        access = tuple(everything if a is None else frozenset(int(i) for i in a)
-                       for _, a in machines)
-        selfish = everything if selfish_access is None else frozenset(
-            int(i) for i in selfish_access)
+        access = tuple(everything if a is None else a for _, a in machines)
+        selfish = everything if selfish_access is None else selfish_access
         return cls(masses, access, selfish, n - math.fsum(masses))
 
     @classmethod

@@ -63,7 +63,7 @@ def _contribution_tables(instance: GameInstance, steps: int, step: float) -> lis
 
 def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
     """Min-plus convolution: the smallest ``near[k] + far[m - k]`` over
-    ``k <= m`` for every mass ``m``, and a row that holds a NaN scores NaN.
+    ``k <= m`` for every mass ``m``.
 
     Two finite tables whose exact slopes never decrease (:func:`_exact_slopes`)
     take the slope merge :func:`_merged_pair_table`, O(steps log steps). Every
@@ -154,18 +154,6 @@ def _blocked_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
     return pair_val
 
 
-def _first_minimum(scores: np.ndarray) -> int:
-    """Index of the first minimum of ``scores``, NaN read as +inf
-    (a NaN in ``scores`` is overwritten with +inf)."""
-    import numpy as np
-
-    k = int(scores.argmin())  # argmin stops at a NaN: map them and rerun
-    if math.isnan(scores[k]):
-        scores[np.isnan(scores)] = np.inf
-        k = int(scores.argmin())
-    return k
-
-
 def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
                         _pairs: dict | None = None) -> tuple[LoadProfile, float]:
     """Exhaustive minimum over the scaled-simplex lattice with the given step.
@@ -177,8 +165,7 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     ``T_n``, and the tail of servers ``j..n`` is the pair table of ``T_j``
     against the tail of servers ``j+1..n``, so it holds, for every mass, the
     smallest score of those servers' slice. A walk from the full mass then
-    fixes one server at a time: server 1 takes the first minimum of
-    ``T_1[k] + tail_2[steps - k]``, and each later server the argmin of
+    fixes one server at a time: server j takes the first minimum of
     ``T_j[k] + tail_{j+1}[m - k]`` over the mass ``m`` left to it. Float
     rounding is monotone, so the winner's score is the minimum over every
     lattice point. A fold whose two tables are finite and exactly convex
@@ -188,15 +175,14 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     servers and the tables of constant delays do not.
 
     Ties: each server takes the lowest load among the minima of its slice,
-    so reruns are byte-identical. A slice holding a NaN scores NaN, and
-    server 1 reads a NaN score as +inf, so it never wins. Where every score
-    is +inf or NaN, every server but the last takes load 0 (a later server
-    takes a NaN first, as its slice's minimum did), with cost inf. For
-    polynomial delays the winner is within a Lipschitz-constant multiple of
-    the resolution of the true optimum. Guards: a finite ``resolution`` of
-    at least 1e-4 that leaves at least one lattice step, an attack target
-    among the servers, a finite, nonnegative attack strength (so no table
-    holds -0.0) and at most :data:`CAPACITY_LIMIT` score entries
+    so reruns are byte-identical. Where every score is +inf, every server
+    but the last takes load 0, with cost inf. For polynomial delays the
+    winner is within a Lipschitz-constant multiple of the resolution of the
+    true optimum. Guards: a finite ``resolution`` of at least 1e-4 that
+    leaves at least one lattice step, an attack target among the servers, a
+    finite, nonnegative attack strength (so no table holds -0.0) that keeps
+    the attacked delay at load 0 finite (so no table holds ``0 * inf``, a
+    NaN) and at most :data:`CAPACITY_LIMIT` score entries
     (:func:`_search_entries`, the entries the blocked kernel would score on
     every fold, whichever kernel runs): every server count up to ten runs at
     verify's 1e-3, eleven are refused.
@@ -213,6 +199,10 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
         raise ValueError(f"attack target must be a server in 1..{n}, got {instance.attack_target}")
     if not 0.0 <= instance.attack_strength < math.inf:
         raise ValueError(f"attack strength must be in [0, inf), got {instance.attack_strength}")
+    if any(f.intercept + instance.attack_bonus(i) == math.inf
+           for i, f in enumerate(instance.delays, start=1)):
+        raise ValueError(f"attack strength {instance.attack_strength!r} overflows the "
+                         f"attacked server's delay at load 0")
     steps = round(n / resolution)
     if steps < 1:
         raise ValueError(f"resolution {resolution} leaves no lattice step on {n} servers")
@@ -238,9 +228,7 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
 
         best_key, m = [], steps
         for j in range(n - 1):
-            scores = tables[j][: m + 1] + tails[j][m::-1]
-            # a later server's argmin picks a NaN first, as its slice's minimum did
-            k = _first_minimum(scores) if j == 0 else int(np.argmin(scores))
+            k = int(np.argmin(tables[j][: m + 1] + tails[j][m::-1]))
             best_key.append(k)
             m -= k
         best_key.append(m)

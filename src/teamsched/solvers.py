@@ -31,7 +31,6 @@ from .game import (
     SchedulerPopulation,
     ValidationError,
     as_count,
-    eval_delay,
     horner,
     validate,
 )
@@ -206,7 +205,7 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
 
 def _check_fill_args(instance: GameInstance, access: Iterable[int], mass: float,
                      background: Sequence[float] | None) -> tuple[list[int], list[float]]:
-    servers = sorted(set(int(i) for i in access))
+    servers = sorted(set(as_count(i, "server index") for i in access))
     for i in servers:
         if not 1 <= i <= instance.n:
             raise ValidationError(f"access references server {i}, instance has {instance.n}")
@@ -300,7 +299,7 @@ def _residual(instance: GameInstance, access: frozenset[int], mass: float, socia
             response = bg, solve_social_optimum(instance, access, mass, bg)
         bg, br = response
         return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, br)])
-    delays = [eval_delay(d, x, instance.attack_bonus(i))
+    delays = [d(x) + instance.attack_bonus(i)
               for i, (d, x) in enumerate(zip(instance.delays, loads), start=1)]
     best = min(delays[i - 1] for i in access)
     eps = _used_eps(mass)
@@ -331,26 +330,23 @@ def _check_solvable(instance: GameInstance, population: SchedulerPopulation) -> 
         raise ValidationError("; ".join(issues))
 
 
-def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulation,
-                          profile: DisaggregatedProfile) -> tuple[float, float]:
-    """Certificates that ``profile`` is a team equilibrium.
+def _check_blocks(n: int, members: Sequence[_Member],
+                  profile: DisaggregatedProfile) -> tuple[tuple[float, ...], ...]:
+    """The blocks of ``profile``, selfish first, once each is a real split of
+    its member (one block per member of :func:`_members`).
 
-    Returns ``(selfish_residual, machine_residual)``; both at or below the
-    solver tolerance certify the profile. Pairs :func:`_check_solvable` rejects,
-    dimension mismatches, a block load outside the block's access set above
-    ``1e-12 * max(1, block mass)`` (below it the Wardrop gap counts a server
-    as unused) and a block that is no finite, nonnegative split of its
-    member's mass (to ``MASS_TOL * max(1, mass)``) raise :class:`ValidationError`.
+    A block of the wrong length or count, a block load outside the block's
+    access set above ``1e-12 * max(1, block mass)`` (below it the Wardrop gap
+    counts a server as unused) and a block that is no finite, nonnegative
+    split of its member's mass (to ``MASS_TOL * max(1, mass)``) raise
+    :class:`ValidationError`.
     """
-    _check_solvable(instance, population)
-    n = instance.n
     if len(profile.selfish) != n:
         raise ValidationError(f"selfish block has {len(profile.selfish)} entries, expected {n}")
-    if len(profile.per_machine) != population.machine_count:
+    if len(profile.per_machine) != len(members) - 1:
         raise ValidationError(
             f"profile has {len(profile.per_machine)} machine blocks, "
-            f"population has {population.machine_count}")
-    members = _members(population, team=True)
+            f"population has {len(members) - 1}")
     blocks = (profile.selfish,) + profile.per_machine
     for k, ((access, mass, _social), block) in enumerate(zip(members, blocks)):
         who = f"machine {k}" if k else "selfish"
@@ -361,6 +357,21 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
         if (not all(0.0 <= x < math.inf for x in block)
                 or not abs(math.fsum(block) - mass) <= MASS_TOL * max(1.0, mass)):
             raise ValidationError(f"{who} block {block} is no nonnegative split of mass {mass!r}")
+    return blocks
+
+
+def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulation,
+                          profile: DisaggregatedProfile) -> tuple[float, float]:
+    """Certificates that ``profile`` is a team equilibrium.
+
+    Returns ``(selfish_residual, machine_residual)``; both at or below the
+    solver tolerance certify the profile. Pairs :func:`_check_solvable`
+    rejects and profiles :func:`_check_blocks` rejects raise
+    :class:`ValidationError`.
+    """
+    _check_solvable(instance, population)
+    members = _members(population, team=True)
+    blocks = _check_blocks(instance.n, members, profile)
     return _certificate(instance, members, blocks, profile.aggregate_loads())
 
 
@@ -369,11 +380,10 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
 
 
 def _renorm(block: list[float], mass: float) -> list[float]:
-    clipped = [max(0.0, v) for v in block]
-    s = math.fsum(clipped)
+    s = math.fsum(block)
     if mass <= 0.0 or s <= 0.0:
         return [0.0] * len(block)
-    return [v * (mass / s) for v in clipped]
+    return [v * (mass / s) for v in block]
 
 
 def _loads(n: int, blocks: Sequence[Sequence[float]]) -> list[float]:
@@ -447,10 +457,7 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
         return certify([_fill_common_level(n, servers[0], total, [0.0] * n, *levels[social])], 1)
 
     if initial is not None:
-        if (len(initial.selfish) != n
-                or len(initial.per_machine) != population.machine_count):
-            raise ValidationError("initial profile dimensions do not match the population")
-        starts = (initial.selfish,) + initial.per_machine
+        starts = _check_blocks(n, members, initial)
     blocks = []
     for (access, total, _social), ks in zip(groups, indices):
         # the members' initial blocks, or an even spread over the access set
@@ -490,7 +497,8 @@ def solve_team_equilibrium(instance: GameInstance, population: SchedulerPopulati
     and each machine access group halfway toward its constrained social
     optimum, up to the sweep cap. ``converged`` is claimed only once a fresh
     :func:`equilibrium_residuals` certificate passes the tolerance.
-    ``initial`` replaces the even spread over each access set as the start.
+    ``initial`` replaces the even spread over each access set as the start;
+    it must pass the certificate's block checks (:func:`_check_blocks`).
     """
     return _best_response(instance, population, settings, team=True, initial=initial)
 
@@ -511,17 +519,15 @@ def solve_fully_selfish(instance: GameInstance, population: SchedulerPopulation,
 def _report(instance: GameInstance, profile: DisaggregatedProfile,
             selfish_res: float, machine_res: float,
             tolerance: float, iterations: int) -> SolveReport:
-    raw = profile.aggregate_loads()
-    aggregate = LoadProfile.from_raw(raw)
+    aggregate = LoadProfile.from_raw(profile.aggregate_loads())
     cost = instance.cost(aggregate.loads)
-    finite = math.isfinite(cost) and all(math.isfinite(x) for x in raw)
     return SolveReport(
         profile=profile,
         aggregate=aggregate,
         cost=cost,
         selfish_residual=selfish_res,
         machine_residual=machine_res,
-        converged=finite and selfish_res <= tolerance and machine_res <= tolerance,
+        converged=math.isfinite(cost) and selfish_res <= tolerance and machine_res <= tolerance,
         iterations=iterations,
     )
 

@@ -12,7 +12,6 @@ from teamsched import (
     LoadProfile,
     SchedulerPopulation,
     ValidationError,
-    eval_delay,
     system_cost,
     validate,
 )
@@ -39,20 +38,19 @@ class TestDelayFunction:
             DelayFunction(())
 
     def test_identity_delay(self):
-        assert eval_delay(DelayFunction((0.0, 1.0)), 1.5) == 1.5
+        assert DelayFunction((0.0, 1.0))(1.5) == 1.5
 
     def test_attacked_identity_delay(self):
-        assert eval_delay(DelayFunction((0.0, 1.0)), 0.5, 1.0) == 1.5
+        # the attacked delay the selfish residual reads: tau(x) + attack bonus
+        inst = GameInstance.linear(2, 1.0)
+        assert inst.delays[0](0.5) + inst.attack_bonus(1) == 1.5
+        assert inst.delays[1](0.5) + inst.attack_bonus(2) == 0.5
 
     def test_quadratic_delay(self):
         # 0 + 2 + 2*4 = 10, frozen from direct evaluation
         f = DelayFunction((0.0, 1.0, 2.0))
-        assert eval_delay(f, 2.0) == 10.0
+        assert f(2.0) == 10.0
         assert poly_value(f.coefficients, 2.0) == 10.0
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(ValueError):
-            eval_delay(DelayFunction((0.0, 1.0)), -0.1)
 
 
 class TestHorner:
@@ -117,7 +115,7 @@ class TestMarginalCost:
     @settings(max_examples=60, deadline=None)
     def test_never_below_delay(self, coeffs, x, bonus):
         f = DelayFunction(tuple(coeffs))
-        assert marginal_cost(f, x, bonus) >= eval_delay(f, x, bonus)
+        assert marginal_cost(f, x, bonus) >= f(x) + bonus
 
 
 class TestLoadProfile:
@@ -138,6 +136,11 @@ class TestLoadProfile:
     def test_from_raw_rejects_nonfinite(self, raw):
         with pytest.raises(ValidationError):
             LoadProfile.from_raw(raw)
+
+    def test_from_raw_rejects_negative(self):
+        # no clamp: a negative entry is the profile's own error, not dust
+        with pytest.raises(ValidationError, match="negative load"):
+            LoadProfile.from_raw((-1e-18, 2.0))
 
     def test_from_raw_rescales(self):
         p = LoadProfile.from_raw((0.5, 0.5))
@@ -243,6 +246,28 @@ class TestServerCount:
                       lambda: SchedulerPopulation.full_access(n, 1.0)):
             with pytest.raises(ValueError, match="server count must be an integer"):
                 build()
+
+
+class TestServerIndex:
+    # int(i) once truncated 1.5 to server 1 and validate saw a well-formed population
+    @pytest.mark.parametrize("build", [
+        lambda: SchedulerPopulation((1.0,), ([1.5, 2],), [1, 2], 1.0),
+        lambda: SchedulerPopulation((1.0,), ([1, 2],), [1, 2.5], 1.0),
+    ], ids=["machine", "selfish"])
+    def test_constructor_rejects_non_integral(self, build):
+        with pytest.raises(ValueError, match="server index must be an integer"):
+            build()
+
+    @pytest.mark.parametrize("machines, selfish", [(((1.0, [1.5, 2]),), None),
+                                                    ((), [1, math.nan])],
+                             ids=["machine", "selfish"])
+    def test_for_instance_rejects_non_integral(self, machines, selfish):
+        with pytest.raises(ValueError, match="server index must be an integer"):
+            SchedulerPopulation.for_instance(2, machines, selfish)
+
+    def test_integral_float_index(self):
+        assert SchedulerPopulation.for_instance(2, ((1.0, [1.0, 2.0]),), [2.0]) == \
+            SchedulerPopulation.for_instance(2, ((1.0, [1, 2]),), [2])
 
 
 class TestValidate:

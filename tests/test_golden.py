@@ -4,7 +4,9 @@
 scenarios and of ``golden/multi_group.json`` (quadratic delays, four machines
 on three access sets, selfish jobs on a fourth), the closed-form figures on
 their default grids, numeric figure data and the ``verify`` stdout, whose
-gaps pin the lattice oracle's winning points.
+gaps pin the lattice oracle's winning points, also of
+``golden/target_three.json`` (three linear full-access servers, attacked at
+server 3).
 A change that moves any of these bytes must explain each moved digit.
 
 ``cli.main`` builds its parser once per process; the tests after the golden
@@ -32,6 +34,10 @@ CASES += [("fig2_numeric.csv", ["figure", "fig2", "--numeric", "--alpha-list", "
 CASES += [(f"verify_{name}.txt",
            ["verify", str(path)] + (["--alpha-list", "0.5,2"] if name == "multi_group" else []))
           for name, path in SCENARIOS.items()]
+# every shipped scenario attacks server 1: this one pins the walk and the
+# per-alpha tail rebuild with the attack on the last server
+CASES += [("verify_target_three.txt",
+           ["verify", str(GOLDEN / "target_three.json"), "--alpha-list", "0.5,2"])]
 
 
 @pytest.mark.parametrize("golden, argv", CASES, ids=[name for name, _ in CASES])

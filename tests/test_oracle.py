@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from teamsched import (
     solve_team_equilibrium,
     system_cost,
     team_cost_linear,
+    validate,
     verify_security,
     verify_strong_security,
     verify_weak_security,
@@ -102,6 +104,13 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="attack strength"):
             grid_search_optimum(GameInstance.linear(3, strength), 0.1)
 
+    @pytest.mark.parametrize("target", [1, 2, 3])
+    def test_rejects_attack_overflowing_the_attacked_delay(self, target):
+        # 0 * (tau(0) + alpha) = 0 * inf would put a NaN at load 0 of the attacked table
+        inst = GameInstance(3, (DelayFunction((sys.float_info.max,)),) * 3, target, 1e308)
+        with pytest.raises(ValueError, match="overflows the attacked server's delay"):
+            grid_search_optimum(inst, 0.1)
+
     def test_negative_zero_attack_is_no_attack(self):
         calm = grid_search_optimum(GameInstance.linear(3, 0.0), 0.01)
         assert grid_search_optimum(GameInstance.linear(3, -0.0), 0.01) == calm
@@ -156,36 +165,27 @@ def _slice(near, tail, m):
     return [near[k] + tail[m - k] for k in range(m + 1)]
 
 
-def _slice_min(scores):
-    """A slice's minimum; a slice holding a NaN scores NaN."""
-    return math.nan if any(math.isnan(s) for s in scores) else min(scores)
-
-
-def reference_lattice(instance, resolution, tables=None):
+def reference_lattice(instance, resolution):
     """The search as one right fold of per-slice minima, in pure Python.
 
     The tail of the last server is its table, and the tail of servers j on
     holds, for every mass m, the minimum over k of ``T_j[k] + tail[m - k]``
     against the tail of servers j+1 on. A walk from the full mass fixes one
-    server at a time at the lowest k among its slice's minima; the first
-    server reads NaN as +inf, a later one takes a NaN first. Returns the
-    profile, its cost and the winner's table value. ``tables`` replaces the
-    instance's own tables when given.
+    server at a time at the lowest k among its slice's minima. The tables
+    hold no NaN (``TestNoNaN``). Returns the profile, its cost and the
+    winner's table value.
     """
     n = instance.n
     steps = round(n / resolution)
-    step, own = _tables(instance, steps)
-    tables = [table.tolist() for table in (own if tables is None else tables)]
+    step, tables = _tables(instance, steps)
+    tables = [table.tolist() for table in tables]
     tails = [tables[-1]]
     for near in reversed(tables[1:-1]):
-        tails.insert(0, [_slice_min(_slice(near, tails[0], m)) for m in range(steps + 1)])
+        tails.insert(0, [min(_slice(near, tails[0], m)) for m in range(steps + 1)])
     key, m = [], steps
-    for j, (near, tail) in enumerate(zip(tables[:-1], tails)):
+    for near, tail in zip(tables[:-1], tails):
         scores = _slice(near, tail, m)
-        nan_at = [k for k, score in enumerate(scores) if math.isnan(score)]
-        if j == 0:
-            scores = [math.inf if k in nan_at else score for k, score in enumerate(scores)]
-        k = nan_at[0] if j and nan_at else scores.index(min(scores))
+        k = scores.index(min(scores))
         key.append(k)
         m -= k
     key.append(m)
@@ -293,9 +293,9 @@ def _block_cases():
 BLOCK_CASES = _block_cases()
 
 
-def _reference_matches(instance, resolution, tables=None):
+def _reference_matches(instance, resolution):
     profile, cost = grid_search_optimum(instance, resolution)
-    ref_profile, ref_cost, _ = reference_lattice(instance, resolution, tables)
+    ref_profile, ref_cost, _ = reference_lattice(instance, resolution)
     assert profile.loads == ref_profile.loads
     assert cost == ref_cost
 
@@ -303,7 +303,7 @@ def _reference_matches(instance, resolution, tables=None):
 class TestLatticeKernels:
     """The blocked search against the per-slice reference only, where brute
     force is too slow: step counts around the block size, verify's
-    resolution, injected NaN entries and random instances."""
+    resolution and random instances."""
 
     @pytest.mark.parametrize("instance, steps", [c[1:] for c in BLOCK_CASES],
                              ids=[c[0] for c in BLOCK_CASES])
@@ -327,41 +327,6 @@ class TestLatticeKernels:
     ], ids=["linear", "poly", "inf"])
     def test_three_servers_at_verify_resolution(self, instance):
         _reference_matches(instance, 1e-3)
-
-    @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.05), (5, 0.25)])
-    def test_nan_entries_never_win(self, monkeypatch, n, resolution):
-        # NaN at the clean winner's entries of the first and the two last
-        # servers: its row, and every slice through those entries, score NaN
-        instance = random_instance(random.Random(n), n)
-        steps = round(n / resolution)
-        _, tables = _tables(instance, steps)
-        clean, _, _ = reference_lattice(instance, resolution)
-        key = [round(x * steps / n) for x in clean.loads]
-        tables[0][key[0]] = tables[-2][key[-2]] = tables[-1][key[-1]] = math.nan
-        monkeypatch.setattr(oracle, "_contribution_tables",
-                            lambda *args: [table.copy() for table in tables])
-        profile, _ = grid_search_optimum(instance, resolution)
-        assert profile.loads != clean.loads
-        _reference_matches(instance, resolution, tables)
-
-    @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.05), (5, 0.25)])
-    def test_nan_at_mirrored_entries_never_wins(self, monkeypatch, n, resolution):
-        # the same NaN entries in both of the last two tables keep them
-        # mirrored: every slice through those entries scores NaN
-        delay = random_instance(random.Random(n + 10), 1).delays[0]
-        instance = GameInstance(n, (delay,) * n, 1, 1.5)
-        steps = round(n / resolution)
-        _, tables = _tables(instance, steps)
-        clean, _, _ = reference_lattice(instance, resolution)
-        key = [round(x * steps / n) for x in clean.loads]
-        for k in key[-2:]:
-            tables[-2][k] = tables[-1][k] = math.nan
-        assert tables[-2].tobytes() == tables[-1].tobytes()
-        monkeypatch.setattr(oracle, "_contribution_tables",
-                            lambda *args: [table.copy() for table in tables])
-        profile, _ = grid_search_optimum(instance, resolution)
-        assert profile.loads != clean.loads
-        _reference_matches(instance, resolution, tables)
 
     @pytest.mark.parametrize("steps", [1, oracle._BLOCK - 1, oracle._BLOCK, oracle._BLOCK + 1,
                                        2 * oracle._BLOCK + 1, 3000])
@@ -394,6 +359,51 @@ class TestLatticeKernels:
                        for _ in range(n))
         instance = GameInstance(n, delays, data.draw(st.integers(1, n)), data.draw(st.floats(0.0, 3.0)))
         _reference_matches(instance, n / steps)
+
+
+def _largest_coefficient(j):
+    """The largest c_j that :class:`DelayFunction` admits: ``(j + 1) * c_j`` finite."""
+    c = sys.float_info.max / (j + 1)
+    while math.isinf((j + 1) * c):
+        c = math.nextafter(c, 0.0)
+    return c
+
+
+def _extreme_coefficient(j):
+    return st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, _largest_coefficient(j)]),
+                     st.floats(0.0, 3.0))
+
+
+class TestNoNaN:
+    """The walk takes the first minimum by ``np.argmin`` on every server, which
+    stops at a NaN: it needs tables and tails free of NaN on every instance
+    the guards admit, down to zero and subnormal coefficients and up to the
+    largest ones and attack strengths of 1e308."""
+
+    @given(n=st.integers(2, 5), resolution=st.floats(0.01, 0.25), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_extremes_hold_no_nan_and_match_reference(self, n, resolution, data):
+        intercept = data.draw(_extreme_coefficient(0))
+        delays = tuple(
+            DelayFunction((intercept,) + tuple(data.draw(_extreme_coefficient(j))
+                                               for j in range(1, data.draw(st.integers(1, 4)))))
+            for _ in range(n))  # a lone intercept is a constant delay
+        alpha = data.draw(st.one_of(st.sampled_from([0.0, 1e308]), st.floats(0.0, 1e308)))
+        instance = GameInstance(n, delays, data.draw(st.integers(1, n)), alpha)
+        assert validate(instance, SchedulerPopulation.full_access(n, 0.0)) == []
+        if intercept + alpha == math.inf:
+            with pytest.raises(ValueError, match="overflows"):
+                grid_search_optimum(instance, resolution)
+            return
+        steps = round(n / resolution)
+        pairs = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = oracle._contribution_tables(instance, steps, n / steps)
+            grid_search_optimum(instance, resolution, _pairs=pairs)
+        assert len(pairs) == n - 2
+        for table in tables + list(pairs.values()):
+            assert not np.isnan(table).any()
+        _reference_matches(instance, resolution)
 
 
 def _declined_tables():

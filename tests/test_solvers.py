@@ -21,7 +21,6 @@ from teamsched import (
     SolveSettings,
     ValidationError,
     equilibrium_residuals,
-    eval_delay,
     grid_search_optimum,
     solve_fully_selfish,
     solve_social_optimum,
@@ -33,7 +32,7 @@ from teamsched import (
 
 
 def attacked_delays(instance, loads):
-    return [eval_delay(instance.delays[i], loads[i], instance.attack_bonus(i + 1))
+    return [instance.delays[i](loads[i]) + instance.attack_bonus(i + 1)
             for i in range(instance.n)]
 
 
@@ -54,7 +53,15 @@ class TestWardrop:
         y = solve_wardrop(inst, {1, 2, 3}, 3.0)
         assert y == pytest.approx([0.0, 1.5, 1.5], abs=1e-9)
         # abandonment is justified: attacked delay at zero load >= common level
-        assert eval_delay(inst.delays[0], 0.0, 6.0) >= 1.5
+        assert inst.delays[0](0.0) + inst.attack_bonus(1) >= 1.5
+
+    @pytest.mark.parametrize("fill", [solve_wardrop, solve_social_optimum])
+    def test_rejects_non_integral_server_index(self, fill):
+        # int(i) once truncated these to servers 1 and 2: [0.0, 1.0, 0.0]
+        inst = GameInstance.linear(3, 1.0)
+        with pytest.raises(ValueError, match="server index must be an integer, got 1.5"):
+            fill(inst, [1.5, 2.7], 1.0)
+        assert fill(inst, [2.0, 3.0], 1.0) == fill(inst, [2, 3], 1.0)
 
     def test_empty_access_with_mass(self):
         inst = GameInstance.linear(2)
@@ -551,6 +558,31 @@ class TestTeamEquilibrium:
         with pytest.raises(ValidationError):
             solve_team_equilibrium(inst, pop, initial=bad)
 
+    @pytest.mark.parametrize("access, selfish, machines, names", [
+        # once clamped into a valid start: converged=True after 67 sweeps
+        ((1, 2, 3), (math.nan, -5.0, 1.0), ((1.0, 1.0, -1.0),), "selfish block"),
+        ((2, 3), (1.0, 0.5, 0.5), ((0.0, 1.5, -0.5),), "machine 1 block"),
+        ((2, 3), (1.0, 0.5, 0.5), ((0.5, 0.25, 0.25),), "machine 1 mass on inaccessible server 1"),
+        ((2, 3), (1.0, 1.0, 1.0), ((0.0, 0.5, 0.5),), r"selfish block .* no nonnegative split of mass 2\.0"),
+        ((2, 3), (1.0, 1.0), ((0.5, 0.5),), "selfish block has 2 entries, expected 3"),
+        ((2, 3), (1.0, 0.5, 0.5), (), "profile has 0 machine blocks, population has 1"),
+    ], ids=["nan", "negative", "off-access", "wrong-mass", "wrong-length", "wrong-count"])
+    def test_start_gate_names_the_block(self, access, selfish, machines, names):
+        # a start must pass the certificate's block checks
+        pop = SchedulerPopulation.for_instance(3, ((1.0, access),))
+        with pytest.raises(ValidationError, match=names):
+            solve_team_equilibrium(GameInstance.linear(3, 1.0), pop,
+                                   initial=DisaggregatedProfile(selfish, machines))
+
+    def test_all_zero_start_of_a_light_machine_solves(self):
+        # mass 1e-10 is within MASS_TOL of 0, so the gate admits a zero block
+        inst = GameInstance.linear(3, 1.0)
+        pop = SchedulerPopulation.for_instance(3, ((1e-10, None),))
+        rep = solve_team_equilibrium(inst, pop, initial=DisaggregatedProfile(
+            (1.0, 1.0, 1.0), ((0.0, 0.0, 0.0),)))
+        assert rep.converged
+        assert rep.cost == pytest.approx(solve_team_equilibrium(inst, pop).cost, abs=1e-12)
+
     def test_nonlinear_delays_converge(self):
         inst = GameInstance.identical(3, (0.0, 1.0, 1.0), attack_strength=1.0)
         pop = SchedulerPopulation.full_access(3, 1.0)
@@ -785,13 +817,13 @@ def _golden_multi_group():
 
 
 def reference_selfish_residual(instance, population, profile):
-    """Worst delay gap of any class, from ``eval_delay`` alone, when no two
+    """Worst delay gap of any class, from the delays alone, when no two
     classes share an access set (each class is then its own block)."""
     blocks = (profile.selfish,) + profile.per_machine
     members = zip((population.selfish_access,) + population.machine_access,
                   (population.selfish_mass,) + population.machine_masses, blocks)
     loads = [math.fsum(b[i] for b in blocks) for i in range(instance.n)]
-    delays = [eval_delay(instance.delays[i], loads[i], instance.attack_bonus(i + 1))
+    delays = [instance.delays[i](loads[i]) + instance.attack_bonus(i + 1)
               for i in range(instance.n)]
     worst = 0.0
     for access, mass, block in members:
