@@ -19,9 +19,9 @@ from .solvers import SolveSettings, solve_team_equilibrium
 if TYPE_CHECKING:
     import numpy as np
 
-#: refuse lattice searches that would evaluate more score entries than ten
-#: servers take at the verdicts' resolution, ``_search_entries(10, 10_000)``
-CAPACITY_LIMIT = 400_130_009
+#: refuse lattice searches that would sort more slopes than this, ``n * steps``:
+#: 31 servers at the verdicts' resolution, 10 at the floor of 1e-4
+CAPACITY_LIMIT = 1_000_000
 #: the security verdicts' lattice resolution, the largest team-minus-reference
 #: gap they pass (meaningful only at that resolution), random team starts per
 #: attack on instances without an exact potential, and the largest cost rise
@@ -30,10 +30,6 @@ _VERIFY_RESOLUTION = 1e-3
 _GAP_TOL = 1e-5
 _VERIFY_STARTS = 5
 _MONOTONE_TOL = 1e-8
-#: rows per block of the blocked pair-table kernel, which runs only on the
-#: tables the slope merge declines: a block's score array takes 64 * (steps + 1)
-#: floats, 5 MB at the 10,000 steps of verify's resolution on ten servers
-_BLOCK = 64
 
 
 class CapacityError(ValueError):
@@ -41,15 +37,10 @@ class CapacityError(ValueError):
 
 
 def lattice_size(n: int, steps: int) -> int:
-    """Number of points of the scaled simplex lattice with ``steps`` subdivisions."""
+    """Number of points of the scaled simplex lattice with ``steps`` subdivisions.
+
+    The search never counts them; this stays for the benchmark's tracer."""
     return math.comb(steps + n - 1, n - 1)
-
-
-def _search_entries(n: int, steps: int) -> int:
-    """Score entries :func:`grid_search_optimum` evaluates: one pair table of
-    C(steps + 2, 2) slices for each server from the second to the last but
-    one, then one vector over the first server's loads."""
-    return max(n - 2, 0) * math.comb(steps + 2, 2) + steps + 1
 
 
 def _contribution_tables(instance: GameInstance, steps: int, step: float) -> list[np.ndarray]:
@@ -61,136 +52,57 @@ def _contribution_tables(instance: GameInstance, steps: int, step: float) -> lis
             for i, f in enumerate(instance.delays, start=1)]
 
 
-def _pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """Min-plus convolution: the smallest ``near[k] + far[m - k]`` over
-    ``k <= m`` for every mass ``m``.
-
-    Two finite tables whose exact slopes never decrease (:func:`_exact_slopes`)
-    take the slope merge :func:`_merged_pair_table`, O(steps log steps). Every
-    other pair takes the blocked kernel :func:`_blocked_pair_table`,
-    O(steps^2), such as a table with a non-finite entry or difference, most
-    constant delays' tables ``b * x``, whose rounded entries wobble, and the
-    rounded tail of identical servers. Both kernels give the same bits
-    wherever the merge answers.
-    """
-    merged = _merged_pair_table(near, far)
-    return _blocked_pair_table(near, far) if merged is None else merged
-
-
-def _exact_slopes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """First differences of ``table`` as exact pairs ``(s, e)``, or None.
+def _exact_slopes(tables: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """First differences of every table, server n's first, as exact pairs ``(s, e)``.
 
     ``s`` is the rounded difference and ``e`` its exact remainder (TwoSum),
     so ``s + e`` is the real slope. Rounding is monotone, so lexicographic
-    order on ``(s, e)`` is the order of the real slopes. None unless every
-    pair is finite and the real slopes never decrease (the table is exactly
-    convex); a non-finite entry or difference leaves some ``e`` NaN.
+    order on ``(s, e)`` is the order of the real slopes. A difference with a
+    non-finite entry leaves ``e`` non-finite and becomes ``(+inf, 0)``.
     """
     import numpy as np
 
-    before, after = table[:-1], table[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = after - before
-        v = s - after
-        e = (after - (s - v)) - (before + v)
-    if not np.isfinite(e).all():
-        return None
-    rising = (s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (e[1:] >= e[:-1]))
-    return (s, e) if rising.all() else None
+    stacked = np.stack(tables[::-1])
+    before, after = stacked[:, :-1], stacked[:, 1:]
+    s = after - before
+    v = s - after
+    e = (after - (s - v)) - (before + v)
+    finite = np.isfinite(e)
+    return np.where(finite, s, np.inf).ravel(), np.where(finite, e, 0.0).ravel()
 
 
-def _merged_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray | None:
-    """:func:`_pair_table` by a merge of slopes, or None when a table declines.
-
-    For exactly convex tables the exact minimum of row ``m`` takes the ``m``
-    smallest of both tables' slopes (Bussieck et al., Oper. Res. Lett. 15,
-    1994). ``k(m)``, the number of ``near`` slopes among them after a stable
-    sort with ``near`` first on ties, reaches it, and the row scores
-    ``near[k] + far[m - k]``: the same float addition the blocked kernel
-    makes at that ``k``. Rounding is monotone, so the float minimum of a row
-    is the rounded exact minimum, which that addition gives; exact ties are
-    equal real sums and round alike. Mirrored tables (bit-identical) take
-    their slopes once.
-    """
-    import numpy as np
-
-    near_slopes = _exact_slopes(near)
-    if near_slopes is None:
-        return None
-    far_slopes = near_slopes if near.tobytes() == far.tobytes() else _exact_slopes(far)
-    if far_slopes is None:
-        return None
-    steps = len(near) - 1
-    order = np.lexsort((np.concatenate((near_slopes[1], far_slopes[1])),
-                        np.concatenate((near_slopes[0], far_slopes[0]))))
-    k = np.concatenate(([0], np.cumsum(order[:steps] < steps)))
-    return near[k] + far[np.arange(steps + 1) - k]
-
-
-def _blocked_pair_table(near: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """:func:`_pair_table` for any two tables, O(steps^2).
-
-    Rows run in blocks of :data:`_BLOCK`; each row is a strided window over
-    the reversed ``far``, padded with +inf, so every entry is the same float
-    addition as one argmin per slice would make. A block takes the columns
-    up to its last row only, and its entries past the diagonal are set to
-    +inf.
-    """
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    steps = len(near) - 1
-    padded = np.concatenate((far[::-1], np.full(steps, np.inf)))
-    windows = sliding_window_view(padded, steps + 1)[::-1]  # windows[m, k] = far[m - k]
-    past_diagonal = ~np.tri(_BLOCK, dtype=bool)
-    pair_val = np.empty(steps + 1)
-    buffer = np.empty(_BLOCK * (steps + 1))
-    for m0 in range(0, steps + 1, _BLOCK):
-        m1 = min(m0 + _BLOCK, steps + 1)
-        sums = buffer[: (m1 - m0) * m1].reshape(m1 - m0, m1)
-        np.add(near[:m1], windows[m0:m1, :m1], out=sums)
-        np.copyto(sums[:, m0:], np.inf, where=past_diagonal[: m1 - m0, : m1 - m0])
-        sums.min(axis=1, out=pair_val[m0:m1])
-    return pair_val
-
-
-def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
-                        _pairs: dict | None = None) -> tuple[LoadProfile, float]:
-    """Exhaustive minimum over the scaled-simplex lattice with the given step.
+def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tuple[LoadProfile, float]:
+    """Minimum over the scaled-simplex lattice with the given step.
 
     Each server has a table ``T_i[k] = x_k * tau_i^attack(x_k)`` on the axis
-    ``x_k = k * n / steps``; a point ``(k_1, .., k_n)`` summing to ``steps``
-    scores the right fold ``T_1 + (T_2 + (.. + (T_{n-1} + T_n)))``. The search
-    is one right fold of :func:`_pair_table`: the tail of the last server is
-    ``T_n``, and the tail of servers ``j..n`` is the pair table of ``T_j``
-    against the tail of servers ``j+1..n``, so it holds, for every mass, the
-    smallest score of those servers' slice. A walk from the full mass then
-    fixes one server at a time: server j takes the first minimum of
-    ``T_j[k] + tail_{j+1}[m - k]`` over the mass ``m`` left to it. Float
-    rounding is monotone, so the winner's score is the minimum over every
-    lattice point. A fold whose two tables are finite and exactly convex
-    takes the O(steps log steps) slope merge, any other the O(steps^2)
-    blocked kernel (:func:`_pair_table`), with the same bits: the first fold
-    of polynomial delays usually merges, while the rounded tail of identical
-    servers and the tables of constant delays do not.
+    ``x_k = k * n / steps``, and a point ``(k_1, .., k_n)`` summing to
+    ``steps`` scores ``sum_i T_i[k_i]``. The tables are convex (nonnegative
+    coefficients), so the least point takes the ``steps`` smallest slopes of
+    all n tables together (Gross 1956; Bussieck et al., Oper. Res. Lett. 15,
+    1994): one sort of every table's exact slopes (:func:`_exact_slopes`),
+    and ``k_i`` is the number of server i's slopes among the first
+    ``steps``. On equal exact slopes the later server goes first, so each
+    server in turn, server 1 first, takes the lowest load among the minima.
 
-    Ties: each server takes the lowest load among the minima of its slice,
-    so reruns are byte-identical. Where every score is +inf, every server
-    but the last takes load 0, with cost inf. For polynomial delays the
-    winner is within a Lipschitz-constant multiple of the resolution of the
-    true optimum. Guards: a finite ``resolution`` of at least 1e-4 that
-    leaves at least one lattice step, an attack target among the servers, a
-    finite, nonnegative attack strength (so no table holds -0.0) that keeps
-    the attacked delay at load 0 finite (so no table holds ``0 * inf``, a
-    NaN) and at most :data:`CAPACITY_LIMIT` score entries
-    (:func:`_search_entries`, the entries the blocked kernel would score on
-    every fold, whichever kernel runs): every server count up to ten runs at
-    verify's 1e-3, eleven are refused.
+    Exactness: where every table is exactly convex (its exact slopes never
+    decrease) and some point is finite, the winner is the lexicographically
+    first point of least exact sum of the rounded table values. A table
+    whose entries overflow to +inf counts as convex, since its infinite
+    slopes sort last. Elsewhere, such as constant delays ``b * x`` whose
+    rounded entries wobble, the winner's exact sum exceeds that minimum by
+    at most the tables' wobble: the sum over tables of how far each rises
+    above the table rebuilt from its own slopes in ascending order. Where
+    every point holds an infinite entry, the winner is the point the same
+    sort reaches, and it scores +inf too. For polynomial delays the winner
+    is within a Lipschitz-constant multiple of the resolution of the true
+    optimum.
 
-    ``_pairs`` is :func:`verify_security`'s memo for one scan: it keeps the
-    last call's tails, each keyed on the exact bytes of the tables it folds.
-    Those stay the same across attack strengths for every server after the
-    attacked one, so an attack on server 1 rebuilds no tail.
+    Guards: a finite ``resolution`` of at least 1e-4 that leaves at least
+    one lattice step, an attack target among the servers, a finite,
+    nonnegative attack strength that keeps the attacked delay at load 0
+    finite (so no table holds ``0 * inf``, a NaN) and at most
+    :data:`CAPACITY_LIMIT` slopes, ``n * steps``: up to 31 servers at
+    verify's 1e-3.
     """
     n = instance.n
     if not math.isfinite(resolution) or resolution < 1e-4:
@@ -206,33 +118,16 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3, *,
     steps = round(n / resolution)
     if steps < 1:
         raise ValueError(f"resolution {resolution} leaves no lattice step on {n} servers")
-    entries = _search_entries(n, steps)
-    if entries > CAPACITY_LIMIT:
+    if n * steps > CAPACITY_LIMIT:
         raise CapacityError(
-            f"lattice search evaluates {entries} score entries, limit is {CAPACITY_LIMIT}")
+            f"lattice search sorts {n * steps} slopes, limit is {CAPACITY_LIMIT}")
     import numpy as np
 
     step = n / steps
-    memo = {} if _pairs is None else _pairs
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = _contribution_tables(instance, steps, step)
-        raw = [table.tobytes() for table in tables]
-        # tails[j]: the best score of servers j+1.., which server j is scored against
-        tails, built = [tables[-1]], {}
-        for j in range(n - 2, 0, -1):
-            key = tuple(raw[j:])
-            built[key] = memo[key] if key in memo else _pair_table(tables[j], tails[0])
-            tails.insert(0, built[key])
-        memo.clear()
-        memo.update(built)
-
-        best_key, m = [], steps
-        for j in range(n - 1):
-            k = int(np.argmin(tables[j][: m + 1] + tails[j][m::-1]))
-            best_key.append(k)
-            m -= k
-        best_key.append(m)
-
+        s, e = _exact_slopes(_contribution_tables(instance, steps, step))
+    order = np.lexsort((e, s))  # stable: server n's slopes come first on ties
+    best_key = np.bincount(order[:steps] // steps, minlength=n)[::-1].tolist()
     profile = LoadProfile.from_raw([k * step for k in best_key])
     return profile, system_cost(instance, profile)
 
@@ -335,15 +230,14 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
 
     At each grid attack the team cost is compared with the 1e-3 lattice
     optimum (strong) and with the attack-oblivious baseline, the no-attack
-    optimum held fixed (weak); a gap of at most :data:`_GAP_TOL` passes. The
-    lattice runs at every server count up to ten; from eleven servers on it
-    raises :class:`CapacityError`. The scan keeps the lattice's tails from
-    one attack to the next, so the servers after the attacked one are folded
-    once per scan. Where the delays give the team game an exact potential
-    (:func:`_has_potential`: one common degree, ``b_i + c_i x**d`` with
-    ``c_i > 0``), every equilibrium has the same cost and the default
-    start's solve is the team cost; the verdict is inconclusive exactly
-    when that solve does not converge. Otherwise the
+    optimum held fixed (weak); a gap of at most :data:`_GAP_TOL` passes.
+    Each lattice is one fresh search. It runs at every server count up to
+    31; from 32 servers on the no-attack search raises
+    :class:`CapacityError`, before any team solve. Where the delays give the
+    team game an exact potential (:func:`_has_potential`: one common degree,
+    ``b_i + c_i x**d`` with ``c_i > 0``), every equilibrium has the same
+    cost and the default start's solve is the team cost; the verdict is
+    inconclusive exactly when that solve does not converge. Otherwise the
     team cost is the worst over the default start and five random starts
     drawn from ``seed``, and the verdict is inconclusive when none of them
     converges. Returns ``(strong, weak)``; each locates the largest gap of
@@ -353,9 +247,8 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
         raise ValueError("alphas must hold at least one attack strength")
     settings = settings or SolveSettings()
     rng = random.Random(seed)
-    pairs: dict = {}  # the last search's tails, reused while their tables stay the same
     baseline_profile, _ = grid_search_optimum(replace(instance, attack_strength=0.0),
-                                              _VERIFY_RESOLUTION, _pairs=pairs)
+                                              _VERIFY_RESOLUTION)
 
     strong_gaps: list[tuple[float, float]] = []
     weak_gaps: list[tuple[float, float]] = []
@@ -366,7 +259,7 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
             failed = SecurityVerdict(False, False, float(alpha), math.nan, inconclusive=True)
             return failed, failed
         worst_team = max(costs)
-        _, opt_cost = grid_search_optimum(attacked, _VERIFY_RESOLUTION, _pairs=pairs)
+        _, opt_cost = grid_search_optimum(attacked, _VERIFY_RESOLUTION)
         strong_gaps.append((float(alpha), worst_team - opt_cost))
         weak_gaps.append((float(alpha), worst_team - system_cost(attacked, baseline_profile)))
 

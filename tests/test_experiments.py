@@ -288,9 +288,9 @@ class TestCli:
         assert "strong security: true" in proc.stdout
         assert "weak security: true" in proc.stdout
 
-    @pytest.mark.parametrize("n", [7, 10])
-    def test_verify_up_to_ten_servers(self, tmp_path, capsys, n):
-        # the lattice guard admits every server count up to ten at verify's 1e-3
+    @pytest.mark.parametrize("n", [10, 31])
+    def test_verify_up_to_31_servers(self, tmp_path, capsys, n):
+        # the lattice guard admits every server count up to 31 at verify's 1e-3
         doc = base_doc(servers={"count": n, "delays": [[0, 1]] * n}, machines=[{"mass": n - 1.0}])
         argv = ["verify", str(write_scenario(tmp_path, doc)), "--alpha-list", "0.5,1,2"]
         assert cli.main(argv) == cli.EXIT_OK
@@ -298,10 +298,15 @@ class TestCli:
         assert "strong security: true" in out
         assert "weak security: true" in out
 
-    def test_verify_eleven_servers_is_usage_error(self, tmp_path, capsys):
-        doc = base_doc(servers={"count": 11, "delays": [[0, 1]] * 11}, machines=[{"mass": 10.0}])
+    def test_verify_32_servers_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # refused by the baseline lattice search, before any team solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("team solve before the lattice guard")
+
+        monkeypatch.setattr(oracle, "solve_team_equilibrium", no_solve)
+        doc = base_doc(servers={"count": 32, "delays": [[0, 1]] * 32}, machines=[{"mass": 31.0}])
         assert cli.main(["verify", str(write_scenario(tmp_path, doc))]) == cli.EXIT_USAGE
-        assert "score entries" in capsys.readouterr().err
+        assert "sorts 1024000 slopes" in capsys.readouterr().err
 
     def test_verify_inconclusive_names_alpha(self):
         proc = self.run_cli("verify", str(SCENARIOS / "constrained_three_servers.json"),

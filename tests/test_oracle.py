@@ -1,14 +1,14 @@
 import itertools
 import math
+import operator
 import random
 import sys
 import warnings
-from dataclasses import replace
-from pathlib import Path
+from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from teamsched import (
@@ -31,10 +31,6 @@ from teamsched import (
     verify_strong_security,
     verify_weak_security,
 )
-from teamsched.experiments import load_scenario
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
 
 class TestGridSearch:
     def test_two_servers_attacked(self):
@@ -64,16 +60,15 @@ class TestGridSearch:
             assert cost <= true_cost + 5e-2  # Lipschitz * resolution slack
 
     def test_capacity_guards(self):
-        # the guard counts score entries: ten servers at 1e-3 take the limit
-        assert oracle._search_entries(10, 10_000) == oracle.CAPACITY_LIMIT
-        # 9 * C(11002, 2) at 11 servers, 1e-3
-        with pytest.raises(CapacityError):
-            grid_search_optimum(GameInstance.linear(11, 1.0), 1e-3)
-        # 2 * C(40002, 2) at 4 servers, 1e-4
-        with pytest.raises(CapacityError):
-            grid_search_optimum(GameInstance.linear(4, 1.0), 1e-4)
-        with pytest.raises(CapacityError):
-            grid_search_optimum(GameInstance.linear(3, 1.0), 1e-4)
+        # the guard counts the slopes sorted, n * steps: 31 * 31,000 at 1e-3
+        # and 10 * 100,000 at 1e-4 run, 32 * 32,000 and 11 * 110,000 do not
+        for n, resolution in ((31, 1e-3), (10, 1e-4)):
+            _, cost = grid_search_optimum(GameInstance.linear(n, 1.0, n), resolution)
+            assert abs(cost - optimal_cost_linear(n, 1.0)) <= 1e-3
+        for n, resolution in ((32, 1e-3), (11, 1e-4)):
+            slopes = n * round(n / resolution)
+            with pytest.raises(CapacityError, match=f"sorts {slopes} slopes"):
+                grid_search_optimum(GameInstance.linear(n, 1.0), resolution)
         with pytest.raises(ValueError):
             grid_search_optimum(GameInstance.linear(2, 1.0), 1e-5)
 
@@ -84,13 +79,11 @@ class TestGridSearch:
             grid_search_optimum(GameInstance.linear(2, 1.0), resolution)
 
     def test_four_servers_at_verify_resolution(self):
-        # 2 * C(4002, 2) score entries: within the limit although the
-        # lattice has about 1.07e10 points
+        # 16,000 slopes, although the lattice has about 1.07e10 points
         _, cost = grid_search_optimum(GameInstance.linear(4, 1.0), 1e-3)
         assert abs(cost - team_cost_linear(4, 4.0, 1.0)) <= 1e-3
 
     def test_six_servers_at_verify_resolution(self):
-        # 4 * C(6002, 2) score entries
         _, cost = grid_search_optimum(GameInstance.linear(6, 1.5), 1e-3)
         assert abs(cost - optimal_cost_linear(6, 1.5)) <= 1e-3
 
@@ -127,12 +120,17 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_score_infinite_gives_first_point(self, n):
-        # every lattice point overflows: x * 1e308 summed over loads adding to n
+        # every lattice point overflows: x * 1e308 summed over loads adding to
+        # n. The rounded tables wobble (not exactly convex) and go +inf from
+        # x = 1.8 on; the winner is the first point the slope sort reaches
         inst = GameInstance(n, (DelayFunction((1e308,)),) * n, 1, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             profile, cost = grid_search_optimum(inst, 0.1)
-        assert profile.loads == (0.0,) * (n - 1) + (float(n),)
+        assert profile.loads == {2: (0.9, 1.1),
+                                 3: (0.9, 0.9, 1.2000000000000002),
+                                 4: (0.9, 0.9, 0.9, 1.3),
+                                 5: (0.9, 0.9, 0.9, 1.0, 1.3)}[n]
         assert cost == math.inf
 
     def test_four_servers_coarse(self):
@@ -160,60 +158,87 @@ def _tables(instance, steps):
     return step, tables
 
 
+#: one search's tables as exact integers, every entry scaled by one power of
+#: two, and ``inf``, the integer that stands for +inf: larger than any finite
+#: point's sum
+Lattice = namedtuple("Lattice", "steps step exact inf")
+
+
+def _exact_lattice(instance, resolution):
+    steps = round(instance.n / resolution)
+    step, tables = _tables(instance, steps)
+    ratios = [[v.as_integer_ratio() if math.isfinite(v) else None for v in table.tolist()]
+              for table in tables]
+    scale = max(r[1] for ratio in ratios for r in ratio if r is not None)
+    exact = [[None if r is None else r[0] * (scale // r[1]) for r in ratio] for ratio in ratios]
+    inf = len(tables) * max(v for table in exact for v in table if v is not None) + 1
+    exact = [[inf if v is None else v for v in table] for table in exact]
+    return Lattice(steps, step, exact, inf)
+
+
+def _wobble(table, inf):
+    """How far the exact table, up to its first infinite entry, rises above
+    the table rebuilt from the same slopes in ascending order: 0 exactly
+    where the table is exactly convex."""
+    finite = table[:table.index(inf)] if inf in table else table
+    slopes = [b - a for a, b in zip(finite, finite[1:])]
+    rebuilt = itertools.accumulate(sorted(slopes), initial=finite[0])
+    return max(t - r for t, r in zip(finite, rebuilt))
+
+
 def _slice(near, tail, m):
-    """Scores ``near[k] + tail[m - k]`` of one slice, ``k <= m``."""
-    return [near[k] + tail[m - k] for k in range(m + 1)]
+    """Exact scores ``near[k] + tail[m - k]`` of one slice, ``k <= m``; a
+    score at or above ``inf`` holds an infinite entry."""
+    return map(operator.add, near[: m + 1], reversed(tail[: m + 1]))
 
 
 def reference_lattice(instance, resolution):
-    """The search as one right fold of per-slice minima, in pure Python.
+    """The lexicographically first point of least exact table sum, as one
+    right fold of exact per-slice minima in pure Python.
 
-    The tail of the last server is its table, and the tail of servers j on
+    Table entries are compared as exact integers (:class:`Lattice`): a point
+    holding an infinite entry scores ``inf``, and every such point ties. The
+    tail of the last server is its table, and the tail of servers j on
     holds, for every mass m, the minimum over k of ``T_j[k] + tail[m - k]``
     against the tail of servers j+1 on. A walk from the full mass fixes one
-    server at a time at the lowest k among its slice's minima. The tables
-    hold no NaN (``TestNoNaN``). Returns the profile, its cost and the
-    winner's table value.
+    server at a time at the lowest k among its slice's minima. Returns the
+    profile, its cost, and the winner's lattice key and exact value.
     """
-    n = instance.n
-    steps = round(n / resolution)
-    step, tables = _tables(instance, steps)
-    tables = [table.tolist() for table in tables]
-    tails = [tables[-1]]
-    for near in reversed(tables[1:-1]):
-        tails.insert(0, [min(_slice(near, tails[0], m)) for m in range(steps + 1)])
+    lattice = _exact_lattice(instance, resolution)
+    steps, exact, inf = lattice.steps, lattice.exact, lattice.inf
+    tails = [exact[-1]]
+    for near in reversed(exact[1:-1]):
+        tails.insert(0, [min(min(_slice(near, tails[0], m)), inf) for m in range(steps + 1)])
     key, m = [], steps
-    for near, tail in zip(tables[:-1], tails):
-        scores = _slice(near, tail, m)
+    for near, tail in zip(exact[:-1], tails):
+        scores = [min(score, inf) for score in _slice(near, tail, m)]
         k = scores.index(min(scores))
         key.append(k)
         m -= k
     key.append(m)
-    profile = LoadProfile.from_raw([k * step for k in key])
-    return profile, system_cost(instance, profile), lattice_value(tables, key)
+    profile = LoadProfile.from_raw([k * lattice.step for k in key])
+    return profile, system_cost(instance, profile), key, lattice_value(exact, inf, key)
 
 
-def lattice_value(tables, key):
-    """Table value of one lattice point, the right fold ``T_1 + (T_2 + (.. + T_n))``."""
-    t = [float(table[k]) for table, k in zip(tables, key)]
-    value = t[-1]
-    for term in reversed(t[:-1]):
-        value = term + value
-    return value
+def lattice_value(exact, inf, key):
+    """Exact table value of one lattice point, ``inf`` if it holds an infinite entry."""
+    return min(sum(table[k] for table, k in zip(exact, key)), inf)
 
 
 def brute_force_minimum(instance, resolution):
-    """Smallest table value over every lattice point (stars and bars)."""
+    """The lexicographically first point of least exact table sum and its
+    value, over every lattice point (stars and bars, in lexicographic order)."""
     n = instance.n
-    steps = round(n / resolution)
-    _, tables = _tables(instance, steps)
-    tables = [table.tolist() for table in tables]
-    best = math.inf
+    lattice = _exact_lattice(instance, resolution)
+    steps = lattice.steps
+    best, best_key = None, None
     for bars in itertools.combinations(range(steps + n - 1), n - 1):
         edges = (-1,) + bars + (steps + n - 1,)
-        key = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
-        best = min(best, lattice_value(tables, key))
-    return best
+        key = [b - a - 1 for a, b in zip(edges, edges[1:])]
+        value = lattice_value(lattice.exact, lattice.inf, key)
+        if best is None or value < best:
+            best, best_key = value, key
+    return best_key, best
 
 
 def random_instance(rng, n):
@@ -253,17 +278,19 @@ class TestLatticeReference:
     @pytest.mark.parametrize("instance, resolution", [c[1:] for c in LATTICE_CASES],
                              ids=[c[0] for c in LATTICE_CASES])
     def test_matches_reference_bit_for_bit(self, instance, resolution):
+        lattice = _exact_lattice(instance, resolution)
+        assert not any(_wobble(table, lattice.inf) for table in lattice.exact)
         profile, cost = grid_search_optimum(instance, resolution)
-        ref_profile, ref_cost, ref_val = reference_lattice(instance, resolution)
+        ref_profile, ref_cost, ref_key, ref_val = reference_lattice(instance, resolution)
         assert profile.loads == ref_profile.loads
         assert cost == ref_cost
-        assert ref_val == brute_force_minimum(instance, resolution)
+        assert brute_force_minimum(instance, resolution) == (ref_key, ref_val)
 
     @given(n=st.sampled_from([3, 4, 5]), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_mirrored_last_servers_match_reference(self, n, data):
         # the last two tables are bit-identical
-        steps = data.draw(st.integers(1, 3 * oracle._BLOCK + 1))
+        steps = data.draw(st.integers(1, 193))
         coefficient = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4e307]), st.floats(0.0, 3.0))
         delay = DelayFunction((data.draw(st.floats(0.0, 1.0)),)
                               + tuple(data.draw(st.lists(coefficient, min_size=1, max_size=3))))
@@ -274,51 +301,76 @@ class TestLatticeReference:
         assert tables[-2].tobytes() == tables[-1].tobytes()
         _reference_matches(instance, n / steps)
 
+    @given(n=st.sampled_from([2, 3, 4]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_convex_instances_match_brute_force(self, n, data):
+        # every lattice point visited: on exactly convex tables with a finite
+        # point the merge is the lexicographically first exact minimum, ties
+        # and +inf entries included
+        steps = data.draw(st.integers(1, {2: 60, 3: 30, 4: 12}[n]))
+        coefficient = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4e307]), st.integers(0, 3))
+        delays = tuple(DelayFunction((float(data.draw(st.integers(0, 2))),)
+                                     + tuple(float(c) for c in data.draw(
+                                         st.lists(coefficient, min_size=1, max_size=3))))
+                       for _ in range(n))
+        instance = GameInstance(n, delays, data.draw(st.integers(1, n)),
+                                float(data.draw(st.integers(0, 3))))
+        lattice = _exact_lattice(instance, n / steps)
+        assume(not any(_wobble(table, lattice.inf) for table in lattice.exact))
+        key, value = brute_force_minimum(instance, n / steps)
+        assume(value < lattice.inf)
+        profile, _ = grid_search_optimum(instance, n / steps)
+        assert profile.loads == LoadProfile.from_raw([k * lattice.step for k in key]).loads
 
-def _block_cases():
+
+def _step_cases():
     rng = random.Random(8)
-    block = oracle._BLOCK
     cases = []
     for n in (3, 4, 5):
-        for steps in (block - 1, block, block + 1, 2 * block + 1):
+        for steps in (63, 64, 65, 129):
             for name, instance in (("linear", GameInstance.linear(n, 1.5)),
                                    ("poly", random_instance(rng, n))):
                 cases.append((f"{name}{n}-steps{steps}", instance, steps))
-    # no attack, 4 * block - 1 steps: the optimum ties at k1 = block - 1 (first
-    # block) and k1 = block (second block), and the first one must win
-    cases.append((f"calm4-steps{4 * block - 1}", GameInstance.linear(4, 0.0), 4 * block - 1))
+    # no attack, 255 steps on four identical servers: the optimum ties on
+    # many points, and the lexicographically first one must win
+    cases.append(("calm4-steps255", GameInstance.linear(4, 0.0), 255))
     return cases
 
 
-BLOCK_CASES = _block_cases()
+STEP_CASES = _step_cases()
 
 
 def _reference_matches(instance, resolution):
+    """The search against :func:`reference_lattice`: the same point and cost
+    where every table is exactly convex and some point is finite. Elsewhere
+    the winner's exact table value exceeds the least by at most the tables'
+    summed :func:`_wobble` (the sort takes slopes a table reaches only past
+    larger ones, and each table's excess over its sorted slopes bounds what
+    that costs); where every point holds an infinite entry, so does the
+    winner."""
     profile, cost = grid_search_optimum(instance, resolution)
-    ref_profile, ref_cost, _ = reference_lattice(instance, resolution)
-    assert profile.loads == ref_profile.loads
-    assert cost == ref_cost
+    ref_profile, ref_cost, _, ref_val = reference_lattice(instance, resolution)
+    lattice = _exact_lattice(instance, resolution)
+    wobble = sum(_wobble(table, lattice.inf) for table in lattice.exact)
+    if wobble == 0 and ref_val < lattice.inf:
+        assert profile.loads == ref_profile.loads
+        assert cost == ref_cost
+        return
+    key = [round(x / lattice.step) for x in profile.loads]
+    assert sum(key) == lattice.steps
+    assert lattice_value(lattice.exact, lattice.inf, key) - ref_val <= wobble
 
 
 class TestLatticeKernels:
-    """The blocked search against the per-slice reference only, where brute
-    force is too slow: step counts around the block size, verify's
-    resolution and random instances."""
+    """The search against the per-slice reference only, where brute force is
+    too slow: larger step counts, verify's resolution and random instances."""
 
-    @pytest.mark.parametrize("instance, steps", [c[1:] for c in BLOCK_CASES],
-                             ids=[c[0] for c in BLOCK_CASES])
+    @pytest.mark.parametrize("instance, steps", [c[1:] for c in STEP_CASES],
+                             ids=[c[0] for c in STEP_CASES])
     def test_steps_around_block_size(self, instance, steps):
         resolution = instance.n / steps
         assert round(instance.n / resolution) == steps
         _reference_matches(instance, resolution)
-
-    @pytest.mark.parametrize("instance, steps", [c[1:] for c in BLOCK_CASES],
-                             ids=[c[0] for c in BLOCK_CASES])
-    def test_blocked_kernel_around_block_size(self, monkeypatch, instance, steps):
-        # most of these tables take the slope merge on their first fold:
-        # here every fold runs through the blocked kernel
-        monkeypatch.setattr(oracle, "_pair_table", oracle._blocked_pair_table)
-        _reference_matches(instance, instance.n / steps)
 
     @pytest.mark.parametrize("instance", [
         GameInstance.linear(3, 1.5),
@@ -328,29 +380,10 @@ class TestLatticeKernels:
     def test_three_servers_at_verify_resolution(self, instance):
         _reference_matches(instance, 1e-3)
 
-    @pytest.mark.parametrize("steps", [1, oracle._BLOCK - 1, oracle._BLOCK, oracle._BLOCK + 1,
-                                       2 * oracle._BLOCK + 1, 3000])
-    @pytest.mark.parametrize("convex", [False, True])
-    def test_mirrored_pair_table_matches_full_width_kernel(self, steps, convex):
-        # a convex table puts each row's minimum at its middle column; a NaN
-        # at index j makes every row from j on score NaN, so it sits last
-        rng = np.random.default_rng(steps)
-        table = np.arange(steps + 1.0) ** 2 if convex else rng.uniform(0.0, 4.0, steps + 1)
-        table[rng.integers(1, steps + 1, 3)] = np.inf
-        table[steps] = math.nan
-        table[0] = 0.0
-        # -0.0 in place of +0.0 adds the same bits to every entry but makes
-        # the tables differ in bytes: a kernel that special-cased bit-identical
-        # tables would have to give the same bits as this call
-        unmirrored = table.copy()
-        unmirrored[unmirrored == 0.0] = -0.0
-        full_width = oracle._pair_table(table, unmirrored)
-        assert oracle._pair_table(table, table.copy()).tobytes() == full_width.tobytes()
-
     @given(n=st.sampled_from([3, 4, 5]), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_instances_match_reference(self, n, data):
-        steps = data.draw(st.integers(1, 2 * oracle._BLOCK + 1 if n == 3 else oracle._BLOCK + 2))
+        steps = data.draw(st.integers(1, 129 if n == 3 else 66))
         # small integer coefficients make ties; 4e307 (still a valid c_3) makes
         # part of the lattice +inf
         coefficient = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4e307]), st.floats(0.0, 3.0))
@@ -375,10 +408,10 @@ def _extreme_coefficient(j):
 
 
 class TestNoNaN:
-    """The walk takes the first minimum by ``np.argmin`` on every server, which
-    stops at a NaN: it needs tables and tails free of NaN on every instance
-    the guards admit, down to zero and subnormal coefficients and up to the
-    largest ones and attack strengths of 1e308."""
+    """A NaN table entry would enter the sort as an infinite slope and score
+    a point it cannot reach: the tables and the slopes the sort sees hold no
+    NaN on any instance the guards admit, down to zero and subnormal
+    coefficients and up to the largest ones and attack strengths of 1e308."""
 
     @given(n=st.integers(2, 5), resolution=st.floats(0.01, 0.25), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -396,105 +429,12 @@ class TestNoNaN:
                 grid_search_optimum(instance, resolution)
             return
         steps = round(n / resolution)
-        pairs = {}
         with np.errstate(over="ignore", invalid="ignore"):
             tables = oracle._contribution_tables(instance, steps, n / steps)
-            grid_search_optimum(instance, resolution, _pairs=pairs)
-        assert len(pairs) == n - 2
-        for table in tables + list(pairs.values()):
-            assert not np.isnan(table).any()
+            slopes = oracle._exact_slopes(tables)
+        for array in tables + list(slopes):
+            assert not np.isnan(array).any()
         _reference_matches(instance, resolution)
-
-
-def _declined_tables():
-    """Tables the slope merge must leave to the blocked kernel."""
-    _, constant = _tables(GameInstance.identical(3, (1.0,)), 300)
-    _, wobbly = _tables(GameInstance.identical(3, (0.7,)), 3000)
-    _, linear = _tables(GameInstance.linear(3), 300)
-    with_inf, with_nan = linear[0].copy(), linear[0].copy()
-    with_inf[150] = math.inf
-    with_nan[7] = math.nan
-    _, steep = _tables(GameInstance(3, (DelayFunction((0.0, 5e307)),) * 3, 1, 1.0), 300)
-    return [
-        ("constant", constant[1]),
-        ("constant-0.7", wobbly[1]),
-        ("inf-entry", with_inf),
-        ("nan-entry", with_nan),
-        ("overflow", steep[1]),
-        # the rounded tail of identical servers is not exactly convex
-        ("identical-tail", oracle._pair_table(linear[1], linear[2])),
-    ]
-
-
-DECLINED_TABLES = _declined_tables()
-
-
-class TestMergeKernel:
-    """The slope merge against the blocked kernel it stands in front of."""
-
-    @given(steps=st.integers(1, 3000), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_merge_matches_blocked_kernel(self, steps, data):
-        # tiny, subnormal and huge coefficients; 4e307 overflows part of a table
-        coefficient = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-20, 1.0, 4e307]),
-                                st.floats(0.0, 1e-300), st.floats(0.0, 1e-12), st.floats(0.0, 3.0))
-
-        def delay():
-            return DelayFunction((data.draw(st.floats(0.0, 1.0)),)
-                                 + tuple(data.draw(st.lists(coefficient, min_size=1, max_size=3))))
-
-        instance = GameInstance(2, (delay(), delay()), data.draw(st.integers(1, 2)),
-                                data.draw(st.floats(0.0, 3.0)))
-        _, (near, far) = _tables(instance, steps)
-        if data.draw(st.booleans()):
-            far = near.copy()
-        with np.errstate(over="ignore"):  # steep tables overflow on purpose
-            blocked = oracle._blocked_pair_table(near, far)
-            merged = oracle._merged_pair_table(near, far)
-            assert merged is None or merged.tobytes() == blocked.tobytes()
-            assert oracle._pair_table(near, far).tobytes() == blocked.tobytes()
-
-    @given(steps=st.integers(1, 300), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_valid_tables_never_hold_negative_zero(self, steps, data):
-        # the gate keeps no check for -0.0, whose sums the two kernels could
-        # keep as different zeros: no valid instance's table or tail holds one
-        coefficient = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 4e307]), st.floats(0.0, 3.0))
-        strength = st.one_of(st.sampled_from([0.0, -0.0, 1e300]), st.floats(0.0, 1e300))
-        n = data.draw(st.integers(2, 3))
-        delays = tuple(DelayFunction(tuple(data.draw(st.lists(coefficient, min_size=1, max_size=4))))
-                       for _ in range(n))
-        instance = GameInstance(n, delays, data.draw(st.integers(1, n)), data.draw(strength))
-        with np.errstate(over="ignore", invalid="ignore"):  # 4e307 overflows on purpose
-            tables = oracle._contribution_tables(instance, steps, n / steps)
-            tables.append(oracle._pair_table(tables[-2], tables[-1]))
-        for table in tables:
-            assert not (np.signbit(table) & (table == 0.0)).any()
-
-    @pytest.mark.parametrize("table", [c[1] for c in DECLINED_TABLES],
-                             ids=[c[0] for c in DECLINED_TABLES])
-    @np.errstate(over="ignore")  # the steep table overflows on purpose
-    def test_gate_declines(self, table):
-        _, (convex, _, _) = _tables(GameInstance.linear(3, 1.0), len(table) - 1)
-        assert oracle._exact_slopes(convex) is not None
-        assert oracle._exact_slopes(table) is None
-        for near, far in ((table, convex), (convex, table), (table, table.copy())):
-            assert oracle._merged_pair_table(near, far) is None
-            assert oracle._pair_table(near, far).tobytes() == \
-                oracle._blocked_pair_table(near, far).tobytes()
-
-    def test_verify_scan_never_enters_blocked_kernel(self, monkeypatch):
-        scenario = load_scenario(SCENARIOS / "constrained_three_servers.json")
-        merged, blocked = [], []
-        merge, kernel = oracle._merged_pair_table, oracle._blocked_pair_table
-        monkeypatch.setattr(oracle, "_merged_pair_table",
-                            lambda near, far: merged.append(1) or merge(near, far))
-        monkeypatch.setattr(oracle, "_blocked_pair_table",
-                            lambda near, far: blocked.append(1) or kernel(near, far))
-        strong, _ = verify_security(scenario.instance, scenario.population,
-                                    scenario.alpha_grid, settings=scenario.settings)
-        assert not strong.inconclusive
-        assert merged and not blocked
 
 
 class TestSecurityVerdicts:
@@ -553,38 +493,6 @@ class TestSecurityVerdicts:
         assert strong == verify_strong_security(inst, pop, [0.5, 1.0], seed=3)
         assert weak == verify_weak_security(inst, pop, [0.5, 1.0], seed=3)
         assert not strong.strong and strong.weak
-
-    @staticmethod
-    def _tail_reuse_matches_fresh_searches(monkeypatch, n, target, builds):
-        # the tail of servers j.. stays the same across the scan only when the
-        # attack targets none of them: an attack on server 1 rebuilds none
-        inst = replace(GameInstance.linear(n), attack_target=target)
-        pop = SchedulerPopulation.for_instance(n, ((2.0, range(2, n + 1)),), (1, 2))
-        alphas = [0.5, 1.5]
-        built = []
-        pair_table = oracle._pair_table
-        monkeypatch.setattr(oracle, "_pair_table",
-                            lambda near, far: built.append(1) or pair_table(near, far))
-        reused = verify_security(inst, pop, alphas, seed=3)
-        assert len(built) == builds
-        assert not reused[0].inconclusive
-
-        grid = oracle.grid_search_optimum
-        monkeypatch.setattr(oracle, "grid_search_optimum",
-                            lambda instance, resolution=1e-3, *, _pairs=None: grid(instance, resolution))
-        built.clear()
-        assert verify_security(inst, pop, alphas, seed=3) == reused
-        assert len(built) == (n - 2) * (1 + len(alphas))
-
-    @pytest.mark.parametrize("target, builds", [(1, 1), (3, 3)])
-    def test_pair_table_reuse_matches_fresh_searches(self, monkeypatch, target, builds):
-        self._tail_reuse_matches_fresh_searches(monkeypatch, 3, target, builds)
-
-    @pytest.mark.parametrize("target, builds", [(1, 3), (3, 1 + 2 * 3)])
-    def test_tail_reuse_at_five_servers(self, monkeypatch, target, builds):
-        # tails of servers 2..5, 3..5 and 4..5: an attack on server 3 keeps
-        # only the last one
-        self._tail_reuse_matches_fresh_searches(monkeypatch, 5, target, builds)
 
     def test_empty_alpha_grid_rejected(self):
         inst = GameInstance.linear(2)
