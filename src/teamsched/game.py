@@ -43,7 +43,7 @@ def as_count(value: float, what: str) -> int:
 
 def horner(coefficients: Sequence[float], x: float) -> tuple[float, float]:
     """Value and slope at ``x`` of the polynomial with the given coefficients,
-    constant first. ``x`` may also be a numpy array, evaluated elementwise."""
+    constant first."""
     value = slope = 0.0
     for c in reversed(coefficients):
         slope = slope * x + value

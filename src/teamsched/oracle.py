@@ -1,6 +1,9 @@
-"""Independent brute-force verification: lattice search over the load simplex,
+"""Independent verification: an exact search of the load-simplex lattice,
 security classification of team scheduling, and monotonicity sweeps.
 
+The lattice search is pure Python. It selects the lattice's least point from
+the exact slopes of the servers' tables, evaluating only the few slopes it
+needs where a rounding-error certificate proves a table exactly convex.
 Nothing here reuses the closed forms; agreement between this module and the
 analytic/iterative paths is what the test suite certifies.
 """
@@ -9,18 +12,18 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .game import (DisaggregatedProfile, GameInstance, LoadProfile,
-                   SchedulerPopulation, system_cost)
+from .game import (DelayFunction, DisaggregatedProfile, GameInstance, LoadProfile,
+                   SchedulerPopulation, horner, system_cost)
 from .solvers import SolveSettings, solve_team_equilibrium
 
-if TYPE_CHECKING:
-    import numpy as np
-
-#: refuse lattice searches that would sort more slopes than this, ``n * steps``:
-#: 31 servers at the verdicts' resolution, 10 at the floor of 1e-4
+#: refuse lattice searches over more slopes than this, ``n * steps``: 31 servers
+#: at the verdicts' resolution, 10 at the floor of 1e-4. The selection reads a
+#: few hundred slopes of a certified table, but sorts every slope it cannot
+#: certify (all of a constant delay's), so this bounds that worst case
 CAPACITY_LIMIT = 1_000_000
 #: the security verdicts' lattice resolution, the largest team-minus-reference
 #: gap they pass (meaningful only at that resolution), random team starts per
@@ -43,32 +46,142 @@ def lattice_size(n: int, steps: int) -> int:
     return math.comb(steps + n - 1, n - 1)
 
 
-def _contribution_tables(instance: GameInstance, steps: int, step: float) -> list[np.ndarray]:
-    """Per-server tables of x * tau_i^attack(x) on the lattice axis."""
-    import numpy as np  # imported here so that solves never load numpy
+class _Slopes:
+    """One server's table and its first differences as sort keys, computed on
+    demand and indexable by slope, so that :mod:`bisect` counts them in
+    place.
 
-    axis = np.arange(steps + 1, dtype=np.float64) * step
-    return [axis * (f(axis) + instance.attack_bonus(i))
-            for i, f in enumerate(instance.delays, start=1)]
-
-
-def _exact_slopes(tables: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """First differences of every table, server n's first, as exact pairs ``(s, e)``.
-
-    ``s`` is the rounded difference and ``e`` its exact remainder (TwoSum),
-    so ``s + e`` is the real slope. Rounding is monotone, so lexicographic
-    order on ``(s, e)`` is the order of the real slopes. A difference with a
-    non-finite entry leaves ``e`` non-finite and becomes ``(+inf, 0)``.
+    Entry ``k`` is ``T[k] = x * (tau(x) + attack)`` at ``x = k * step``, the
+    IEEE operations of an elementwise evaluation on the whole axis. Slope
+    ``k`` joins entries ``k`` and ``k + 1``; its key is ``(s, e, j)``: ``s``
+    the rounded difference, ``e`` its exact remainder (TwoSum), so ``s + e``
+    is the real slope and the lexicographic order on ``(s, e)`` is the order
+    of the real slopes (rounding is monotone), and ``j`` its place in the
+    tie order, ``(n - i) * steps + k`` for server i: on equal slopes the later
+    server comes first. A difference with a non-finite entry leaves ``e``
+    non-finite and becomes ``(+inf, 0.0, j)``, so no key holds a NaN.
     """
-    import numpy as np
 
-    stacked = np.stack(tables[::-1])
-    before, after = stacked[:, :-1], stacked[:, 1:]
-    s = after - before
-    v = s - after
-    e = (after - (s - v)) - (before + v)
-    finite = np.isfinite(e)
-    return np.where(finite, s, np.inf).ravel(), np.where(finite, e, 0.0).ravel()
+    __slots__ = ("delay", "bonus", "step", "base")
+
+    def __init__(self, delay: DelayFunction, bonus: float, step: float, base: int):
+        self.delay, self.bonus, self.step, self.base = delay, bonus, step, base
+
+    def entry(self, k: int) -> float:
+        x = k * self.step
+        return x * (self.delay(x) + self.bonus)
+
+    def __getitem__(self, k: int) -> tuple[float, float, int]:
+        before, after = self.entry(k), self.entry(k + 1)
+        s = after - before
+        v = s - after
+        e = (after - (s - v)) - (before + v)
+        if math.isfinite(e):
+            return s, e, self.base + k
+        return math.inf, 0.0, self.base + k
+
+
+def _convex_from(delay: DelayFunction, bonus: float, step: float, steps: int, n: int) -> int:
+    """First slope from which the keys of :class:`_Slopes` provably never
+    decrease; ``steps`` where nothing is certified.
+
+    Write ``G(x) = x * (tau(x) + attack)``, of degree ``d + 1`` with
+    nonnegative coefficients, ``x_k = k * step`` for the exact grid,
+    ``u = 2**-53`` and ``X = n (1 + 2**-50)``, above every grid point and
+    its rounding. Keys ``k - 1`` and ``k`` are in order exactly when the
+    rounded entries' second difference at ``k`` is nonnegative. At ``k >= 1``:
+
+    - on the exact grid it is at least ``step**2 * G''(x_k)``, since
+      ``G''`` is convex on ``x >= 0`` (Jensen over the hat kernel);
+    - rounding ``k * step`` moves each point by at most ``u * x_k``, which
+      moves it by at most ``4 u (d + 1) G(X)``, as ``x G'(x) <= (d + 1) G(x)``;
+    - the ``2d + 2`` roundings of each entry (Horner, the attack, the
+      product) move the entry by at most ``gamma_{2d+2} G(X)`` (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2002, ch. 5), plus,
+      on underflow, an absolute term below ``floor``.
+
+    The moves add up to less than ``16 (d + 1) u G(X) + 4 floor``. ``G''``
+    grows with k, so where ``step**2 * G''(x_k)`` reaches that bound at
+    ``k = k0``, the keys are in order from slope ``k0 - 1`` on. The bound is
+    doubled to absorb the roundings of this test. Entries that overflow to +inf break
+    nothing: their keys are the largest, in slope order. A constant delay has
+    ``G'' = 0`` and is never certified; nor is a table that may overflow
+    before ``X``.
+    """
+    if steps < 2:
+        return 0
+    d = delay.degree
+    curvature = [(j + 1) * j * c for j, c in enumerate(delay.coefficients)][1:]
+    if not all(math.isfinite(c) for c in curvature):
+        return steps
+    top = n * (1.0 + 2.0 ** -50)
+    try:
+        floor = (2 * d + 2) * 2.0 ** -1000 * top ** (d + 1)
+    except OverflowError:
+        return steps
+    bound = 2.0 * (16 * (d + 1) * 2.0 ** -53 * top * (delay(top) + bonus) + 4.0 * floor)
+    if not bound < math.inf:
+        return steps
+
+    def holds(k: int) -> bool:
+        return step * step * horner(curvature, k * step)[0] >= bound
+
+    if holds(1):
+        return 0
+    if not holds(steps - 1):
+        return steps
+    fails, passes = 1, steps - 1
+    while passes - fails > 1:
+        mid = (fails + passes) // 2
+        if holds(mid):
+            passes = mid
+        else:
+            fails = mid
+    return passes - 1
+
+
+def _select(runs: list, lo: list[int], hi: list[int], count: int) -> list[int]:
+    """Where the ``count`` smallest keys of all runs' windows end in each run.
+
+    Run q is indexable and ascending on its window ``[lo[q], hi[q])``; the
+    result is, per run, the index past its last key among the ``count``
+    smallest. Invariant: run q's answer lies in ``[lo[q], hi[q]]``. A pivot
+    key from the widest window is counted in every run by bisection inside
+    its window; the total says on which side of the ``count``-th smallest
+    key the pivot lies, and every window shrinks to its count on that side
+    (a count clamped to its window is still a bound). The pivot's index is
+    interpolated from the windows' totals (regula falsi); after two moves
+    to one side it is the window's midpoint instead, so the windows keep
+    halving where interpolation stalls.
+    """
+    target = sum(lo) + count
+    last, streak = None, 0
+    while True:
+        below, above = sum(lo), sum(hi)
+        if below == target:
+            return lo
+        if above == target:
+            return hi
+        q = max(range(len(runs)), key=lambda r: hi[r] - lo[r])
+        width = hi[q] - lo[q]
+        if streak < 2:
+            p = lo[q] + width * (target - below) // (above - below)
+        else:
+            p = lo[q] + width // 2
+        pivot = runs[q][p]
+        counts = [p + 1 if r == q else bisect_right(run, pivot, lo[r], hi[r])
+                  for r, run in enumerate(runs)]
+        total = sum(counts)
+        if total == target:
+            return counts
+        high = total > target
+        streak = streak + 1 if high == last else 1
+        last = high
+        if high:
+            counts[q] = p
+            hi = counts
+        else:
+            lo = counts
 
 
 def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tuple[LoadProfile, float]:
@@ -79,21 +192,27 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tup
     ``steps`` scores ``sum_i T_i[k_i]``. The tables are convex (nonnegative
     coefficients), so the least point takes the ``steps`` smallest slopes of
     all n tables together (Gross 1956; Bussieck et al., Oper. Res. Lett. 15,
-    1994): one sort of every table's exact slopes (:func:`_exact_slopes`),
-    and ``k_i`` is the number of server i's slopes among the first
-    ``steps``. On equal exact slopes the later server goes first, so each
-    server in turn, server 1 first, takes the lowest load among the minima.
+    1994), and ``k_i`` is the number of server i's slopes among them. The
+    search selects the ``steps``-th smallest exact slope key (:class:`_Slopes`)
+    without sorting: where a server's rounded table is certified exactly
+    convex (:func:`_convex_from`), its keys ascend and are counted by
+    bisection, evaluated on demand; the range the certificate leaves out (a
+    prefix, or the whole table for a constant delay or one that may
+    overflow) is materialised and sorted once. On equal exact slopes the
+    later server goes first, so each server in turn, server 1 first, takes
+    the lowest load among the minima. The winner is the point one stable
+    sort of every key would give.
 
     Exactness: where every table is exactly convex (its exact slopes never
     decrease) and some point is finite, the winner is the lexicographically
     first point of least exact sum of the rounded table values. A table
     whose entries overflow to +inf counts as convex, since its infinite
-    slopes sort last. Elsewhere, such as constant delays ``b * x`` whose
+    slopes come last. Elsewhere, such as constant delays ``b * x`` whose
     rounded entries wobble, the winner's exact sum exceeds that minimum by
     at most the tables' wobble: the sum over tables of how far each rises
     above the table rebuilt from its own slopes in ascending order. Where
     every point holds an infinite entry, the winner is the point the same
-    sort reaches, and it scores +inf too. For polynomial delays the winner
+    order reaches, and it scores +inf too. For polynomial delays the winner
     is within a Lipschitz-constant multiple of the resolution of the true
     optimum.
 
@@ -121,13 +240,23 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tup
     if n * steps > CAPACITY_LIMIT:
         raise CapacityError(
             f"lattice search sorts {n * steps} slopes, limit is {CAPACITY_LIMIT}")
-    import numpy as np
 
     step = n / steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, e = _exact_slopes(_contribution_tables(instance, steps, step))
-    order = np.lexsort((e, s))  # stable: server n's slopes come first on ties
-    best_key = np.bincount(order[:steps] // steps, minlength=n)[::-1].tolist()
+    runs, windows = [], []
+    for i, f in enumerate(instance.delays, start=1):
+        bonus = instance.attack_bonus(i)
+        slopes = _Slopes(f, bonus, step, (n - i) * steps)
+        start = _convex_from(f, bonus, step, steps, n)
+        if start:
+            runs.append(sorted(map(slopes.__getitem__, range(start))))
+            windows.append((i, 0, start))
+        if start < steps:
+            runs.append(slopes)
+            windows.append((i, start, steps))
+    servers, lo, hi = zip(*windows)
+    best_key = [0] * n
+    for i, low, end in zip(servers, lo, _select(runs, list(lo), list(hi), steps)):
+        best_key[i - 1] += end - low
     profile = LoadProfile.from_raw([k * step for k in best_key])
     return profile, system_cost(instance, profile)
 

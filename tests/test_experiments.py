@@ -315,23 +315,32 @@ class TestCli:
         assert proc.stdout == "verdict: inconclusive (solver did not converge at alpha=0.5)\n"
 
     def test_solve_does_not_load_numpy(self):
-        # numpy serves only the lattice oracle; importing the package,
-        # solving a scenario, sweeping it and the numeric figures must not pay for it
+        # no command needs numpy: importing the package, solving, sweeping,
+        # the numeric figures and verify (the lattice oracle) leave it
+        # unloaded, and they all run again with numpy made unimportable (a
+        # None entry in sys.modules makes every import of it raise)
         scenario = str(SCENARIOS / "constrained_three_servers.json")
+        two_servers = str(SCENARIOS / "unconstrained_two_servers.json")
         code = (
             "import sys\n"
             "import teamsched\n"
             "from teamsched import cli\n"
-            "assert 'numpy' not in sys.modules, 'import'\n"
+            "assert sys.modules.get('numpy') is None, 'import'\n"
             f"assert cli.main(['solve', {scenario!r}]) == 0\n"
-            "assert 'numpy' not in sys.modules, 'solve'\n"
+            "assert sys.modules.get('numpy') is None, 'solve'\n"
             f"assert cli.main(['sweep', {scenario!r}]) == 0\n"
-            "assert 'numpy' not in sys.modules, 'sweep'\n"
+            "assert sys.modules.get('numpy') is None, 'sweep'\n"
             "assert cli.main(['figure', 'fig4', '--numeric']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'figure'\n"
+            "assert cli.main(['figure', 'fig5', '--numeric']) == 0\n"
+            "assert sys.modules.get('numpy') is None, 'figure'\n"
+            f"assert cli.main(['verify', {scenario!r}]) == 0\n"
+            f"assert cli.main(['verify', {two_servers!r}]) == 0\n"
+            "assert sys.modules.get('numpy') is None, 'verify'\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        for prelude in ("", "sys.modules['numpy'] = None\n"):
+            script = code.replace("import teamsched\n", prelude + "import teamsched\n", 1)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
 
     def test_verify_infinite_lattice_inconclusive(self, tmp_path):
         # every lattice score overflows: the oracle returns cost inf, and the

@@ -19,6 +19,7 @@ from teamsched import (
     SchedulerPopulation,
     SolveSettings,
     constrained_team_cost,
+    experiments,
     grid_search_optimum,
     monotonicity_sweep,
     optimal_cost_linear,
@@ -394,6 +395,143 @@ class TestLatticeKernels:
         _reference_matches(instance, n / steps)
 
 
+# The numpy merge the pure-Python selection replaced, kept with its
+# operations unchanged as an independent reference: every table on the whole
+# axis at once, their exact slopes as TwoSum pairs, one stable lexsort and
+# each server's count among the first ``steps`` slopes.
+
+def _contribution_tables(instance, steps, step):
+    """Per-server tables of x * tau_i^attack(x) on the lattice axis."""
+    axis = np.arange(steps + 1, dtype=np.float64) * step
+    return [axis * (f(axis) + instance.attack_bonus(i))
+            for i, f in enumerate(instance.delays, start=1)]
+
+
+def _exact_slopes(tables):
+    """First differences of every table, server n's first, as exact pairs ``(s, e)``."""
+    stacked = np.stack(tables[::-1])
+    before, after = stacked[:, :-1], stacked[:, 1:]
+    s = after - before
+    v = s - after
+    e = (after - (s - v)) - (before + v)
+    finite = np.isfinite(e)
+    return np.where(finite, s, np.inf).ravel(), np.where(finite, e, 0.0).ravel()
+
+
+def numpy_merge(instance, resolution):
+    """The least lattice point by one stable sort of every exact slope."""
+    n = instance.n
+    steps = round(n / resolution)
+    step = n / steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, e = _exact_slopes(_contribution_tables(instance, steps, step))
+    order = np.lexsort((e, s))  # stable: server n's slopes come first on ties
+    best_key = np.bincount(order[:steps] // steps, minlength=n)[::-1].tolist()
+    profile = LoadProfile.from_raw([k * step for k in best_key])
+    return profile, system_cost(instance, profile)
+
+
+def _matches_numpy_merge(instance, resolution):
+    profile, cost = grid_search_optimum(instance, resolution)
+    ref_profile, ref_cost = numpy_merge(instance, resolution)
+    assert profile.loads == ref_profile.loads
+    assert cost == ref_cost
+
+
+def _certified_from(instance, steps):
+    """Each server's first certified slope (:func:`oracle._convex_from`)."""
+    return [oracle._convex_from(f, instance.attack_bonus(i), instance.n / steps, steps, instance.n)
+            for i, f in enumerate(instance.delays, start=1)]
+
+
+def _family_delays(family, n, data):
+    """n delays of one family: TestNoNaN's extremes, constants, pure powers
+    (no linear term), coefficients that overflow part of the table, or one
+    delay on every server (mirrored tables)."""
+    def coefficient(j):
+        return data.draw(_extreme_coefficient(j))
+
+    def delay():
+        if family == "constant":
+            return DelayFunction((coefficient(0),))
+        if family == "power":
+            intercept = data.draw(st.sampled_from([0.0, 1.0, 1e6, 1e9, 1e12]))
+            degree = data.draw(st.integers(2, 4))
+            return DelayFunction((intercept,) + (0.0,) * (degree - 1) + (coefficient(degree),))
+        if family == "overflow":
+            return DelayFunction((data.draw(st.floats(0.0, 1.0)), data.draw(st.sampled_from([1.0, 5e307])))
+                                 + ((4e307,) if data.draw(st.booleans()) else ()))
+        return DelayFunction(tuple(coefficient(j) for j in range(data.draw(st.integers(1, 5)))))
+
+    if family == "mirrored":
+        return (delay(),) * n
+    return tuple(delay() for _ in range(n))
+
+
+class TestNumpyReference:
+    """The selection against :func:`numpy_merge`: the same point and cost,
+    bit for bit, on every instance, wobbling and all-infinite tables
+    included."""
+
+    @given(n=st.integers(2, 6), family=st.sampled_from(["extreme", "constant", "power",
+                                                        "overflow", "mirrored"]),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_instances_match_numpy_merge(self, n, family, data):
+        delays = _family_delays(family, n, data)
+        alpha = data.draw(st.one_of(st.sampled_from([0.0, 1e9, 1e308]), st.floats(0.0, 3.0)))
+        instance = GameInstance(n, delays, data.draw(st.integers(1, n)), alpha)
+        steps = data.draw(st.integers(1, 400 // n))
+        assume(all(f.intercept + instance.attack_bonus(i) < math.inf
+                   for i, f in enumerate(delays, start=1)))
+        _matches_numpy_merge(instance, n / steps)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10])
+    def test_linear_figure_grid_is_certified(self, n):
+        # linear servers at verify's resolution on the 61-point figure grid:
+        # every table is certified whole, so nothing is materialised
+        steps = round(n / 1e-3)
+        for alpha in experiments._grid(0.0, 3.0, 61):
+            instance = GameInstance.linear(n, alpha)
+            assert _certified_from(instance, steps) == [0] * n
+            _matches_numpy_merge(instance, 1e-3)
+
+    @pytest.mark.parametrize("n, intercept", [(3, 1e9), (3, 1e10), (5, 1e10)])
+    def test_partly_certified_tables_match_numpy_merge(self, n, intercept):
+        # x**2 on a large intercept: the certificate covers a suffix (5 to 88
+        # slopes in), and the prefix before it is materialised and sorted
+        instance = GameInstance.identical(n, (intercept, 0.0, 1.0), 1.0)
+        steps = round(n / 0.01)
+        assert all(0 < start < steps for start in _certified_from(instance, steps))
+        _matches_numpy_merge(instance, 0.01)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_score_infinite_matches_numpy_merge(self, n):
+        _matches_numpy_merge(GameInstance(n, (DelayFunction((1e308,)),) * n, 1, 1.0), 0.1)
+
+
+class TestCertificate:
+    @given(n=st.integers(1, 6), steps=st.integers(1, 600), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_certified_keys_never_decrease(self, n, steps, data):
+        # every key from the first certified slope on, materialised: none is
+        # below the one before it, at any magnitude, partial covers included
+        intercept = data.draw(st.one_of(_extreme_coefficient(0),
+                                        st.sampled_from([1e6, 1e9, 1e12, 1e15])))
+        delay = DelayFunction((intercept,) + tuple(data.draw(_extreme_coefficient(j))
+                                                   for j in range(1, data.draw(st.integers(1, 5)))))
+        bonus = data.draw(st.one_of(st.sampled_from([0.0, 1e9, 1e300]), st.floats(0.0, 3.0)))
+        assume(intercept + bonus < math.inf)
+        start = oracle._convex_from(delay, bonus, n / steps, steps, n)
+        slopes = oracle._Slopes(delay, bonus, n / steps, 0)
+        keys = [slopes[k] for k in range(start, steps)]
+        assert all(a <= b for a, b in zip(keys, keys[1:]))
+
+    def test_constant_delays_are_not_certified(self):
+        # b * x wobbles: no curvature to absorb the rounding
+        assert _certified_from(GameInstance.identical(3, (1.0,), 0.5), 300) == [300] * 3
+
+
 def _largest_coefficient(j):
     """The largest c_j that :class:`DelayFunction` admits: ``(j + 1) * c_j`` finite."""
     c = sys.float_info.max / (j + 1)
@@ -408,10 +546,11 @@ def _extreme_coefficient(j):
 
 
 class TestNoNaN:
-    """A NaN table entry would enter the sort as an infinite slope and score
-    a point it cannot reach: the tables and the slopes the sort sees hold no
-    NaN on any instance the guards admit, down to zero and subnormal
-    coefficients and up to the largest ones and attack strengths of 1e308."""
+    """A NaN table entry would become an infinite slope key and score a
+    point it cannot reach: the table entries and the keys the selection
+    compares (:class:`oracle._Slopes`) hold no NaN on any instance the
+    guards admit, down to zero and subnormal coefficients and up to the
+    largest ones and attack strengths of 1e308."""
 
     @given(n=st.integers(2, 5), resolution=st.floats(0.01, 0.25), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -429,12 +568,13 @@ class TestNoNaN:
                 grid_search_optimum(instance, resolution)
             return
         steps = round(n / resolution)
-        with np.errstate(over="ignore", invalid="ignore"):
-            tables = oracle._contribution_tables(instance, steps, n / steps)
-            slopes = oracle._exact_slopes(tables)
-        for array in tables + list(slopes):
-            assert not np.isnan(array).any()
+        for i, f in enumerate(delays, start=1):
+            slopes = oracle._Slopes(f, instance.attack_bonus(i), n / steps, (n - i) * steps)
+            assert not any(math.isnan(slopes.entry(k)) for k in range(steps + 1))
+            keys = [slopes[k] for k in range(steps)]
+            assert not any(math.isnan(s) or math.isnan(e) for s, e, _ in keys)
         _reference_matches(instance, resolution)
+        _matches_numpy_merge(instance, resolution)
 
 
 class TestSecurityVerdicts:
