@@ -22,7 +22,8 @@ scales the machine masses proportionally, so it needs at least one machine.
 more servers with delay ``[0, 1]`` and the attack on server 1.
 Every field is type-checked on load: a missing required or an unknown field,
 a value of the wrong JSON type (a non-integral count, index or iteration cap
-included) or a sweep axis of more than :data:`MAX_GRID_POINTS` points raises
+included), a server count below 1 or a sweep axis of more than
+:data:`MAX_GRID_POINTS` points or with a non-finite point raises
 :class:`ScenarioError` naming the dotted field.
 
 CSV output is pinned: comma separator, header row, 12 significant digits,
@@ -163,7 +164,11 @@ def _parse_grid(sweep: dict, axis: str) -> tuple[float, ...] | None:
     if not 0.0 <= start <= stop < math.inf:
         raise ScenarioError(
             f"{where} range [{start}, {stop}] must be finite, nonnegative and ascending")
-    return tuple(_grid(start, stop, points))
+    grid = tuple(_grid(start, stop, points))
+    if not all(math.isfinite(x) for x in grid):
+        # (stop - start) * i overflows before the division, as at stop 1e308
+        raise ScenarioError(f"{where} range [{start}, {stop}] overflows to grid point {grid[-1]}")
+    return grid
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -190,6 +195,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     servers = _only(_field(doc, "servers", "", dict), "servers", "count", "delays")
     n = _field(servers, "count", "servers", int)
+    if n < 1:
+        raise ScenarioError(f"scenario field 'servers.count' must be at least 1, got {n}")
     delays = _field(servers, "delays", "servers", list)
     if len(delays) != n:
         raise ScenarioError(f"servers.delays must list {n} coefficient arrays")

@@ -288,11 +288,8 @@ class DisaggregatedProfile:
                     f"machine block {k} has {len(block)} entries, expected {n}")
 
     def aggregate_loads(self) -> tuple[float, ...]:
-        totals = list(self.selfish)
-        for block in self.per_machine:
-            for i, x in enumerate(block):
-                totals[i] += x
-        return tuple(totals)
+        """Per-server sum of every block, exactly rounded (``math.fsum``)."""
+        return tuple(math.fsum(column) for column in zip(self.selfish, *self.per_machine))
 
 
 def validate(instance: GameInstance, population: SchedulerPopulation) -> list[str]:
@@ -316,6 +313,10 @@ def validate(instance: GameInstance, population: SchedulerPopulation) -> list[st
         issues.append(f"nonfinite-attack-strength: {instance.attack_strength}")
     elif instance.attack_strength < 0.0:
         issues.append(f"negative-attack-strength: {instance.attack_strength}")
+    elif any(f.intercept + instance.attack_bonus(i) == math.inf
+             for i, f in enumerate(instance.delays, start=1)):
+        issues.append(f"attack-overflow: strength {instance.attack_strength} makes server "
+                      f"{instance.attack_target}'s delay at load 0 infinite")
 
     total_machine = population.machine_mass_total
     if total_machine > n + 1e-12:

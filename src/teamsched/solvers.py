@@ -7,9 +7,10 @@
 * :func:`solve_team_equilibrium` and :func:`solve_fully_selfish` — one
   alternating best response over access groups, each moving halfway to its
   answer: the social optimum for machines (team) or a Wardrop fill like the
-  selfish jobs' (fully selfish). A certificate gates reported convergence;
-  it and each sweep's stop test score every block by one rule: a selfish
-  block's worst delay gap, or the cost a machine block's best response saves.
+  selfish jobs' (fully selfish). One certificate, over every scheduler
+  class, gates reported convergence in both; it and each sweep's stop test
+  score a block by one rule: a selfish block's worst delay gap, or the cost
+  a machine block's best response saves.
 
 Both fills equalize a common service level by Newton steps: each step
 replaces every level by its tangent at the server's current load and fills
@@ -75,9 +76,11 @@ class SolveReport:
 
     ``selfish_residual`` is the worst delay gap a selfish job could close by
     switching; ``machine_residual`` the largest cost improvement any single
-    machine could still realize; either reads NaN when it compares infinite
-    costs. ``converged`` means both were at or below the tolerance, and the
-    cost and loads finite, when the solve stopped.
+    machine could still realize (0 when every machine is selfish); either
+    reads NaN when it compares infinite costs. Both score every class of
+    ``profile`` at its aggregate loads. ``converged`` means both were at or
+    below the tolerance, and the cost and loads finite, when the solve
+    stopped.
     """
 
     profile: DisaggregatedProfile
@@ -428,10 +431,10 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     With ``team`` the machines answer with their constrained social optimum,
     otherwise every block answers with its Wardrop response. Each sweep
     scores every group by :func:`_residual` on its own fill. A sweep whose
-    residuals pass the tolerance still needs the certificate on the split
-    profile before it claims convergence: :func:`equilibrium_residuals` for
-    the team, :func:`_certificate` over the groups otherwise. A NaN residual
-    ends the loop at once with that certificate.
+    residuals pass the tolerance still needs the certificate before it
+    claims convergence: :func:`_certificate` over each member's block of the
+    split profile, which passes :func:`equilibrium_residuals`' checks by
+    construction. A NaN residual ends the loop at once with that certificate.
     """
     settings = settings or SolveSettings()
     _check_solvable(instance, population)
@@ -444,11 +447,14 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
 
     def certify(blocks: list[list[float]], iterations: int) -> SolveReport:
         profile = _split(n, members, groups, indices, blocks)
-        if team:
-            s_res, m_res = equilibrium_residuals(instance, population, profile)
-        else:
-            s_res, m_res = _certificate(instance, groups, blocks, _loads(n, blocks))
-        return _report(instance, profile, s_res, m_res, settings.tolerance, iterations)
+        loads = profile.aggregate_loads()
+        s_res, m_res = _certificate(instance, members, (profile.selfish,) + profile.per_machine,
+                                    loads)
+        aggregate = LoadProfile.from_raw(loads)
+        cost = instance.cost(aggregate.loads)
+        tol = settings.tolerance
+        return SolveReport(profile, aggregate, cost, s_res, m_res,
+                           math.isfinite(cost) and s_res <= tol and m_res <= tol, iterations)
 
     # a lone group best-responds to an empty background, which is already
     # the equilibrium; skip the iteration and just certify
@@ -495,8 +501,9 @@ def solve_team_equilibrium(instance: GameInstance, population: SchedulerPopulati
 
     Every sweep moves the selfish block halfway toward its Wardrop response
     and each machine access group halfway toward its constrained social
-    optimum, up to the sweep cap. ``converged`` is claimed only once a fresh
-    :func:`equilibrium_residuals` certificate passes the tolerance.
+    optimum, up to the sweep cap. ``converged`` is claimed only once the
+    certificate of :func:`equilibrium_residuals` on the final profile passes
+    the tolerance; the pair is validated once, at entry.
     ``initial`` replaces the even spread over each access set as the start;
     it must pass the certificate's block checks (:func:`_check_blocks`).
     """
@@ -511,23 +518,8 @@ def solve_fully_selfish(instance: GameInstance, population: SchedulerPopulation,
     sharing an access set move as one block. The same halfway-blended best
     response as :func:`solve_team_equilibrium` runs with Wardrop responses
     only, and ``converged`` needs every class's Wardrop gap on the final
-    loads within the tolerance (reported as ``selfish_residual``).
+    loads within the tolerance (reported as ``selfish_residual``), scored
+    per class, not per merged block.
     """
     return _best_response(instance, population, settings, team=False)
-
-
-def _report(instance: GameInstance, profile: DisaggregatedProfile,
-            selfish_res: float, machine_res: float,
-            tolerance: float, iterations: int) -> SolveReport:
-    aggregate = LoadProfile.from_raw(profile.aggregate_loads())
-    cost = instance.cost(aggregate.loads)
-    return SolveReport(
-        profile=profile,
-        aggregate=aggregate,
-        cost=cost,
-        selfish_residual=selfish_res,
-        machine_residual=machine_res,
-        converged=math.isfinite(cost) and selfish_res <= tolerance and machine_res <= tolerance,
-        iterations=iterations,
-    )
 

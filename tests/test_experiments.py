@@ -88,6 +88,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"sweep\.alpha\.points"):
             load_scenario(write_scenario(tmp_path, doc))
 
+    def test_overflowing_grid_rejected(self, tmp_path):
+        # finite and ascending, but (1e308 - 0) * 2 / 2 is inf at the last point
+        doc = base_doc(sweep={"alpha": {"start": 0, "stop": 1e308, "points": 3}})
+        with pytest.raises(ScenarioError, match=r"sweep\.alpha range .* overflows"):
+            load_scenario(write_scenario(tmp_path, doc))
+
     def test_documented_examples_load(self, tmp_path):
         readme = (ROOT / "README.md").read_text()
         readme_doc = readme.split("## Scenario files")[1].split("```json")[1].split("```")[0]
@@ -399,6 +405,8 @@ class TestCli:
         # the marginal cost 2 * 1e308 overflows
         ({"servers": {"count": 2, "delays": [[0, 1], [0, 1e308]]}}, "servers.delays[2]"),
         ({"solver": {"tolerance": float("inf")}}, "solver"),
+        ({"servers": {"count": -1, "delays": []}}, "servers.count"),
+        ({"servers": {"count": 0, "delays": []}}, "servers.count"),
     ])
     def test_bad_field_type_exit_one(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, base_doc(**overrides))
@@ -439,6 +447,25 @@ class TestCli:
         assert cli.main(["solve", str(path)]) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert f"unknown field '{field}'" in err
+        assert out == ""
+
+    # the attacked delay 1e308 + 1e308 once gave a sweep row of inf and NaN
+    # costs and exit 2 on every command; the last two reach 1e308 only on a
+    # sweep grid or an --alpha-list, past the scenario check
+    @pytest.mark.parametrize("strength, sweep, command, flags", [
+        (1e308, {}, "solve", []),
+        (1e308, {}, "sweep", []),
+        (1e308, {}, "verify", []),
+        (1.0, {"alpha": {"start": 1e308, "stop": 1e308, "points": 2}}, "sweep", []),
+        (1.0, {}, "verify", ["--alpha-list", "1e308"]),
+    ])
+    def test_attack_overflow_exit_one(self, tmp_path, capsys, strength, sweep, command, flags):
+        doc = base_doc(servers={"count": 2, "delays": [[1e308, 1], [1e308, 1]]},
+                       attack={"target": 1, "strength": strength}, sweep=sweep)
+        path = write_scenario(tmp_path, doc)
+        assert cli.main([command, str(path)] + flags) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert "attack-overflow" in err
         assert out == ""
 
     def test_infinite_cost_not_converged(self, tmp_path, capsys):

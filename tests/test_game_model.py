@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from teamsched import (
     DelayFunction,
+    DisaggregatedProfile,
     GameInstance,
     LoadProfile,
     SchedulerPopulation,
@@ -268,6 +269,13 @@ class TestServerIndex:
     def test_integral_float_index(self):
         assert SchedulerPopulation.for_instance(2, ((1.0, [1.0, 2.0]),), [2.0]) == \
             SchedulerPopulation.for_instance(2, ((1.0, [1, 2]),), [2])
+
+
+class TestDisaggregatedProfile:
+    def test_aggregate_loads_exactly_rounded(self):
+        # a left-to-right sum drops each 1e-16 against 1.0
+        profile = DisaggregatedProfile((1.0,), ((1e-16,), (1e-16,)))
+        assert profile.aggregate_loads() == (1.0000000000000002,)
 
 
 class TestValidate:

@@ -562,11 +562,13 @@ class TestNoNaN:
             for _ in range(n))  # a lone intercept is a constant delay
         alpha = data.draw(st.one_of(st.sampled_from([0.0, 1e308]), st.floats(0.0, 1e308)))
         instance = GameInstance(n, delays, data.draw(st.integers(1, n)), alpha)
-        assert validate(instance, SchedulerPopulation.full_access(n, 0.0)) == []
+        issues = validate(instance, SchedulerPopulation.full_access(n, 0.0))
         if intercept + alpha == math.inf:
+            assert [v.split(":")[0] for v in issues] == ["attack-overflow"]
             with pytest.raises(ValueError, match="overflows"):
                 grid_search_optimum(instance, resolution)
             return
+        assert issues == []
         steps = round(n / resolution)
         for i, f in enumerate(delays, start=1):
             slopes = oracle._Slopes(f, instance.attack_bonus(i), n / steps, (n - i) * steps)

@@ -235,6 +235,14 @@ def level_gap(levels, background, bonuses, access, mass, y):
     return gap
 
 
+def gap_bound(levels, background, bonuses, access, mass, y):
+    """1e-12, or one ulp of the top used level relative to it where that is
+    larger: a subnormal level holds fewer significant bits than 1e-12 needs."""
+    top = max((horner(levels[i - 1], background[i - 1] + y[i - 1])[0] + bonuses[i - 1]
+               for i in access if y[i - 1] > 1e-12 * mass), default=0.0)
+    return max(1e-12, math.ulp(top) / top) if top > 0.0 else 1e-12
+
+
 class TestExactFill:
     """The breakpoint walk for linear levels against a bisection reference."""
 
@@ -325,7 +333,7 @@ class TestNewtonFill:
         assert all(v >= 0.0 for v in y)
         assert all(y[i - 1] == 0.0 for i in range(1, n + 1) if i not in access)
         args = (levels, background, bonuses, access, mass)
-        assert level_gap(*args, y) <= 1e-12
+        assert level_gap(*args, y) <= gap_bound(*args, y)
         if mass < 1e-9:
             return
         ref = reference_bisect_fill(*args)
@@ -338,6 +346,17 @@ class TestNewtonFill:
                             + bonuses[i - 1] for z in (y, ref))
             assert (abs(y[i - 1] - ref[i - 1]) <= 1e-9 * mass
                     or abs(ours - theirs) <= tol * max(ours, theirs))
+
+    def test_subnormal_levels_one_ulp_apart(self):
+        # a hypothesis draw: the levels 3.099968297395e-312 and
+        # 3.09996829739e-312 are one subnormal ulp (5e-324) apart, a relative
+        # gap of 1.59e-12, so the fill is exact to the last bit
+        args = ([(0.0, 0.0, 1.0), (0.0, 0.0, 0.0001), (0.0, 0.0)], [0.0] * 3, [0.0] * 3,
+                {1, 2}, 10.0 ** -153.75)
+        y = fill(*args)
+        levels = [horner(args[0][i], y[i])[0] for i in (0, 1)]
+        assert max(levels) - min(levels) == 5e-324
+        assert 1e-12 < level_gap(*args, y) <= gap_bound(*args, y)
 
     def test_mass_below_background_resolution(self):
         # 1.3 + 1e-300 == 1.3, but server 1 starts at level 3e-19, far below
@@ -417,6 +436,7 @@ BLOCKING_CASES = {
     "nonpositive-machine-mass": (_LINEAR2, SchedulerPopulation.for_instance(2, ((-0.5, None),))),
     "selfish-mass-mismatch": (_LINEAR2, SchedulerPopulation(
         (1.0,), (frozenset({1, 2}),), frozenset({1, 2}), 0.5)),
+    "attack-overflow": (GameInstance(2, ((1e308, 1.0), (1e308, 1.0)), 1, 1e308), _FULL2),
 }
 
 
@@ -460,6 +480,22 @@ class TestValidateForSolve:
             solve_team_equilibrium(inst, pop)
         with pytest.raises(ValidationError, match="selfish-mass-mismatch"):
             equilibrium_residuals(inst, pop, DisaggregatedProfile((0.0,) * 3, ((0.0, 0.5, 0.5),)))
+
+    @pytest.mark.parametrize("instance, population", [
+        (GameInstance.linear(3, 1.0), SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))),
+        (_LINEAR2, _FULL2),
+    ])
+    def test_team_solve_validates_once(self, monkeypatch, instance, population):
+        # the certificate once re-ran validate through equilibrium_residuals
+        calls = []
+
+        def counting_validate(*args):
+            calls.append(args)
+            return game.validate(*args)
+
+        monkeypatch.setattr(solvers, "validate", counting_validate)
+        assert solve_team_equilibrium(instance, population).converged
+        assert len(calls) == 1
 
     def test_intercept_mismatch_alone_still_solves(self):
         instance = GameInstance(2, ((0.0, 1.0), (1.0, 1.0)), 1, 1.0)
@@ -817,8 +853,7 @@ def _golden_multi_group():
 
 
 def reference_selfish_residual(instance, population, profile):
-    """Worst delay gap of any class, from the delays alone, when no two
-    classes share an access set (each class is then its own block)."""
+    """Worst delay gap of any class, from the delays alone."""
     blocks = (profile.selfish,) + profile.per_machine
     members = zip((population.selfish_access,) + population.machine_access,
                   (population.selfish_mass,) + population.machine_masses, blocks)
@@ -846,7 +881,10 @@ class TestOneResidualRule:
         assert (rep.selfish_residual, rep.machine_residual) == equilibrium_residuals(
             instance, population, rep.profile)
 
-    @pytest.mark.parametrize("instance, population", _multi_group_instances())
+    # machines 1 and 4 of the golden share access {1, 2}, so the solve
+    # merges them into one block; the certificate still scores each class
+    @pytest.mark.parametrize("instance, population",
+                             _multi_group_instances() + [_golden_multi_group()])
     def test_fully_selfish_residual_matches_reference(self, instance, population):
         rep = solve_fully_selfish(instance, population)
         assert rep.converged
