@@ -159,15 +159,16 @@ def _parse_grid(sweep: dict, axis: str) -> tuple[float, ...] | None:
     stop = _field(block, "stop", where, float)
     points = _field(block, "points", where, int)
     if not 2 <= points <= MAX_GRID_POINTS:
-        raise ScenarioError(
-            f"{where}.points must be an integer in [2, {MAX_GRID_POINTS}], got {points}")
+        raise ScenarioError(f"scenario field '{where}.points' must be an integer in "
+                            f"[2, {MAX_GRID_POINTS}], got {points}")
     if not 0.0 <= start <= stop < math.inf:
-        raise ScenarioError(
-            f"{where} range [{start}, {stop}] must be finite, nonnegative and ascending")
+        raise ScenarioError(f"scenario field '{where}' range [{start}, {stop}] must be "
+                            "finite, nonnegative and ascending")
     grid = tuple(_grid(start, stop, points))
     if not all(math.isfinite(x) for x in grid):
         # (stop - start) * i overflows before the division, as at stop 1e308
-        raise ScenarioError(f"{where} range [{start}, {stop}] overflows to grid point {grid[-1]}")
+        raise ScenarioError(f"scenario field '{where}' range [{start}, {stop}] overflows "
+                            f"to grid point {grid[-1]}")
     return grid
 
 
@@ -199,7 +200,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"scenario field 'servers.count' must be at least 1, got {n}")
     delays = _field(servers, "delays", "servers", list)
     if len(delays) != n:
-        raise ScenarioError(f"servers.delays must list {n} coefficient arrays")
+        raise ScenarioError(f"scenario field 'servers.delays' must list {n} coefficient arrays")
     delay_fns = []
     for i, d in enumerate(delays, start=1):
         where = f"servers.delays[{i}]"
@@ -211,10 +212,7 @@ def load_scenario(path: str | Path) -> Scenario:
     attack = _only(_field(doc, "attack", "", dict, {}), "attack", "target", "strength")
     target = _field(attack, "target", "attack", int, 1)
     strength = _field(attack, "strength", "attack", float, 0.0)
-    try:
-        instance = GameInstance(n, delay_fns, target, strength)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: bad instance description: {exc}") from exc
+    instance = GameInstance(n, delay_fns, target, strength)
 
     machines = _field(doc, "machines", "", list, [], items=dict)
     pairs = []
@@ -236,9 +234,9 @@ def load_scenario(path: str | Path) -> Scenario:
     r_grid = _parse_grid(sweep, "r")
     if r_grid is not None:
         if not machines:
-            raise ScenarioError("sweep.r needs at least one machine to scale")
+            raise ScenarioError("scenario field 'sweep.r' needs at least one machine to scale")
         if r_grid[-1] > n:
-            raise ScenarioError(f"sweep.r exceeds the total job mass {n}")
+            raise ScenarioError(f"scenario field 'sweep.r' exceeds the total job mass {n}")
 
     solver = _only(_field(doc, "solver", "", dict, {}), "solver",
                    "tolerance", "max_outer_iterations")

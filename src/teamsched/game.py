@@ -5,7 +5,8 @@ A system has ``n`` identical-intercept servers, a total job mass of ``n``
 single server by a constant. Schedulers are either machines (which minimize
 the mean system delay) or selfish jobs (which minimize their own delay).
 This module holds the value types shared by every solver, the one
-polynomial evaluator and the delay / system-cost primitives.
+polynomial evaluator, the one sum of masses from outside input and the
+delay / system-cost primitives.
 
 Server indices are 1-based in every public interface; server 1 is the
 conventional attack target.
@@ -39,6 +40,18 @@ def as_count(value: float, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def total_mass(values: Iterable[float]) -> float:
+    """Exactly rounded sum (``math.fsum``) of masses or loads from outside
+    input. A sum past the float range counts as ``inf`` and ``inf - inf``
+    as NaN, which every mass check rejects."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
 
 
 def horner(coefficients: Sequence[float], x: float) -> tuple[float, float]:
@@ -160,7 +173,7 @@ class LoadProfile:
             raise ValidationError(f"non-finite load in profile: {loads}")
         if any(x < 0.0 for x in loads):
             raise ValidationError(f"negative load in profile: {loads}")
-        mass = math.fsum(loads)
+        mass = total_mass(loads)
         if abs(mass - len(loads)) > MASS_TOL:
             raise ValidationError(
                 f"profile mass {mass!r} differs from required {len(loads)} by more than {MASS_TOL}")
@@ -170,15 +183,16 @@ class LoadProfile:
     def from_raw(cls, loads: Sequence[float]) -> "LoadProfile":
         """Rescale to exact mass before constructing.
 
-        A NaN or infinite load raises, and so does a negative one.
+        A NaN or infinite load raises, and so does a negative one or a sum
+        that overflows.
         """
         raw = _as_floats(loads)
         if any(not math.isfinite(x) for x in raw):
             raise ValidationError(f"non-finite load in profile: {raw}")
-        s = math.fsum(raw)
+        s = total_mass(raw)
         n = len(raw)
-        if s <= 0.0:
-            raise ValidationError("cannot normalize an all-zero load vector")
+        if not 0.0 < s < math.inf:
+            raise ValidationError(f"cannot normalize a load vector of mass {s!r}")
         return cls(tuple(x * (n / s) for x in raw))
 
     def __len__(self) -> int:
@@ -245,7 +259,7 @@ class SchedulerPopulation:
         masses = tuple(float(m) for m, _ in machines)
         access = tuple(everything if a is None else a for _, a in machines)
         selfish = everything if selfish_access is None else selfish_access
-        return cls(masses, access, selfish, n - math.fsum(masses))
+        return cls(masses, access, selfish, n - total_mass(masses))
 
     @classmethod
     def full_access(cls, n: int, machine_mass: float, machines: int = 1) -> "SchedulerPopulation":
@@ -267,7 +281,7 @@ class SchedulerPopulation:
 
     @property
     def machine_mass_total(self) -> float:
-        return math.fsum(self.machine_masses)
+        return total_mass(self.machine_masses)
 
 
 @dataclass(frozen=True)
@@ -288,8 +302,8 @@ class DisaggregatedProfile:
                     f"machine block {k} has {len(block)} entries, expected {n}")
 
     def aggregate_loads(self) -> tuple[float, ...]:
-        """Per-server sum of every block, exactly rounded (``math.fsum``)."""
-        return tuple(math.fsum(column) for column in zip(self.selfish, *self.per_machine))
+        """Per-server sum of every block, by :func:`total_mass`."""
+        return tuple(total_mass(column) for column in zip(self.selfish, *self.per_machine))
 
 
 def validate(instance: GameInstance, population: SchedulerPopulation) -> list[str]:

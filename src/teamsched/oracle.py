@@ -145,11 +145,14 @@ def _select(runs: list, lo: list[int], hi: list[int], count: int) -> list[int]:
 
     Run q is indexable and ascending on its window ``[lo[q], hi[q])``; the
     result is, per run, the index past its last key among the ``count``
-    smallest. Invariant: run q's answer lies in ``[lo[q], hi[q]]``. A pivot
-    key from the widest window is counted in every run by bisection inside
-    its window; the total says on which side of the ``count``-th smallest
-    key the pivot lies, and every window shrinks to its count on that side
-    (a count clamped to its window is still a bound). The pivot's index is
+    smallest. ``count`` is at least 1 and at most the windows' total size.
+    Invariant: run q's answer lies in ``[lo[q], hi[q]]``, and the lower
+    ends total less than the target ``sum(lo) + count`` taken on entry,
+    since they only move to counts below it. A pivot key from the widest
+    window is counted in every run by bisection inside its window; the
+    total says on which side of the ``count``-th smallest key the pivot
+    lies, and every window shrinks to its count on that side (a count
+    clamped to its window is still a bound). The pivot's index is
     interpolated from the windows' totals (regula falsi); after two moves
     to one side it is the window's midpoint instead, so the windows keep
     halving where interpolation stalls.
@@ -158,8 +161,6 @@ def _select(runs: list, lo: list[int], hi: list[int], count: int) -> list[int]:
     last, streak = None, 0
     while True:
         below, above = sum(lo), sum(hi)
-        if below == target:
-            return lo
         if above == target:
             return hi
         q = max(range(len(runs)), key=lambda r: hi[r] - lo[r])

@@ -8,9 +8,10 @@
   alternating best response over access groups, each moving halfway to its
   answer: the social optimum for machines (team) or a Wardrop fill like the
   selfish jobs' (fully selfish). One certificate, over every scheduler
-  class, gates reported convergence in both; it and each sweep's stop test
-  score a block by one rule: a selfish block's worst delay gap, or the cost
-  a machine block's best response saves.
+  class, gates reported convergence in both. The sweep and the certificate
+  fill and score every block by one routine on the solve's level data: a
+  selfish block scores its worst delay gap, a machine block the cost its
+  best response saves. Only the two public fills check their arguments.
 
 Both fills equalize a common service level by Newton steps: each step
 replaces every level by its tangent at the server's current load and fills
@@ -33,6 +34,7 @@ from .game import (
     ValidationError,
     as_count,
     horner,
+    total_mass,
     validate,
 )
 
@@ -48,6 +50,8 @@ _SETTLED = 1e-9
 _FLAT_SLOPE = 1e-300
 #: share of the way each sweep moves a group toward its best response
 _BLEND = 0.5
+#: per-server level coefficients and attack offsets, indexed by ``social``
+_Levels = tuple[tuple[list[tuple[float, ...]], list[float]], ...]
 
 
 class InfeasibleError(ValueError):
@@ -226,14 +230,11 @@ def _check_fill_args(instance: GameInstance, access: Iterable[int], mass: float,
     return servers, bg
 
 
-def _levels(instance: GameInstance, social: bool) -> tuple[list[tuple[float, ...]], list[float]]:
-    """Per-server level coefficients and attack offsets for :func:`_fill_common_level`.
-
-    The level is the marginal cost with ``social``, the delay otherwise.
-    """
-    coeffs = [d.marginal_coefficients if social else d.coefficients for d in instance.delays]
+def _levels(instance: GameInstance) -> _Levels:
+    """The fills' :data:`_Levels`: the delay at ``False``, the marginal cost at ``True``."""
     bonuses = [instance.attack_bonus(i) for i in range(1, instance.n + 1)]
-    return coeffs, bonuses
+    return tuple(([d.marginal_coefficients if social else d.coefficients for d in instance.delays],
+                  bonuses) for social in (False, True))
 
 
 def solve_wardrop(instance: GameInstance, access: Iterable[int], mass: float,
@@ -244,7 +245,7 @@ def solve_wardrop(instance: GameInstance, access: Iterable[int], mass: float,
     Returns a length-n vector (zero off the access set) summing to ``mass``.
     """
     servers, bg = _check_fill_args(instance, access, mass, background)
-    return _fill_common_level(instance.n, servers, mass, bg, *_levels(instance, False))
+    return _fill_common_level(instance.n, servers, mass, bg, *_levels(instance)[False])
 
 
 def solve_social_optimum(instance: GameInstance, access: Iterable[int], mass: float,
@@ -256,7 +257,7 @@ def solve_social_optimum(instance: GameInstance, access: Iterable[int], mass: fl
     access set is optimal.
     """
     servers, bg = _check_fill_args(instance, access, mass, background)
-    return _fill_common_level(instance.n, servers, mass, bg, *_levels(instance, True))
+    return _fill_common_level(instance.n, servers, mass, bg, *_levels(instance)[True])
 
 
 # ---------------------------------------------------------------------------
@@ -282,37 +283,35 @@ def _used_eps(block_mass: float) -> float:
     return _USED_EPS * max(1.0, block_mass)
 
 
-def _residual(instance: GameInstance, access: frozenset[int], mass: float, social: bool,
+def _residual(instance: GameInstance, servers: Sequence[int], mass: float, social: bool,
               block: Sequence[float], loads: Sequence[float],
-              response: tuple[Sequence[float], Sequence[float]] | None = None) -> float:
-    """One block's residual at the aggregate ``loads``.
+              levels: _Levels) -> tuple[float, list[float]]:
+    """``(residual, best response)`` of one block at the aggregate ``loads``.
 
-    A selfish block scores the worst delay excess, over its best accessible
-    server, of a server on which it holds more than :func:`_used_eps`. A
-    social block scores the cost its best response to the other blocks
-    would save; ``response`` is ``(background, best response)`` when the
-    caller has built the other blocks' loads and filled the response
-    already. A block of mass at most :data:`_USED_EPS` scores 0.
+    The response fills ``mass`` over the sorted ``servers``, atop the other
+    blocks' loads, by the block's level in ``levels``. A selfish block scores
+    the worst delay excess, over its best accessible server, of a server on
+    which it holds more than :func:`_used_eps`; a social block, the cost its
+    response saves. A block of mass at most :data:`_USED_EPS` scores 0 unfilled.
     """
     if mass <= _USED_EPS:
-        return 0.0
+        return 0.0, [0.0] * instance.n
+    bg = [max(0.0, x - b) for x, b in zip(loads, block)]
+    response = _fill_common_level(instance.n, servers, mass, bg, *levels[social])
     if social:
-        if response is None:
-            bg = [max(0.0, x - b) for x, b in zip(loads, block)]
-            response = bg, solve_social_optimum(instance, access, mass, bg)
-        bg, br = response
-        return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, br)])
+        return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)]), response
     delays = [d(x) + instance.attack_bonus(i)
               for i, (d, x) in enumerate(zip(instance.delays, loads), start=1)]
-    best = min(delays[i - 1] for i in access)
+    best = min(delays[i - 1] for i in servers)
     eps = _used_eps(mass)
-    return _worst(d - best for d, b in zip(delays, block) if b > eps)
+    return _worst(d - best for d, b in zip(delays, block) if b > eps), response
 
 
 def _certificate(instance: GameInstance, members: Sequence[_Member],
-                 blocks: Sequence[Sequence[float]], loads: Sequence[float]) -> tuple[float, float]:
+                 blocks: Sequence[Sequence[float]], loads: Sequence[float],
+                 levels: _Levels) -> tuple[float, float]:
     """Worst :func:`_residual` over the selfish blocks and over the social blocks."""
-    residuals = [(social, _residual(instance, access, mass, social, block, loads))
+    residuals = [(social, _residual(instance, sorted(access), mass, social, block, loads, levels)[0])
                  for (access, mass, social), block in zip(members, blocks)]
     return (_worst(r for social, r in residuals if not social),
             _worst(r for social, r in residuals if social))
@@ -358,7 +357,7 @@ def _check_blocks(n: int, members: Sequence[_Member],
             if i not in access and block[i - 1] > eps:
                 raise ValidationError(f"{who} mass on inaccessible server {i}")
         if (not all(0.0 <= x < math.inf for x in block)
-                or not abs(math.fsum(block) - mass) <= MASS_TOL * max(1.0, mass)):
+                or not abs(total_mass(block) - mass) <= MASS_TOL * max(1.0, mass)):
             raise ValidationError(f"{who} block {block} is no nonnegative split of mass {mass!r}")
     return blocks
 
@@ -375,7 +374,7 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
     _check_solvable(instance, population)
     members = _members(population, team=True)
     blocks = _check_blocks(instance.n, members, profile)
-    return _certificate(instance, members, blocks, profile.aggregate_loads())
+    return _certificate(instance, members, blocks, profile.aggregate_loads(), _levels(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +428,9 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     """Alternating best response over the access groups, blended by :data:`_BLEND`.
 
     With ``team`` the machines answer with their constrained social optimum,
-    otherwise every block answers with its Wardrop response. Each sweep
-    scores every group by :func:`_residual` on its own fill. A sweep whose
-    residuals pass the tolerance still needs the certificate before it
+    otherwise every block answers with its Wardrop response; each sweep
+    takes every group's response and score from :func:`_residual`. A sweep
+    whose residuals pass the tolerance still needs the certificate before it
     claims convergence: :func:`_certificate` over each member's block of the
     split profile, which passes :func:`equilibrium_residuals`' checks by
     construction. A NaN residual ends the loop at once with that certificate.
@@ -443,13 +442,13 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     groups, indices = _group_by_access(members)
     # the fills' servers and level data, built once per solve, not on every fill
     servers = [sorted(access) for access, _total, _social in groups]
-    levels = {social: _levels(instance, social) for social in (False, True)}
+    levels = _levels(instance)
 
     def certify(blocks: list[list[float]], iterations: int) -> SolveReport:
         profile = _split(n, members, groups, indices, blocks)
         loads = profile.aggregate_loads()
         s_res, m_res = _certificate(instance, members, (profile.selfish,) + profile.per_machine,
-                                    loads)
+                                    loads, levels)
         aggregate = LoadProfile.from_raw(loads)
         cost = instance.cost(aggregate.loads)
         tol = settings.tolerance
@@ -460,7 +459,8 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     # the equilibrium; skip the iteration and just certify
     if initial is None and len(groups) == 1:
         (_access, total, social), = groups
-        return certify([_fill_common_level(n, servers[0], total, [0.0] * n, *levels[social])], 1)
+        zeros = [0.0] * n
+        return certify([_residual(instance, servers[0], total, social, zeros, zeros, levels)[1]], 1)
 
     if initial is not None:
         starts = _check_blocks(n, members, initial)
@@ -475,12 +475,11 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     iterations = 0
     for iterations in range(1, settings.max_outer_iterations + 1):
         residuals = []
-        for g, (access, total, social) in enumerate(groups):
-            loads = _loads(n, blocks)
-            bg = [max(0.0, x - b) for x, b in zip(loads, blocks[g])]
-            br = _fill_common_level(n, servers[g], total, bg, *levels[social])
-            residuals.append(_residual(instance, access, total, social, blocks[g], loads, (bg, br)))
-            blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], br)], total)
+        for g, (_access, total, social) in enumerate(groups):
+            residual, response = _residual(instance, servers[g], total, social, blocks[g],
+                                           _loads(n, blocks), levels)
+            residuals.append(residual)
+            blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], response)], total)
 
         residual = _worst(residuals)
         if math.isnan(residual):

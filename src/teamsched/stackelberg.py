@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .closed_form import _check_domain
-from .game import GameInstance, LoadProfile, ValidationError, system_cost
+from .game import GameInstance, LoadProfile, ValidationError, system_cost, total_mass
 
 INFLUENCING = "influencing"
 ABANDONING = "abandoning"
@@ -69,9 +69,9 @@ def follower_best_response(leader_loads: Sequence[float], n: int, alpha: float) 
         raise ValidationError(f"leader cannot schedule on the attacked server, got {loads[0]}")
     if not all(-1e-12 <= v < math.inf for v in loads):
         raise ValidationError(f"leader loads must be finite and nonnegative: {loads}")
-    if abs(math.fsum(loads) - (n - 1)) > 1e-9:
-        raise ValidationError(
-            f"leader mass {math.fsum(loads)!r} differs from required {n - 1}")
+    mass = total_mass(loads)
+    if abs(mass - (n - 1)) > 1e-9:
+        raise ValidationError(f"leader mass {mass!r} differs from required {n - 1}")
     x1 = min(1.0, max(0.0, (1.0 + loads[1] - alpha) / 2.0))
     return [x1, 1.0 - x1] + [0.0] * (n - 2)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -63,6 +64,13 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="mass-overflow"):
             load_scenario(path)
 
+    def test_opposite_infinite_masses_rejected(self, tmp_path):
+        # math.fsum once raised a raw ValueError (-inf + inf), which the CLI
+        # reported as a usage error, exit 3
+        doc = base_doc(machines=[{"mass": math.inf}, {"mass": -math.inf}])
+        with pytest.raises(ValidationError, match="nonpositive-machine-mass: machine 2"):
+            load_scenario(write_scenario(tmp_path, doc))
+
     def test_bad_server_index_rejected(self, tmp_path):
         path = write_scenario(tmp_path, base_doc(machines=[{"mass": 1.0, "access": [1, 3]}]))
         with pytest.raises(ValidationError, match="bad-server-index"):
@@ -91,7 +99,7 @@ class TestLoadScenario:
     def test_overflowing_grid_rejected(self, tmp_path):
         # finite and ascending, but (1e308 - 0) * 2 / 2 is inf at the last point
         doc = base_doc(sweep={"alpha": {"start": 0, "stop": 1e308, "points": 3}})
-        with pytest.raises(ScenarioError, match=r"sweep\.alpha range .* overflows"):
+        with pytest.raises(ScenarioError, match=r"'sweep\.alpha' range .* overflows"):
             load_scenario(write_scenario(tmp_path, doc))
 
     def test_documented_examples_load(self, tmp_path):
@@ -380,6 +388,17 @@ class TestCli:
         assert proc.returncode == 1
         assert "mass-overflow" in proc.stderr
 
+    # two machines of 1e308 once ended every command in a traceback of a
+    # raw OverflowError from math.fsum
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_overflowing_machine_masses_exit_one(self, tmp_path, command):
+        path = write_scenario(tmp_path, base_doc(machines=[{"mass": 1e308}, {"mass": 1e308}]))
+        proc = self.run_cli(command, str(path))
+        assert proc.returncode == 1
+        assert "mass-overflow" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_scenario_exit_one(self):
         proc = self.run_cli("solve", "/nonexistent/path.json")
         assert proc.returncode == 1
@@ -407,6 +426,11 @@ class TestCli:
         ({"solver": {"tolerance": float("inf")}}, "solver"),
         ({"servers": {"count": -1, "delays": []}}, "servers.count"),
         ({"servers": {"count": 0, "delays": []}}, "servers.count"),
+        ({"servers": {"count": 2, "delays": [[0, 1]]}}, "servers.delays"),
+        ({"sweep": {"alpha": {"start": 2, "stop": 1, "points": 3}}}, "sweep.alpha"),
+        ({"sweep": {"r": {"start": 0, "stop": 3, "points": 3}}}, "sweep.r"),
+        # float() of an integer beyond the float range raises OverflowError
+        ({"attack": {"target": 1, "strength": 10 ** 400}}, "attack.strength"),
     ])
     def test_bad_field_type_exit_one(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, base_doc(**overrides))

@@ -143,6 +143,20 @@ class TestLoadProfile:
         with pytest.raises(ValidationError, match="negative load"):
             LoadProfile.from_raw((-1e-18, 2.0))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="load profile is empty"):
+            LoadProfile(())
+
+    # 1e308 + 1e308 once escaped both as a raw OverflowError from math.fsum
+    def test_overflowing_mass_rejected(self):
+        with pytest.raises(ValidationError, match="profile mass inf differs"):
+            LoadProfile((1e308, 1e308))
+
+    @pytest.mark.parametrize("raw, mass", [([0.0, 0.0], "0.0"), ([1e308, 1e308], "inf")])
+    def test_from_raw_rejects_mass_it_cannot_scale(self, raw, mass):
+        with pytest.raises(ValidationError, match=f"cannot normalize a load vector of mass {mass}"):
+            LoadProfile.from_raw(raw)
+
     def test_from_raw_rescales(self):
         p = LoadProfile.from_raw((0.5, 0.5))
         assert math.fsum(p.loads) == 2.0
@@ -230,6 +244,23 @@ class TestFullAccess:
         assert pop.machine_count == 0
         assert pop.selfish_mass == 3.0
 
+    def test_rejects_negative_machine_count(self):
+        with pytest.raises(ValueError, match="machine count must be nonnegative"):
+            SchedulerPopulation.full_access(2, 1.0, machines=-1)
+
+
+class TestPopulation:
+    def test_rejects_masses_without_access_sets(self):
+        with pytest.raises(ValueError, match="2 machine masses but 1 access sets"):
+            SchedulerPopulation((0.5, 0.5), (frozenset({1, 2}),), frozenset({1, 2}), 1.0)
+
+    def test_overflowing_machine_masses_are_a_mass_overflow(self):
+        # the selfish mass 2 - (1e308 + 1e308) once raised a raw OverflowError
+        pop = SchedulerPopulation.for_instance(2, ((1e308, None), (1e308, None)))
+        assert pop.machine_mass_total == math.inf
+        issues = validate(GameInstance.linear(2), pop)
+        assert issues[0].startswith("mass-overflow")
+
 
 class TestServerCount:
     # the classmethods once raised a raw TypeError on 3.0, which the
@@ -277,6 +308,13 @@ class TestDisaggregatedProfile:
         profile = DisaggregatedProfile((1.0,), ((1e-16,), (1e-16,)))
         assert profile.aggregate_loads() == (1.0000000000000002,)
 
+    def test_aggregate_loads_overflow_to_inf(self):
+        assert DisaggregatedProfile((1e308,), ((1e308,),)).aggregate_loads() == (math.inf,)
+
+    def test_machine_block_of_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="machine block 1 has 1 entries, expected 2"):
+            DisaggregatedProfile((0.5, 0.5), ((1.0,),))
+
 
 class TestValidate:
     def test_well_formed(self):
@@ -314,6 +352,10 @@ class TestValidate:
         pop = SchedulerPopulation((1.0,), (frozenset(),), frozenset({1, 2}), 1.0)
         issues = validate(inst, pop)
         assert any(v.startswith("empty-access") for v in issues)
+
+    def test_empty_selfish_access(self):
+        pop = SchedulerPopulation.for_instance(2, ((1.0, None),), ())
+        assert validate(GameInstance.linear(2), pop) == ["empty-access: selfish population"]
 
     def test_bad_attack_target(self):
         inst = GameInstance.linear(2, 1.0, attack_target=5)

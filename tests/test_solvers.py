@@ -421,6 +421,14 @@ class TestFillInputs:
         with pytest.raises(ValidationError, match="background loads must be finite"):
             solve(GameInstance.linear(3, 1.0), [1, 2, 3], 1.0, [0.0, bad, 0.0])
 
+    def test_rejects_server_off_the_instance(self, solve):
+        with pytest.raises(ValidationError, match="access references server 3, instance has 2"):
+            solve(GameInstance.linear(2, 1.0), [1, 3], 1.0)
+
+    def test_rejects_background_of_wrong_length(self, solve):
+        with pytest.raises(ValidationError, match="background has 1 entries, instance has 2"):
+            solve(GameInstance.linear(2, 1.0), [1, 2], 1.0, [0.0])
+
 
 #: one (instance, population) per violation code, each breaking only that invariant
 _LINEAR2 = GameInstance.linear(2, 1.0)
@@ -496,6 +504,14 @@ class TestValidateForSolve:
         monkeypatch.setattr(solvers, "validate", counting_validate)
         assert solve_team_equilibrium(instance, population).converged
         assert len(calls) == 1
+
+    # 1e308 + 1e308 once escaped the block check as a raw OverflowError
+    def test_overflowing_block_rejected(self):
+        profile = DisaggregatedProfile((1e308, 1e308), ((0.5, 0.5),))
+        with pytest.raises(ValidationError, match="selfish block .* is no nonnegative split"):
+            equilibrium_residuals(_LINEAR2, _FULL2, profile)
+        with pytest.raises(ValidationError, match="selfish block .* is no nonnegative split"):
+            solve_team_equilibrium(_LINEAR2, _FULL2, initial=profile)
 
     def test_intercept_mismatch_alone_still_solves(self):
         instance = GameInstance(2, ((0.0, 1.0), (1.0, 1.0)), 1, 1.0)
@@ -664,6 +680,10 @@ class TestTeamEquilibrium:
         # 2.5 once passed and failed in the solve with a raw TypeError
         with pytest.raises(ValueError, match="max_outer_iterations must be an integer"):
             SolveSettings(1e-10, cap)
+
+    def test_settings_reject_zero_sweep_cap(self):
+        with pytest.raises(ValueError, match="max_outer_iterations must be at least 1"):
+            SolveSettings(max_outer_iterations=0)
 
     def test_integral_float_sweep_cap_is_an_int(self):
         cap = SolveSettings(1e-10, 5.0).max_outer_iterations
@@ -902,3 +922,54 @@ class TestOneResidualRule:
         selfish = solve_fully_selfish(inst, pop)
         assert (selfish.selfish_residual, selfish.machine_residual) == (2.910360841212878e-11, 0.0)
         assert team.converged and selfish.converged
+
+
+class TestOneBestResponse:
+    # the sweep and the certificate take every block's best response from
+    # solvers._residual on the solve's level data; the certificate once
+    # reached each machine's response through the public
+    # solve_social_optimum, which re-checked its arguments and rebuilt the
+    # level data per machine class
+    CONSTRAINED = (GameInstance.linear(3, 1.0),
+                   SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2)))
+    FULL = (GameInstance.linear(3, 1.0), SchedulerPopulation.full_access(3, 1.5, machines=3))
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(solvers, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+        return calls
+
+    def test_constrained_team_solve_checks_no_fill(self, monkeypatch):
+        checks = self.counting(monkeypatch, "_check_fill_args")
+        levels = self.counting(monkeypatch, "_levels")
+        assert solve_team_equilibrium(*self.CONSTRAINED).converged
+        assert (len(checks), len(levels)) == (0, 1)
+
+    def test_certificate_checks_no_fill(self, monkeypatch):
+        rep = solve_team_equilibrium(*self.FULL)
+        assert rep.converged
+        checks = self.counting(monkeypatch, "_check_fill_args")
+        levels = self.counting(monkeypatch, "_levels")
+        equilibrium_residuals(*self.FULL, rep.profile)
+        assert (len(checks), len(levels)) == (0, 1)
+
+    def test_machine_residual_is_the_public_fill_saving(self):
+        # off equilibrium, each machine scores what its public social fill
+        # against the other blocks saves, bit for bit
+        inst, pop = self.FULL
+        selfish = (0.5, 0.5, 0.5)
+        machine = (0.5, 0.0, 0.0)
+        profile = DisaggregatedProfile(selfish, (machine,) * 3)
+        loads = profile.aggregate_loads()
+        bg = [x - b for x, b in zip(loads, machine)]
+        best = solve_social_optimum(inst, {1, 2, 3}, 0.5, bg)
+        saving = inst.cost(loads) - inst.cost([b + r for b, r in zip(bg, best)])
+        assert saving > 0.0
+        assert equilibrium_residuals(inst, pop, profile)[1] == saving

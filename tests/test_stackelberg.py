@@ -63,6 +63,16 @@ class TestFollowerResponse:
                     assert x1 + alpha >= x2 - 1e-9
 
 
+    def test_rejects_leader_of_wrong_length(self):
+        with pytest.raises(ValidationError, match="leader vector has 2 entries, expected 3"):
+            follower_best_response([0.0, 2.0], 3, 1.0)
+
+    def test_rejects_overflowing_leader_mass(self):
+        # math.fsum once raised a raw OverflowError on this leader
+        with pytest.raises(ValidationError, match="leader mass inf differs"):
+            follower_best_response([0.0, 1e308, 1e308], 3, 1.0)
+
+
 class TestLeaderPolicy:
     def test_threshold_value(self):
         assert abs(influence_threshold(3) - 6 * (2 - math.sqrt(3))) <= 1e-12
