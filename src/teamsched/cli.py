@@ -75,11 +75,18 @@ def _alpha_list(raw: str) -> list[float]:
     return alphas
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, out: str | None) -> int:
+    """Writes ``text`` to ``out``, or to stdout when it is None; a path that
+    cannot be written is reported and exits 1."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
@@ -110,14 +117,15 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     rows = run_sweep(scenario)
-    _write_output(sweep_csv(scenario, rows), args.out)
+    code = _write_output(sweep_csv(scenario, rows), args.out)
+    if code != EXIT_OK:
+        return code
     return EXIT_OK if all(r.converged for r in rows) else EXIT_NO_CONVERGENCE
 
 
 def _cmd_figure(args) -> int:
     text = figure_data(args.figure, numeric=args.numeric, alphas=args.alpha_list)
-    _write_output(text, args.out)
-    return EXIT_OK
+    return _write_output(text, args.out)
 
 
 def _cmd_verify(args) -> int:

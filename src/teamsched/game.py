@@ -5,8 +5,8 @@ A system has ``n`` identical-intercept servers, a total job mass of ``n``
 single server by a constant. Schedulers are either machines (which minimize
 the mean system delay) or selfish jobs (which minimize their own delay).
 This module holds the value types shared by every solver, the one
-polynomial evaluator, the one sum of masses from outside input and the
-delay / system-cost primitives.
+polynomial evaluator, the one sum of masses from outside input, the
+delay / system-cost primitives and the exact-potential gate.
 
 Server indices are 1-based in every public interface; server 1 is the
 conventional attack target.
@@ -151,12 +151,48 @@ class GameInstance:
         """Delay offset suffered at 1-based ``server`` under the attack."""
         return self.attack_strength if server == self.attack_target else 0.0
 
+    @cached_property
+    def attack_offsets(self) -> tuple[float, ...]:
+        """:meth:`attack_bonus` of every server, in server order."""
+        return tuple(self.attack_bonus(i) for i in range(1, self.n + 1))
+
     def cost(self, loads: Sequence[float]) -> float:
-        """Mean delay of a raw load vector; trusts the caller on feasibility."""
+        """Mean delay of a raw load vector; trusts the caller on feasibility
+        but raises ``ValueError`` on a vector of the wrong length."""
         total = 0.0
-        for i, x in enumerate(loads, start=1):
-            total += x * (self.delays[i - 1](x) + self.attack_bonus(i))
+        for d, a, x in zip(self.delays, self.attack_offsets, loads, strict=True):
+            total += x * (d(x) + a)
         return total / self.n
+
+
+def _has_potential(instance: GameInstance) -> bool:
+    """Is every team equilibrium's cost the same, by an exact potential?
+
+    True iff every delay is ``b_i + c_i x**d`` (coefficients
+    ``(b_i, 0, .., 0, c_i)``) with ``c_i > 0`` and one common degree
+    ``d >= 1``. Then, with machine mass ``m_i``, selfish mass ``s_i``, load
+    ``x_i = m_i + s_i`` and attack offset ``a_i``, the function
+
+        Phi = sum_i c_i x_i**(d+1) + sum_i (b_i + a_i) m_i + (d+1) sum_i (b_i + a_i) s_i
+
+    is an exact potential of the team game (Monderer & Shapley 1996;
+    Sandholm 2001): ``dPhi/dm_i`` is server i's attacked marginal cost and
+    ``dPhi/ds_i`` is ``d+1`` times its attacked delay. So each group's
+    equilibrium condition (machines equalise marginal costs, selfish jobs
+    delays, over their access sets) is the KKT condition of Phi on that
+    group's block. The constraints (each group's mass over its access set)
+    are separate per block, so every team equilibrium is a KKT point of the
+    convex Phi over the whole feasible set, hence a minimiser of Phi. Phi is
+    strictly convex in the aggregate loads x, since ``c_i > 0`` and
+    ``d >= 1``, so every minimiser has the same x, and the team cost depends
+    on x only. Random restarts cannot find a worse equilibrium. Mixed
+    degrees, extra terms such as ``x + x**2`` and constant servers fall
+    outside this argument.
+    """
+    degree = instance.delays[0].degree
+    return degree >= 1 and all(
+        f.degree == degree and f.coefficients[-1] > 0.0 and not any(f.coefficients[1:-1])
+        for f in instance.delays)
 
 
 @dataclass(frozen=True)

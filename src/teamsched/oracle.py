@@ -16,6 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from . import game
 from .game import (DelayFunction, DisaggregatedProfile, GameInstance, LoadProfile,
                    SchedulerPopulation, horner, system_cost)
 from .solvers import SolveSettings, solve_team_equilibrium
@@ -290,36 +291,6 @@ class MonotonicityReport:
     inconclusive: bool = False
 
 
-def _has_potential(instance: GameInstance) -> bool:
-    """Is every team equilibrium's cost the same, by an exact potential?
-
-    True iff every delay is ``b_i + c_i x**d`` (coefficients
-    ``(b_i, 0, .., 0, c_i)``) with ``c_i > 0`` and one common degree
-    ``d >= 1``. Then, with machine mass ``m_i``, selfish mass ``s_i``, load
-    ``x_i = m_i + s_i`` and attack offset ``a_i``, the function
-
-        Phi = sum_i c_i x_i**(d+1) + sum_i (b_i + a_i) m_i + (d+1) sum_i (b_i + a_i) s_i
-
-    is an exact potential of the team game (Monderer & Shapley 1996;
-    Sandholm 2001): ``dPhi/dm_i`` is server i's attacked marginal cost and
-    ``dPhi/ds_i`` is ``d+1`` times its attacked delay. So each group's
-    equilibrium condition (machines equalise marginal costs, selfish jobs
-    delays, over their access sets) is the KKT condition of Phi on that
-    group's block. The constraints (each group's mass over its access set)
-    are separate per block, so every team equilibrium is a KKT point of the
-    convex Phi over the whole feasible set, hence a minimiser of Phi. Phi is
-    strictly convex in the aggregate loads x, since ``c_i > 0`` and
-    ``d >= 1``, so every minimiser has the same x, and the team cost depends
-    on x only. Random restarts cannot find a worse equilibrium. Mixed
-    degrees, extra terms such as ``x + x**2`` and constant servers fall
-    outside this argument.
-    """
-    degree = instance.delays[0].degree
-    return degree >= 1 and all(
-        f.degree == degree and f.coefficients[-1] > 0.0 and not any(f.coefficients[1:-1])
-        for f in instance.delays)
-
-
 def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulation,
                            settings: SolveSettings, rng: random.Random) -> list[float] | None:
     """Team costs from the default start, plus :data:`_VERIFY_STARTS` random
@@ -327,9 +298,9 @@ def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulati
 
     Returns None when nothing converges. Multiple starts approximate the
     quantifier over all equilibria, which cannot be enumerated. Where
-    :func:`_has_potential` holds, every equilibrium has the same cost, so the
-    default start alone answers the quantifier and nothing is drawn from
-    ``rng``.
+    :func:`game._has_potential` holds, every equilibrium has the same cost,
+    so the default start alone answers the quantifier and nothing is drawn
+    from ``rng``.
     """
     n = instance.n
     costs = []
@@ -342,7 +313,7 @@ def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulati
         total = sum(weights.values())
         return tuple(mass * weights.get(i, 0.0) / total for i in range(1, n + 1))
 
-    for _ in range(0 if _has_potential(instance) else _VERIFY_STARTS):
+    for _ in range(0 if game._has_potential(instance) else _VERIFY_STARTS):
         selfish = random_block(population.selfish_access, max(0.0, population.selfish_mass))
         machines = tuple(random_block(population.machine_access[k], population.machine_masses[k])
                          for k in range(population.machine_count))
@@ -364,9 +335,9 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
     Each lattice is one fresh search. It runs at every server count up to
     31; from 32 servers on the no-attack search raises
     :class:`CapacityError`, before any team solve. Where the delays give the
-    team game an exact potential (:func:`_has_potential`: one common degree,
-    ``b_i + c_i x**d`` with ``c_i > 0``), every equilibrium has the same
-    cost and the default start's solve is the team cost; the verdict is
+    team game an exact potential (:func:`game._has_potential`: one common
+    degree, ``b_i + c_i x**d`` with ``c_i > 0``), every equilibrium has the
+    same cost and the default start's solve is the team cost; the verdict is
     inconclusive exactly when that solve does not converge. Otherwise the
     team cost is the worst over the default start and five random starts
     drawn from ``seed``, and the verdict is inconclusive when none of them

@@ -51,7 +51,7 @@ _FLAT_SLOPE = 1e-300
 #: share of the way each sweep moves a group toward its best response
 _BLEND = 0.5
 #: per-server level coefficients and attack offsets, indexed by ``social``
-_Levels = tuple[tuple[list[tuple[float, ...]], list[float]], ...]
+_Levels = tuple[tuple[list[tuple[float, ...]], tuple[float, ...]], ...]
 
 
 class InfeasibleError(ValueError):
@@ -232,9 +232,8 @@ def _check_fill_args(instance: GameInstance, access: Iterable[int], mass: float,
 
 def _levels(instance: GameInstance) -> _Levels:
     """The fills' :data:`_Levels`: the delay at ``False``, the marginal cost at ``True``."""
-    bonuses = [instance.attack_bonus(i) for i in range(1, instance.n + 1)]
     return tuple(([d.marginal_coefficients if social else d.coefficients for d in instance.delays],
-                  bonuses) for social in (False, True))
+                  instance.attack_offsets) for social in (False, True))
 
 
 def solve_wardrop(instance: GameInstance, access: Iterable[int], mass: float,
@@ -300,8 +299,7 @@ def _residual(instance: GameInstance, servers: Sequence[int], mass: float, socia
     response = _fill_common_level(instance.n, servers, mass, bg, *levels[social])
     if social:
         return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)]), response
-    delays = [d(x) + instance.attack_bonus(i)
-              for i, (d, x) in enumerate(zip(instance.delays, loads), start=1)]
+    delays = [d(x) + a for d, a, x in zip(instance.delays, levels[social][1], loads)]
     best = min(delays[i - 1] for i in servers)
     eps = _used_eps(mass)
     return _worst(d - best for d, b in zip(delays, block) if b > eps), response
@@ -385,11 +383,13 @@ def _renorm(block: list[float], mass: float) -> list[float]:
     s = math.fsum(block)
     if mass <= 0.0 or s <= 0.0:
         return [0.0] * len(block)
-    return [v * (mass / s) for v in block]
+    scale = mass / s
+    return [v * scale for v in block]
 
 
-def _loads(n: int, blocks: Sequence[Sequence[float]]) -> list[float]:
-    return [math.fsum(b[i] for b in blocks) for i in range(n)]
+def _loads(blocks: Sequence[Sequence[float]]) -> list[float]:
+    """Per-server sum of the blocks, by ``math.fsum``."""
+    return [math.fsum(column) for column in zip(*blocks)]
 
 
 def _group_by_access(members: Sequence[_Member]) -> tuple[list[_Member], list[list[int]]]:
@@ -468,7 +468,7 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     for (access, total, _social), ks in zip(groups, indices):
         # the members' initial blocks, or an even spread over the access set
         start = ([1.0] * n if initial is None
-                 else [math.fsum(starts[k][i] for k in ks) for i in range(n)])
+                 else _loads([starts[k] for k in ks]))
         blocks.append(_renorm([start[i - 1] if i in access else 0.0
                                for i in range(1, n + 1)], total))
 
@@ -477,7 +477,7 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
         residuals = []
         for g, (_access, total, social) in enumerate(groups):
             residual, response = _residual(instance, servers[g], total, social, blocks[g],
-                                           _loads(n, blocks), levels)
+                                           _loads(blocks), levels)
             residuals.append(residual)
             blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], response)], total)
 

@@ -509,6 +509,21 @@ class TestCli:
         assert out == ""
         assert err == "error: tolerance must be positive and finite, got inf\n"
 
+    @pytest.mark.parametrize("command", [
+        ["figure", "fig4"],
+        ["sweep", str(SCENARIOS / "constrained_three_servers.json")],
+    ], ids=["figure", "sweep"])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-dir", "directory"])
+    def test_unwritable_out_exit_one(self, tmp_path, capsys, command, target, reason):
+        out = tmp_path / target
+        assert cli.main(command + ["--out", str(out)]) == cli.EXIT_VALIDATION
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: cannot write {out}: {reason}\n"
+
     def test_figure_ignores_tolerance_env(self, monkeypatch, capsys):
         monkeypatch.setenv("TEAMSCHED_TOL", "1e-8")
         assert cli.main(["figure", "fig4", "--alpha-list", "1"]) == cli.EXIT_OK

@@ -16,7 +16,7 @@ from teamsched import (
     system_cost,
     validate,
 )
-from teamsched.game import horner
+from teamsched.game import _has_potential, horner
 
 
 def poly_value(coeffs, x):
@@ -185,6 +185,27 @@ class TestSystemCost:
         with pytest.raises(ValidationError):
             system_cost(inst, LoadProfile((1.0, 1.0)))
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cost_bits_match_per_index_sum(self, data):
+        # the cached offsets give the per-index expression bit for bit; repr
+        # keeps signed zeros, inf and NaN apart
+        value = st.floats(0.0, 4.0) | st.floats(0.0, 1e300)
+        n = data.draw(st.integers(1, 5))
+        delays = [data.draw(st.lists(value, min_size=1, max_size=4)) for _ in range(n)]
+        instance = GameInstance(n, tuple(delays), data.draw(st.integers(1, n)),
+                                data.draw(value | st.just(math.inf)))
+        loads = data.draw(st.lists(value | st.just(-0.0), min_size=n, max_size=n))
+        total = 0.0
+        for i, x in enumerate(loads, start=1):
+            total += x * (instance.delays[i - 1](x) + instance.attack_bonus(i))
+        assert repr(instance.cost(loads)) == repr(total / n)
+
+    @pytest.mark.parametrize("loads", [(1.0,), (1.0, 1.0, 1.0)], ids=["short", "long"])
+    def test_cost_rejects_wrong_length(self, loads):
+        with pytest.raises(ValueError):
+            GameInstance.linear(2, 1.0).cost(loads)
+
     @given(
         weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
         alpha=st.floats(0.0, 6.0),
@@ -314,6 +335,29 @@ class TestDisaggregatedProfile:
     def test_machine_block_of_wrong_length_rejected(self):
         with pytest.raises(ValidationError, match="machine block 1 has 1 entries, expected 2"):
             DisaggregatedProfile((0.5, 0.5), ((1.0,),))
+
+
+class TestPotential:
+    @pytest.mark.parametrize("instance", [
+        GameInstance.linear(2),
+        GameInstance.linear(5, 1.5, 3),
+        GameInstance.identical(3, (1.0, 0.0, 0.0, 2.0)),
+        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((3.0, 0.25))), 1, 1.0),
+    ], ids=["linear2", "linear5", "cubic_shared", "linear_intercepts"])
+    def test_has_potential(self, instance):
+        assert _has_potential(instance)
+
+    @pytest.mark.parametrize("instance", [
+        GameInstance.identical(2, (0.0, 1.0, 1.0)),  # x + x**2
+        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((0.0, 0.0, 1.0))), 1, 1.0),
+        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((1.0,))), 1, 1.0),
+        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((1.0, 0.0))), 1, 1.0),
+        GameInstance.identical(2, (1.0,)),
+        GameInstance(3, (DelayFunction((0.0, 1.0, 0.5)), DelayFunction((0.0, 0.5, 1.0)),
+                         DelayFunction((0.0, 2.0, 0.25))), 1, 0.8),  # golden/multi_group.json
+    ], ids=["x_plus_x2", "mixed_degrees", "constant", "zero_slope", "all_constant", "multi_group"])
+    def test_has_no_potential(self, instance):
+        assert not _has_potential(instance)
 
 
 class TestValidate:

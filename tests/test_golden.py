@@ -6,18 +6,21 @@ on three access sets, selfish jobs on a fourth), the closed-form figures on
 their default grids, numeric figure data and the ``verify`` stdout, whose
 gaps pin the lattice oracle's winning points, also of
 ``golden/target_three.json`` (three linear full-access servers, attacked at
-server 3).
+server 3). ``golden/solver_reports.sha256`` pins the bits of 200 team solve
+reports on linear servers.
 A change that moves any of these bytes must explain each moved digit.
 
 ``cli.main`` builds its parser once per process; the tests after the golden
 cases check that reusing it changes no byte and no exit code.
 """
 
+import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
-from teamsched import cli
+from teamsched import GameInstance, SchedulerPopulation, cli, solve_team_equilibrium
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = {path.stem: path for path in
@@ -99,3 +102,32 @@ def test_tolerance_env_read_on_every_call(capsys, monkeypatch):
             monkeypatch.setenv("TEAMSCHED_TOL", tol)
         assert cli.main(argv) == cli.EXIT_OK
     assert seen == [1e-10, 1e-6, 1e-4, 1e-10]
+
+
+def _solver_report_digest() -> str:
+    """sha256 over 200 fixed team solves on identical unit-slope linear servers.
+
+    Each draw takes n from {2, 3, 5, 10} in turn, alpha from [0.01, 4] and r
+    from [0, 2]; about a quarter of the n >= 3 draws use the constrained
+    family (machines of mass n - 1 on servers 2..n, selfish jobs on {1, 2})
+    instead of full access. Each report adds the repr of its cost, profile,
+    residuals, ``converged`` and sweep count, so one moved bit moves the digest.
+    """
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    for k in range(200):
+        n = (2, 3, 5, 10)[k % 4]
+        alpha, r = rng.uniform(0.01, 4.0), rng.uniform(0.0, 2.0)
+        if n >= 3 and rng.random() < 0.25:
+            population = SchedulerPopulation.for_instance(n, ((n - 1.0, range(2, n + 1)),), (1, 2))
+        else:
+            population = SchedulerPopulation.full_access(n, r)
+        report = solve_team_equilibrium(GameInstance.linear(n, alpha), population)
+        digest.update(repr((report.cost, report.profile.selfish, report.profile.per_machine,
+                            report.selfish_residual, report.machine_residual,
+                            report.converged, report.iterations)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_solver_report_digest():
+    assert _solver_report_digest() == (GOLDEN / "solver_reports.sha256").read_text().strip()

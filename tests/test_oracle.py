@@ -20,6 +20,7 @@ from teamsched import (
     SolveSettings,
     constrained_team_cost,
     experiments,
+    game,
     grid_search_optimum,
     monotonicity_sweep,
     optimal_cost_linear,
@@ -690,27 +691,6 @@ POTENTIAL_CASES = _potential_cases()
 
 
 class TestPotential:
-    @pytest.mark.parametrize("instance", [
-        GameInstance.linear(2),
-        GameInstance.linear(5, 1.5, 3),
-        GameInstance.identical(3, (1.0, 0.0, 0.0, 2.0)),
-        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((3.0, 0.25))), 1, 1.0),
-    ], ids=["linear2", "linear5", "cubic_shared", "linear_intercepts"])
-    def test_has_potential(self, instance):
-        assert oracle._has_potential(instance)
-
-    @pytest.mark.parametrize("instance", [
-        GameInstance.identical(2, (0.0, 1.0, 1.0)),  # x + x**2
-        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((0.0, 0.0, 1.0))), 1, 1.0),
-        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((1.0,))), 1, 1.0),
-        GameInstance(2, (DelayFunction((0.0, 1.0)), DelayFunction((1.0, 0.0))), 1, 1.0),
-        GameInstance.identical(2, (1.0,)),
-        GameInstance(3, (DelayFunction((0.0, 1.0, 0.5)), DelayFunction((0.0, 0.5, 1.0)),
-                         DelayFunction((0.0, 2.0, 0.25))), 1, 0.8),  # golden/multi_group.json
-    ], ids=["x_plus_x2", "mixed_degrees", "constant", "zero_slope", "all_constant", "multi_group"])
-    def test_has_no_potential(self, instance):
-        assert not oracle._has_potential(instance)
-
     def test_potential_instance_draws_no_start(self):
         rng = random.Random(0)
         state = rng.getstate()
@@ -725,12 +705,12 @@ class TestPotential:
     def test_random_starts_reach_default_cost(self, monkeypatch, instance, population, closed):
         # the random starts verify skips on potential instances: each one that
         # converges ends at the default start's cost
-        assert oracle._has_potential(instance)
+        assert game._has_potential(instance)
         default = solve_team_equilibrium(instance, population)
         assert default.converged
         if closed is not None:
             assert abs(default.cost - closed) <= 1e-8
-        monkeypatch.setattr(oracle, "_has_potential", lambda instance: False)
+        monkeypatch.setattr(game, "_has_potential", lambda instance: False)
         costs = oracle._team_costs_multistart(instance, population, SolveSettings(), random.Random(5))
         assert costs[0] == default.cost
         assert len(costs) > 1

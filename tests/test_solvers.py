@@ -973,3 +973,28 @@ class TestOneBestResponse:
         saving = inst.cost(loads) - inst.cost([b + r for b, r in zip(bg, best)])
         assert saving > 0.0
         assert equilibrium_residuals(inst, pop, profile)[1] == saving
+
+
+class TestBookkeeping:
+    """The sweep's load sums and rescale give the per-element rules bit for
+    bit; repr keeps signed zeros, inf and NaN apart."""
+
+    LOAD = st.floats(0.0, 1e300) | st.just(-0.0)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_loads_match_per_server_fsum(self, data):
+        n = data.draw(st.integers(1, 10))
+        blocks = data.draw(st.lists(st.lists(self.LOAD, min_size=n, max_size=n),
+                                    min_size=1, max_size=4))
+        expected = [math.fsum(b[i] for b in blocks) for i in range(n)]
+        assert repr(solvers._loads(blocks)) == repr(expected)
+
+    @given(block=st.lists(LOAD, min_size=1, max_size=10),
+           mass=st.floats(0.0, 1e300) | st.just(-0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_renorm_matches_per_element_scale(self, block, mass):
+        s = math.fsum(block)
+        expected = ([0.0] * len(block) if mass <= 0.0 or s <= 0.0
+                    else [v * (mass / s) for v in block])
+        assert repr(solvers._renorm(block, mass)) == repr(expected)
