@@ -7,6 +7,8 @@ non-convergence, 3 usage error. ``figure --numeric`` exits 2 without output
 as soon as one team solve does not converge. A set ``TEAMSCHED_TOL`` acts as
 ``--tol`` on the commands that take it when the flag is absent: ``--tol``
 overrides the variable, which overrides the scenario's ``solver.tolerance``.
+A command imports only the layers it runs: ``oracle`` inside ``verify``,
+``stackelberg`` only for a Stackelberg scenario's ``solve``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import experiments, oracle, stackelberg
+from . import experiments
 from .experiments import (NonConvergenceError, Scenario, ScenarioError, figure_data,
                           load_scenario, run_sweep, sweep_csv)
 from .game import ValidationError
@@ -105,6 +107,7 @@ def _cmd_solve(args) -> int:
     loads = " ".join(f"x_{i}={x:.12g}" for i, x in enumerate(report.aggregate.loads, 1))
     print(f"aggregate loads: {loads}")
     if scenario.stackelberg:
+        from . import stackelberg
         solution = stackelberg.solve_stackelberg_numeric(n, scenario.instance.attack_strength)
         print(f"stackelberg branch: {solution.branch}")
         print(f"stackelberg cost: {solution.cost:.12g}")
@@ -129,6 +132,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     if args.alpha_list is not None:
         alphas = args.alpha_list

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
 
-from . import closed_form, stackelberg
 from .game import (DelayFunction, GameInstance, LoadProfile, SchedulerPopulation,
                    ValidationError, system_cost, validate)
 from .solvers import SolveReport, SolveSettings, solve_fully_selfish, \
@@ -331,6 +330,7 @@ def _converged_team(instance: GameInstance, population: SchedulerPopulation) -> 
 
 def _fig2_cost(r: float, alpha: float, numeric: bool) -> float:
     if not numeric:
+        from . import closed_form
         return closed_form.team_cost_linear(2, r, alpha)
     return _converged_team(GameInstance.linear(2, alpha),
                            SchedulerPopulation.full_access(2, r)).cost
@@ -341,6 +341,7 @@ def _constrained_point(alpha: float, numeric: bool) -> tuple[tuple[float, LoadPr
     and the optimum on three linear servers, with machines of mass 2 on
     servers {2, 3} and the selfish unit on {1, 2}.
     """
+    from . import closed_form, stackelberg  # the figures' layers, loaded on first use
     if not numeric:
         return ((closed_form.constrained_team_cost(3, alpha),
                  closed_form.selfish_profile_linear(3, alpha)),

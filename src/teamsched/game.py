@@ -15,9 +15,9 @@ conventional attack target.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 #: absolute slack for scaled-simplex membership of a load profile
 MASS_TOL = 1e-9
@@ -32,10 +32,10 @@ def _as_floats(values: Iterable[float]) -> tuple[float, ...]:
 
 
 def as_count(value: float, what: str) -> int:
-    """``value`` as an ``int``; a value that is not an integer (2.5, NaN, inf)
-    raises ``ValueError`` naming ``what``, and an integral float passes."""
+    """``value`` as an ``int``; a value that is not an integer (2.5, NaN, inf,
+    True) raises ``ValueError`` naming ``what``, and an integral float passes."""
     try:
-        if int(value) == value:
+        if not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

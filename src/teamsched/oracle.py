@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from . import game
 from .game import (DelayFunction, DisaggregatedProfile, GameInstance, LoadProfile,

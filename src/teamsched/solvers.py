@@ -22,8 +22,8 @@ Linear levels are their own tangents, so their fill is exact in one step.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .game import (
     MASS_TOL,

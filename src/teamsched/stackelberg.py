@@ -17,8 +17,8 @@ of the leader's load on server 2 exactly, without the threshold.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .closed_form import _check_domain
 from .game import GameInstance, LoadProfile, ValidationError, system_cost, total_mass

@@ -332,24 +332,37 @@ class TestCli:
         # no command needs numpy: importing the package, solving, sweeping,
         # the numeric figures and verify (the lattice oracle) leave it
         # unloaded, and they all run again with numpy made unimportable (a
-        # None entry in sys.modules makes every import of it raise)
+        # None entry in sys.modules makes every import of it raise). Each
+        # step also loads only the package layers it runs: the package
+        # import none, solve and sweep none of the oracle, the Stackelberg
+        # search or the closed forms, the figures the latter two
         scenario = str(SCENARIOS / "constrained_three_servers.json")
         two_servers = str(SCENARIOS / "unconstrained_two_servers.json")
         code = (
             "import sys\n"
+            "def layers():\n"
+            "    return {name.split('.')[1] for name in sys.modules\n"
+            "            if name.startswith('teamsched.')}\n"
+            "lazy = {'oracle', 'stackelberg', 'closed_form'}\n"
             "import teamsched\n"
+            "assert layers() == set(), ('package', layers())\n"
             "from teamsched import cli\n"
+            "assert not layers() & lazy, ('cli', layers())\n"
             "assert sys.modules.get('numpy') is None, 'import'\n"
             f"assert cli.main(['solve', {scenario!r}]) == 0\n"
             "assert sys.modules.get('numpy') is None, 'solve'\n"
+            "assert not layers() & lazy, ('solve', layers())\n"
             f"assert cli.main(['sweep', {scenario!r}]) == 0\n"
             "assert sys.modules.get('numpy') is None, 'sweep'\n"
+            "assert not layers() & lazy, ('sweep', layers())\n"
             "assert cli.main(['figure', 'fig4', '--numeric']) == 0\n"
             "assert cli.main(['figure', 'fig5', '--numeric']) == 0\n"
             "assert sys.modules.get('numpy') is None, 'figure'\n"
+            "assert layers() & lazy == {'stackelberg', 'closed_form'}, ('figure', layers())\n"
             f"assert cli.main(['verify', {scenario!r}]) == 0\n"
             f"assert cli.main(['verify', {two_servers!r}]) == 0\n"
             "assert sys.modules.get('numpy') is None, 'verify'\n"
+            "assert 'oracle' in layers(), ('verify', layers())\n"
         )
         for prelude in ("", "sys.modules['numpy'] = None\n"):
             script = code.replace("import teamsched\n", prelude + "import teamsched\n", 1)

@@ -292,9 +292,10 @@ class TestServerCount:
         assert SchedulerPopulation.for_instance(3.0, ()) == SchedulerPopulation.for_instance(3, ())
         assert SchedulerPopulation.full_access(3.0, 1.0) == SchedulerPopulation.full_access(3, 1.0)
 
-    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, True])
     def test_non_integral_named(self, n):
-        for build in (lambda: GameInstance.linear(n), lambda: GameInstance.identical(n, (0, 1)),
+        for build in (lambda: GameInstance(n, ((0, 1),)), lambda: GameInstance.linear(n),
+                      lambda: GameInstance.identical(n, (0, 1)),
                       lambda: SchedulerPopulation.for_instance(n, ()),
                       lambda: SchedulerPopulation.full_access(n, 1.0)):
             with pytest.raises(ValueError, match="server count must be an integer"):
@@ -306,14 +307,16 @@ class TestServerIndex:
     @pytest.mark.parametrize("build", [
         lambda: SchedulerPopulation((1.0,), ([1.5, 2],), [1, 2], 1.0),
         lambda: SchedulerPopulation((1.0,), ([1, 2],), [1, 2.5], 1.0),
-    ], ids=["machine", "selfish"])
+        lambda: SchedulerPopulation((1.0,), ([True, 2],), [1, 2], 1.0),
+    ], ids=["machine", "selfish", "machine-bool"])
     def test_constructor_rejects_non_integral(self, build):
         with pytest.raises(ValueError, match="server index must be an integer"):
             build()
 
     @pytest.mark.parametrize("machines, selfish", [(((1.0, [1.5, 2]),), None),
-                                                    ((), [1, math.nan])],
-                             ids=["machine", "selfish"])
+                                                    ((), [1, math.nan]),
+                                                    ((), [True])],
+                             ids=["machine", "selfish", "selfish-bool"])
     def test_for_instance_rejects_non_integral(self, machines, selfish):
         with pytest.raises(ValueError, match="server index must be an integer"):
             SchedulerPopulation.for_instance(2, machines, selfish)

@@ -675,7 +675,7 @@ class TestTeamEquilibrium:
             with pytest.raises(ValueError):
                 SolveSettings(tolerance=tolerance)
 
-    @pytest.mark.parametrize("cap", [2.5, math.inf, math.nan])
+    @pytest.mark.parametrize("cap", [2.5, math.inf, math.nan, True])
     def test_settings_reject_non_integral_sweep_cap(self, cap):
         # 2.5 once passed and failed in the solve with a raw TypeError
         with pytest.raises(ValueError, match="max_outer_iterations must be an integer"):
