@@ -14,10 +14,11 @@ A scenario is one JSON document::
       "stackelberg": false
     }
 
-``delays`` lists polynomial coefficients (constant first) per server; access
-lists use 1-based server indices and default to every server. The optional
-sweep block defines attack-strength and machine-mass grids; sweeping ``r``
-scales the machine masses proportionally, so it needs at least one machine.
+``delays`` lists polynomial coefficients (constant first) per server, each
+with the same constant term; access lists use 1-based server indices and
+default to every server. The optional sweep block defines attack-strength and
+machine-mass grids; sweeping ``r`` scales the machine masses proportionally,
+so it needs at least one machine.
 ``stackelberg`` adds the leader-follower solution, whose model needs three or
 more servers with delay ``[0, 1]`` and the attack on server 1.
 Every field is type-checked on load: a missing required or an unknown field,
@@ -174,9 +175,9 @@ def _parse_grid(sweep: dict, axis: str) -> tuple[float, ...] | None:
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
-    Parse failures and fields of the wrong type raise :class:`ScenarioError`
-    naming the file position or the dotted field; model-invariant violations
-    raise :class:`ValidationError` naming every broken field.
+    The first broken field raises :class:`ScenarioError` naming it (a bad
+    attack or intercept keeps its code); the population checks of
+    :func:`validate` raise :class:`ValidationError` with every violation.
     """
     path = Path(path)
     try:
@@ -211,7 +212,10 @@ def load_scenario(path: str | Path) -> Scenario:
     attack = _only(_field(doc, "attack", "", dict, {}), "attack", "target", "strength")
     target = _field(attack, "target", "attack", int, 1)
     strength = _field(attack, "strength", "attack", float, 0.0)
-    instance = GameInstance(n, delay_fns, target, strength)
+    try:
+        instance = GameInstance(n, delay_fns, target, strength)
+    except ValidationError as exc:
+        raise ScenarioError(f"scenario field 'attack': {exc}") from exc
 
     machines = _field(doc, "machines", "", list, [], items=dict)
     pairs = []
@@ -246,6 +250,11 @@ def load_scenario(path: str | Path) -> Scenario:
         settings = SolveSettings(tolerance, max_iterations)
     except ValueError as exc:
         raise ScenarioError(f"scenario field 'solver': {exc}") from exc
+    # the paper's servers share one intercept
+    for i, d in enumerate(delay_fns[1:], start=2):
+        if d.intercept != delay_fns[0].intercept:
+            raise ScenarioError(f"scenario field 'servers.delays[{i}]': intercept-mismatch: "
+                                f"tau(0)={d.intercept}, server 1 has {delay_fns[0].intercept}")
     leader = _field(doc, "stackelberg", "", bool, False)
     # the Stackelberg model is n >= 3 unit-slope linear servers attacked at server 1
     if leader and not (n >= 3 and target == 1

@@ -112,9 +112,9 @@ class GameInstance:
 
     The total job mass is fixed to ``n`` by the model. ``attack_target`` is
     1-based; ``attack_strength`` is the constant added to that server's delay.
-    Cross-field invariants (equal intercepts, target in range, nonnegative
-    strength) are reported by :func:`validate` rather than enforced here so
-    that malformed descriptions can be inspected as data.
+    Every way of building one (``replace`` included) checks the attack: a
+    target that is not an integer raises ``ValueError``, any other bad
+    attack :class:`ValidationError` with its code.
     """
 
     n: int
@@ -133,7 +133,19 @@ class GameInstance:
         if len(delays) != self.n:
             raise ValueError(f"expected {self.n} delay functions, got {len(delays)}")
         object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "attack_strength", float(self.attack_strength))
+        target = as_count(self.attack_target, "attack target")
+        strength = float(self.attack_strength)
+        object.__setattr__(self, "attack_target", target)
+        object.__setattr__(self, "attack_strength", strength)
+        if not 1 <= target <= self.n:
+            raise ValidationError(f"bad-attack-target: {target} not in 1..{self.n}")
+        if not math.isfinite(strength):
+            raise ValidationError(f"nonfinite-attack-strength: {strength}")
+        if strength < 0.0:
+            raise ValidationError(f"negative-attack-strength: {strength}")
+        if delays[target - 1].intercept + strength == math.inf:
+            raise ValidationError(f"attack-overflow: strength {strength} makes server "
+                                  f"{target}'s delay at load 0 infinite")
 
     @classmethod
     def linear(cls, n: int, attack_strength: float = 0.0, attack_target: int = 1) -> "GameInstance":
@@ -343,38 +355,20 @@ class DisaggregatedProfile:
 
 
 def validate(instance: GameInstance, population: SchedulerPopulation) -> list[str]:
-    """Check every cross-field invariant; return violations as data.
+    """Check the population against the instance; return violations as data.
 
     Each entry is ``"code: detail"`` naming the broken invariant and the
-    offending index. An empty list means the pair is well-formed.
+    offending index. An empty list means the pair is well-formed. The
+    instance checks its own attack when it is built.
     """
     issues: list[str] = []
     n = instance.n
-
-    base = instance.delays[0].intercept
-    for i in range(2, n + 1):
-        if instance.delays[i - 1].intercept != base:
-            issues.append(
-                f"intercept-mismatch: server {i} has tau(0)={instance.delays[i - 1].intercept}, "
-                f"server 1 has {base}")
-    if instance.attack_target not in range(1, n + 1):  # 2.0 passes, 1.5 does not
-        issues.append(f"bad-attack-target: {instance.attack_target} not in 1..{n}")
-    if not math.isfinite(instance.attack_strength):
-        issues.append(f"nonfinite-attack-strength: {instance.attack_strength}")
-    elif instance.attack_strength < 0.0:
-        issues.append(f"negative-attack-strength: {instance.attack_strength}")
-    elif any(f.intercept + instance.attack_bonus(i) == math.inf
-             for i, f in enumerate(instance.delays, start=1)):
-        issues.append(f"attack-overflow: strength {instance.attack_strength} makes server "
-                      f"{instance.attack_target}'s delay at load 0 infinite")
-
     total_machine = population.machine_mass_total
     if total_machine > n + 1e-12:
         issues.append(f"mass-overflow: machine masses sum to {total_machine} > {n}")
-    if not abs(population.selfish_mass - (n - total_machine)) <= MASS_TOL:  # NaN fails
-        issues.append(
-            f"selfish-mass-mismatch: stored {population.selfish_mass}, "
-            f"expected {n - total_machine}")
+    stored, expected = population.selfish_mass, n - total_machine
+    if stored != expected and not abs(stored - expected) <= MASS_TOL:  # NaN fails
+        issues.append(f"selfish-mass-mismatch: stored {stored}, expected {expected}")
     for k, mass in enumerate(population.machine_masses, start=1):
         if not mass > 0.0:  # NaN included
             issues.append(f"nonpositive-machine-mass: machine {k} has mass {mass}")

@@ -219,23 +219,14 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tup
     optimum.
 
     Guards: a finite ``resolution`` of at least 1e-4 that leaves at least
-    one lattice step, an attack target among the servers, a finite,
-    nonnegative attack strength that keeps the attacked delay at load 0
-    finite (so no table holds ``0 * inf``, a NaN) and at most
-    :data:`CAPACITY_LIMIT` slopes, ``n * steps``: up to 31 servers at
-    verify's 1e-3.
+    one lattice step, and at most :data:`CAPACITY_LIMIT` slopes,
+    ``n * steps``: up to 31 servers at verify's 1e-3. The instance itself
+    keeps the attacked delay at load 0 finite, so no table holds
+    ``0 * inf``, a NaN.
     """
     n = instance.n
     if not math.isfinite(resolution) or resolution < 1e-4:
         raise ValueError(f"resolution must be finite and at least 1e-4, got {resolution}")
-    if instance.attack_target not in range(1, n + 1):
-        raise ValueError(f"attack target must be a server in 1..{n}, got {instance.attack_target}")
-    if not 0.0 <= instance.attack_strength < math.inf:
-        raise ValueError(f"attack strength must be in [0, inf), got {instance.attack_strength}")
-    if any(f.intercept + instance.attack_bonus(i) == math.inf
-           for i, f in enumerate(instance.delays, start=1)):
-        raise ValueError(f"attack strength {instance.attack_strength!r} overflows the "
-                         f"attacked server's delay at load 0")
     steps = round(n / resolution)
     if steps < 1:
         raise ValueError(f"resolution {resolution} leaves no lattice step on {n} servers")

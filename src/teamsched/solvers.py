@@ -323,9 +323,9 @@ def _members(population: SchedulerPopulation, team: bool) -> list[_Member]:
 
 
 def _check_solvable(instance: GameInstance, population: SchedulerPopulation) -> None:
-    """Raise :class:`ValidationError` on every :func:`validate` violation but unequal
-    intercepts, which the solvers run on; the fills take what passes unchecked."""
-    issues = [v for v in validate(instance, population) if not v.startswith("intercept-mismatch")]
+    """Raise :class:`ValidationError` on every :func:`validate` violation; the
+    fills take what passes unchecked."""
+    issues = validate(instance, population)
     if issues:
         raise ValidationError("; ".join(issues))
 

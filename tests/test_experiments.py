@@ -409,6 +409,8 @@ class TestCli:
         proc = self.run_cli(command, str(path))
         assert proc.returncode == 1
         assert "mass-overflow" in proc.stderr
+        # -inf stored against -inf expected is no mismatch
+        assert "selfish-mass-mismatch" not in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
@@ -425,6 +427,7 @@ class TestCli:
         path = write_scenario(tmp_path, base_doc(attack=attack))
         proc = self.run_cli("solve", str(path))
         assert proc.returncode == 1
+        assert "scenario field 'attack" in proc.stderr
         assert field in proc.stderr
         assert proc.stdout == ""
 
@@ -444,6 +447,10 @@ class TestCli:
         ({"sweep": {"r": {"start": 0, "stop": 3, "points": 3}}}, "sweep.r"),
         # float() of an integer beyond the float range raises OverflowError
         ({"attack": {"target": 1, "strength": 10 ** 400}}, "attack.strength"),
+        ({"attack": {"target": 5, "strength": 1.0}}, "attack"),
+        ({"attack": {"target": 1, "strength": -1.0}}, "attack"),
+        # the paper's servers share one intercept
+        ({"servers": {"count": 2, "delays": [[0, 1], [1, 1]]}}, "servers.delays[2]"),
     ])
     def test_bad_field_type_exit_one(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, base_doc(**overrides))
@@ -488,7 +495,8 @@ class TestCli:
 
     # the attacked delay 1e308 + 1e308 once gave a sweep row of inf and NaN
     # costs and exit 2 on every command; the last two reach 1e308 only on a
-    # sweep grid or an --alpha-list, past the scenario check
+    # sweep grid or an --alpha-list, past the scenario check, where building
+    # the attacked instance refuses it
     @pytest.mark.parametrize("strength, sweep, command, flags", [
         (1e308, {}, "solve", []),
         (1e308, {}, "sweep", []),
@@ -503,6 +511,7 @@ class TestCli:
         assert cli.main([command, str(path)] + flags) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert "attack-overflow" in err
+        assert ("scenario field 'attack': " in err) == (strength == 1e308)
         assert out == ""
 
     def test_infinite_cost_not_converged(self, tmp_path, capsys):

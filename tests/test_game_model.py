@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -193,8 +195,9 @@ class TestSystemCost:
         value = st.floats(0.0, 4.0) | st.floats(0.0, 1e300)
         n = data.draw(st.integers(1, 5))
         delays = [data.draw(st.lists(value, min_size=1, max_size=4)) for _ in range(n)]
+        # an infinite strength, once drawn here too, no longer builds an instance
         instance = GameInstance(n, tuple(delays), data.draw(st.integers(1, n)),
-                                data.draw(value | st.just(math.inf)))
+                                data.draw(value))
         loads = data.draw(st.lists(value | st.just(-0.0), min_size=n, max_size=n))
         total = 0.0
         for i, x in enumerate(loads, start=1):
@@ -370,10 +373,11 @@ class TestValidate:
         assert validate(inst, pop) == []
 
     def test_intercept_mismatch(self):
+        # unequal intercepts are a paper-model restriction of the scenario
+        # loader alone; the solvers run on them
         inst = GameInstance(2, ((0.0, 1.0), (1.0, 1.0)))
         pop = SchedulerPopulation.full_access(2, 1.0)
-        issues = validate(inst, pop)
-        assert any(v.startswith("intercept-mismatch") for v in issues)
+        assert validate(inst, pop) == []
 
     def test_mass_overflow(self):
         inst = GameInstance.linear(2)
@@ -404,21 +408,63 @@ class TestValidate:
         pop = SchedulerPopulation.for_instance(2, ((1.0, None),), ())
         assert validate(GameInstance.linear(2), pop) == ["empty-access: selfish population"]
 
-    def test_bad_attack_target(self):
-        inst = GameInstance.linear(2, 1.0, attack_target=5)
-        pop = SchedulerPopulation.full_access(2, 1.0)
-        issues = validate(inst, pop)
-        assert any(v.startswith("bad-attack-target") for v in issues)
-
     def test_nan_selfish_mass(self):
         # once passed: abs(nan - expected) > MASS_TOL is False
         pop = SchedulerPopulation((1.0,), (frozenset({1, 2, 3}),), frozenset({1, 2, 3}), math.nan)
         issues = validate(GameInstance.linear(3, 1.0), pop)
         assert [v.split(":")[0] for v in issues] == ["selfish-mass-mismatch"]
 
-    def test_non_integral_attack_target(self):
-        # target 1.5 once passed and attacked no server
-        pop = SchedulerPopulation.full_access(3, 1.0)
-        issues = validate(GameInstance(3, ((0.0, 1.0),) * 3, 1.5, 2.0), pop)
-        assert [v.split(":")[0] for v in issues] == ["bad-attack-target"]
-        assert validate(GameInstance(3, ((0.0, 1.0),) * 3, 2.0, 2.0), pop) == []
+
+_MAX = sys.float_info.max
+#: (n, coefficients, target, strength, error, match) per rejected attack; the
+#: inputs of the lattice oracle's former attack guards and of validate's
+#: former attack checks included
+BAD_ATTACKS = [
+    *[(n, (0.0, 1.0), 1, math.inf, ValidationError, "nonfinite-attack-strength")
+      for n in (2, 3, 4, 5)],
+    (3, (0.0, 1.0), 1, math.nan, ValidationError, "nonfinite-attack-strength"),
+    (3, (0.0, 1.0), 1, -0.5, ValidationError, "negative-attack-strength"),
+    (3, (0.0, 1.0), 1, -1e-300, ValidationError, "negative-attack-strength"),
+    (2, (0.0, 1.0), 1, -1.0, ValidationError, "negative-attack-strength"),
+    # 0 * (tau(0) + alpha) = 0 * inf would put a NaN at load 0 of the lattice's table
+    *[(3, (_MAX,), target, 1e308, ValidationError, "attack-overflow") for target in (1, 2, 3)],
+    (2, (1e308, 1.0), 1, 1e308, ValidationError, "attack-overflow"),
+    # target 5 on three servers once gave the lattice's unattacked optimum
+    *[(3, (0.0, 1.0), target, 1.0, ValidationError, "bad-attack-target") for target in (0, 5)],
+    (2, (0.0, 1.0), 5, 1.0, ValidationError, "bad-attack-target"),
+    # target 1.5 once attacked no server, and True attacked server 1
+    (3, (0.0, 1.0), 1.5, 2.0, ValueError, "attack target must be an integer"),
+    (3, (0.0, 1.0), True, 1.0, ValueError, "attack target must be an integer"),
+]
+
+_BUILDERS = {
+    "constructor": lambda n, coeffs, target, strength: GameInstance(
+        n, (coeffs,) * n, target, strength),
+    "identical": lambda n, coeffs, target, strength: GameInstance.identical(
+        n, coeffs, strength, target),
+    "linear": lambda n, coeffs, target, strength: GameInstance.linear(n, strength, target),
+    "replace": lambda n, coeffs, target, strength: replace(
+        GameInstance.identical(n, coeffs), attack_target=target, attack_strength=strength),
+}
+
+
+class TestAttackGate:
+    """Every instance checks its attack when it is built, by each way of
+    building one; ``linear`` builds only the unit-slope cases."""
+
+    @pytest.mark.parametrize("builder, n, coeffs, target, strength, error, match", [
+        pytest.param(builder, n, coeffs, target, strength, error, match,
+                     id=f"{builder}-{match.replace(' ', '-')}-n{n}-{target}-{strength}")
+        for n, coeffs, target, strength, error, match in BAD_ATTACKS
+        for builder in sorted(_BUILDERS) if builder != "linear" or coeffs == (0.0, 1.0)])
+    def test_bad_attack_raises_when_built(self, builder, n, coeffs, target, strength,
+                                          error, match):
+        with pytest.raises(error, match=match) as info:
+            _BUILDERS[builder](n, coeffs, target, strength)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("builder", sorted(_BUILDERS))
+    def test_integral_float_target_becomes_an_int(self, builder):
+        instance = _BUILDERS[builder](3, (0.0, 1.0), 2.0, 2.0)
+        assert instance.attack_target == 2 and type(instance.attack_target) is int
+        assert instance == GameInstance.linear(3, 2.0, 2)

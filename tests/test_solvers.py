@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import math
 import random
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamsched import game, solvers
-from teamsched.experiments import load_scenario
+from teamsched.experiments import ScenarioError, load_scenario
 from teamsched.game import horner
 from teamsched import (
     DisaggregatedProfile,
@@ -430,43 +431,73 @@ class TestFillInputs:
             solve(GameInstance.linear(2, 1.0), [1, 2], 1.0, [0.0])
 
 
-#: one (instance, population) per violation code, each breaking only that invariant
-_LINEAR2 = GameInstance.linear(2, 1.0)
-_FULL2 = SchedulerPopulation.full_access(2, 1.0)
+def _linear2():
+    return GameInstance.linear(2, 1.0)
+
+
+def _full2():
+    return SchedulerPopulation.full_access(2, 1.0)
+
+
+#: one factory of (instance, population) per violation code, each breaking only
+#: that invariant; the attack codes raise when their instance is built, so a
+#: case is built inside its own test
 BLOCKING_CASES = {
-    "mass-overflow": (_LINEAR2, SchedulerPopulation.for_instance(2, ((2.1, None),))),
-    "empty-access": (_LINEAR2, SchedulerPopulation((1.0,), (frozenset(),), frozenset({1, 2}),
-                                                   1.0)),
-    "bad-server-index": (_LINEAR2, SchedulerPopulation.for_instance(2, ((1.0, (1, 3)),))),
-    "bad-attack-target": (GameInstance.linear(2, 1.0, attack_target=5), _FULL2),
-    "nonfinite-attack-strength": (GameInstance.linear(2, math.inf), _FULL2),
-    "negative-attack-strength": (GameInstance.linear(2, -1.0), _FULL2),
-    "nonpositive-machine-mass": (_LINEAR2, SchedulerPopulation.for_instance(2, ((-0.5, None),))),
-    "selfish-mass-mismatch": (_LINEAR2, SchedulerPopulation(
+    "mass-overflow": lambda: (_linear2(), SchedulerPopulation.for_instance(2, ((2.1, None),))),
+    "empty-access": lambda: (_linear2(), SchedulerPopulation(
+        (1.0,), (frozenset(),), frozenset({1, 2}), 1.0)),
+    "bad-server-index": lambda: (_linear2(), SchedulerPopulation.for_instance(
+        2, ((1.0, (1, 3)),))),
+    "bad-attack-target": lambda: (GameInstance.linear(2, 1.0, attack_target=5), _full2()),
+    "nonfinite-attack-strength": lambda: (GameInstance.linear(2, math.inf), _full2()),
+    "negative-attack-strength": lambda: (GameInstance.linear(2, -1.0), _full2()),
+    "nonpositive-machine-mass": lambda: (_linear2(), SchedulerPopulation.for_instance(
+        2, ((-0.5, None),))),
+    "selfish-mass-mismatch": lambda: (_linear2(), SchedulerPopulation(
         (1.0,), (frozenset({1, 2}),), frozenset({1, 2}), 0.5)),
-    "attack-overflow": (GameInstance(2, ((1e308, 1.0), (1e308, 1.0)), 1, 1e308), _FULL2),
+    "attack-overflow": lambda: (GameInstance(2, ((1e308, 1.0), (1e308, 1.0)), 1, 1e308),
+                                _full2()),
+}
+
+#: one (field, scenario) per code that only the scenario loader raises
+LOADER_CASES = {
+    "intercept-mismatch": ("servers.delays[2]",
+                           {"servers": {"count": 2, "delays": [[0, 1], [1, 1]]}}),
 }
 
 
+def _codes(function):
+    return set(re.findall(r'[" ]([a-z]+(?:-[a-z]+)+): ', inspect.getsource(function)))
+
+
 class TestValidateForSolve:
-    def test_cases_cover_every_code_but_intercept_mismatch(self):
-        source = inspect.getsource(game.validate)
-        codes = set(re.findall(r'append\(\s*f?"([a-z-]+): ', source))
-        assert codes == set(BLOCKING_CASES) | {"intercept-mismatch"}
+    def test_cases_cover_every_code(self):
+        # the attack codes of the instance, the population codes of validate
+        # and the loader's own codes each have a case
+        assert _codes(GameInstance.__post_init__) | _codes(game.validate) == set(BLOCKING_CASES)
+        assert _codes(load_scenario) == set(LOADER_CASES)
 
     @pytest.mark.parametrize("code", sorted(BLOCKING_CASES))
     def test_every_other_code_blocks_the_solve(self, code):
-        instance, population = BLOCKING_CASES[code]
-        assert [v.split(":")[0] for v in game.validate(instance, population)] == [code]
         with pytest.raises(ValidationError, match=code):
+            instance, population = BLOCKING_CASES[code]()
+            assert [v.split(":")[0] for v in game.validate(instance, population)] == [code]
             solve_team_equilibrium(instance, population)
+
+    @pytest.mark.parametrize("code", sorted(LOADER_CASES))
+    def test_loader_code_names_its_field(self, tmp_path, code):
+        field, doc = LOADER_CASES[code]
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=re.escape(f"'{field}': {code}: ")):
+            load_scenario(path)
 
     @pytest.mark.parametrize("code", sorted(BLOCKING_CASES))
     def test_every_other_code_blocks_the_certificate(self, code):
-        instance, population = BLOCKING_CASES[code]
-        zeros = (0.0,) * instance.n
-        profile = DisaggregatedProfile(zeros, (zeros,) * population.machine_count)
         with pytest.raises(ValidationError, match=code):
+            instance, population = BLOCKING_CASES[code]()
+            zeros = (0.0,) * instance.n
+            profile = DisaggregatedProfile(zeros, (zeros,) * population.machine_count)
             equilibrium_residuals(instance, population, profile)
 
     @pytest.mark.parametrize("server", [5, 0])
@@ -491,7 +522,7 @@ class TestValidateForSolve:
 
     @pytest.mark.parametrize("instance, population", [
         (GameInstance.linear(3, 1.0), SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))),
-        (_LINEAR2, _FULL2),
+        (GameInstance.linear(2, 1.0), SchedulerPopulation.full_access(2, 1.0)),
     ])
     def test_team_solve_validates_once(self, monkeypatch, instance, population):
         # the certificate once re-ran validate through equilibrium_residuals
@@ -509,15 +540,15 @@ class TestValidateForSolve:
     def test_overflowing_block_rejected(self):
         profile = DisaggregatedProfile((1e308, 1e308), ((0.5, 0.5),))
         with pytest.raises(ValidationError, match="selfish block .* is no nonnegative split"):
-            equilibrium_residuals(_LINEAR2, _FULL2, profile)
+            equilibrium_residuals(_linear2(), _full2(), profile)
         with pytest.raises(ValidationError, match="selfish block .* is no nonnegative split"):
-            solve_team_equilibrium(_LINEAR2, _FULL2, initial=profile)
+            solve_team_equilibrium(_linear2(), _full2(), initial=profile)
 
     def test_intercept_mismatch_alone_still_solves(self):
+        # unequal intercepts are the scenario loader's restriction, not the solvers'
         instance = GameInstance(2, ((0.0, 1.0), (1.0, 1.0)), 1, 1.0)
-        assert [v.split(":")[0] for v in game.validate(instance, _FULL2)] == [
-            "intercept-mismatch"]
-        assert solve_team_equilibrium(instance, _FULL2).converged
+        assert game.validate(instance, _full2()) == []
+        assert solve_team_equilibrium(instance, _full2()).converged
 
 
 class TestTeamEquilibrium:
@@ -691,9 +722,9 @@ class TestTeamEquilibrium:
 
     def test_non_integral_attack_target_blocks_the_solve(self):
         # target 1.5 once attacked no server: cost 1.0 instead of 1.444
-        instance = GameInstance(3, ((0.0, 1.0),) * 3, 1.5, 2.0)
-        with pytest.raises(ValidationError, match="bad-attack-target"):
-            solve_team_equilibrium(instance, SchedulerPopulation.full_access(3, 1.0))
+        with pytest.raises(ValueError, match="attack target must be an integer"):
+            solve_team_equilibrium(GameInstance(3, ((0.0, 1.0),) * 3, 1.5, 2.0),
+                                   SchedulerPopulation.full_access(3, 1.0))
 
     @pytest.mark.parametrize("n, alpha, r, cap", [
         (3, 0.0025, 1.4, SolveSettings.max_outer_iterations),
