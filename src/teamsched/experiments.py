@@ -176,8 +176,9 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
     The first broken field raises :class:`ScenarioError` naming it (a bad
-    attack or intercept keeps its code); the population checks of
-    :func:`validate` raise :class:`ValidationError` with every violation.
+    attack, intercept or ``sweep.alpha`` point keeps its code); the
+    population checks of :func:`validate` raise :class:`ValidationError`
+    with every violation.
     """
     path = Path(path)
     try:
@@ -234,6 +235,12 @@ def load_scenario(path: str | Path) -> Scenario:
 
     sweep = _only(_field(doc, "sweep", "", dict, {}), "sweep", "alpha", "r")
     alpha_grid = _parse_grid(sweep, "alpha")
+    if alpha_grid is not None:
+        # the grid ascends and an overflow grows with the strength
+        try:
+            replace(instance, attack_strength=alpha_grid[-1])
+        except ValidationError as exc:
+            raise ScenarioError(f"scenario field 'sweep.alpha': {exc}") from exc
     r_grid = _parse_grid(sweep, "r")
     if r_grid is not None:
         if not machines:

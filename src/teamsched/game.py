@@ -168,12 +168,22 @@ class GameInstance:
         """:meth:`attack_bonus` of every server, in server order."""
         return tuple(self.attack_bonus(i) for i in range(1, self.n + 1))
 
+    @cached_property
+    def delay_coefficients(self) -> tuple[tuple[float, ...], ...]:
+        """Every server's delay coefficients, in server order."""
+        return tuple(d.coefficients for d in self.delays)
+
     def cost(self, loads: Sequence[float]) -> float:
         """Mean delay of a raw load vector; trusts the caller on feasibility
-        but raises ``ValueError`` on a vector of the wrong length."""
+        but raises ``ValueError`` on a vector of the wrong length.
+
+        Each server adds ``x * (tau(x) + attack)``, its delay's value by
+        :func:`horner` on :attr:`delay_coefficients`, the same bits as
+        ``DelayFunction.__call__``.
+        """
         total = 0.0
-        for d, a, x in zip(self.delays, self.attack_offsets, loads, strict=True):
-            total += x * (d(x) + a)
+        for c, a, x in zip(self.delay_coefficients, self.attack_offsets, loads, strict=True):
+            total += x * (horner(c, x)[0] + a)
         return total / self.n
 
 

@@ -53,7 +53,9 @@ class _Slopes:
     place.
 
     Entry ``k`` is ``T[k] = x * (tau(x) + attack)`` at ``x = k * step``, the
-    IEEE operations of an elementwise evaluation on the whole axis. Slope
+    IEEE operations of an elementwise evaluation on the whole axis; the table
+    keeps the delay's coefficients and takes ``tau(x)`` from :func:`horner`
+    directly, the same bits as ``DelayFunction.__call__``. Slope
     ``k`` joins entries ``k`` and ``k + 1``; its key is ``(s, e, j)``: ``s``
     the rounded difference, ``e`` its exact remainder (TwoSum), so ``s + e``
     is the real slope and the lexicographic order on ``(s, e)`` is the order
@@ -63,14 +65,15 @@ class _Slopes:
     non-finite and becomes ``(+inf, 0.0, j)``, so no key holds a NaN.
     """
 
-    __slots__ = ("delay", "bonus", "step", "base")
+    __slots__ = ("coefficients", "bonus", "step", "base")
 
     def __init__(self, delay: DelayFunction, bonus: float, step: float, base: int):
-        self.delay, self.bonus, self.step, self.base = delay, bonus, step, base
+        self.coefficients, self.bonus, self.step, self.base = (
+            delay.coefficients, bonus, step, base)
 
     def entry(self, k: int) -> float:
         x = k * self.step
-        return x * (self.delay(x) + self.bonus)
+        return x * (horner(self.coefficients, x)[0] + self.bonus)
 
     def __getitem__(self, k: int) -> tuple[float, float, int]:
         before, after = self.entry(k), self.entry(k + 1)
@@ -120,7 +123,8 @@ def _convex_from(delay: DelayFunction, bonus: float, step: float, steps: int, n:
         floor = (2 * d + 2) * 2.0 ** -1000 * top ** (d + 1)
     except OverflowError:
         return steps
-    bound = 2.0 * (16 * (d + 1) * 2.0 ** -53 * top * (delay(top) + bonus) + 4.0 * floor)
+    value = horner(delay.coefficients, top)[0]
+    bound = 2.0 * (16 * (d + 1) * 2.0 ** -53 * top * (value + bonus) + 4.0 * floor)
     if not bound < math.inf:
         return steps
 

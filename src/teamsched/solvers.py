@@ -51,7 +51,7 @@ _FLAT_SLOPE = 1e-300
 #: share of the way each sweep moves a group toward its best response
 _BLEND = 0.5
 #: per-server level coefficients and attack offsets, indexed by ``social``
-_Levels = tuple[tuple[list[tuple[float, ...]], tuple[float, ...]], ...]
+_Levels = tuple[tuple[tuple[tuple[float, ...], ...], tuple[float, ...]], ...]
 
 
 class InfeasibleError(ValueError):
@@ -231,9 +231,11 @@ def _check_fill_args(instance: GameInstance, access: Iterable[int], mass: float,
 
 
 def _levels(instance: GameInstance) -> _Levels:
-    """The fills' :data:`_Levels`: the delay at ``False``, the marginal cost at ``True``."""
-    return tuple(([d.marginal_coefficients if social else d.coefficients for d in instance.delays],
-                  instance.attack_offsets) for social in (False, True))
+    """The fills' :data:`_Levels`: the delay at ``False`` (the instance's own
+    ``delay_coefficients``), the marginal cost at ``True``."""
+    offsets = instance.attack_offsets
+    return ((instance.delay_coefficients, offsets),
+            (tuple(d.marginal_coefficients for d in instance.delays), offsets))
 
 
 def solve_wardrop(instance: GameInstance, access: Iterable[int], mass: float,
@@ -271,9 +273,10 @@ def _worst(residuals: Iterable[float]) -> float:
     """Largest residual, at least 0; a NaN residual (``inf - inf``) stays NaN."""
     worst = 0.0
     for r in residuals:
-        if math.isnan(r):
+        if r > worst:
+            worst = r
+        elif r != r:  # NaN, the one float unequal to itself
             return math.nan
-        worst = max(worst, r)
     return worst
 
 
@@ -299,7 +302,7 @@ def _residual(instance: GameInstance, servers: Sequence[int], mass: float, socia
     response = _fill_common_level(instance.n, servers, mass, bg, *levels[social])
     if social:
         return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)]), response
-    delays = [d(x) + a for d, a, x in zip(instance.delays, levels[social][1], loads)]
+    delays = [horner(c, x)[0] + a for c, a, x in zip(*levels[social], loads)]
     best = min(delays[i - 1] for i in servers)
     eps = _used_eps(mass)
     return _worst(d - best for d, b in zip(delays, block) if b > eps), response

@@ -495,8 +495,9 @@ class TestCli:
 
     # the attacked delay 1e308 + 1e308 once gave a sweep row of inf and NaN
     # costs and exit 2 on every command; the last two reach 1e308 only on a
-    # sweep grid or an --alpha-list, past the scenario check, where building
-    # the attacked instance refuses it
+    # sweep grid, which the loader refuses by name (see the next test), or an
+    # --alpha-list, past the scenario check, where building the attacked
+    # instance refuses it
     @pytest.mark.parametrize("strength, sweep, command, flags", [
         (1e308, {}, "solve", []),
         (1e308, {}, "sweep", []),
@@ -512,6 +513,20 @@ class TestCli:
         out, err = capsys.readouterr()
         assert "attack-overflow" in err
         assert ("scenario field 'attack': " in err) == (strength == 1e308)
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_sweep_alpha_overflow_names_field(self, tmp_path, capsys, command):
+        # the grid's largest point once overflowed only when the run built it,
+        # and the message named no field
+        doc = base_doc(servers={"count": 2, "delays": [[1e308, 1], [1e308, 1]]},
+                       attack={"target": 1, "strength": 1.0},
+                       sweep={"alpha": {"start": 0.0, "stop": 1e308, "points": 2}})
+        path = write_scenario(tmp_path, doc)
+        assert cli.main([command, str(path)]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert err.startswith("error: scenario field 'sweep.alpha': attack-overflow: "
+                              "strength 1e+308 makes server 1's delay at load 0 infinite")
         assert out == ""
 
     def test_infinite_cost_not_converged(self, tmp_path, capsys):

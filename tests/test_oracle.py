@@ -531,6 +531,21 @@ class TestCertificate:
         keys = [slopes[k] for k in range(start, steps)]
         assert all(a <= b for a, b in zip(keys, keys[1:]))
 
+    @given(n=st.integers(1, 6), steps=st.integers(1, 300), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_entries_match_delay_call(self, n, steps, data):
+        # the table evaluates game.horner on the coefficients itself: every
+        # entry is x * (tau(x) + bonus) bit for bit; repr keeps signed zeros,
+        # inf and NaN apart
+        delay = DelayFunction(tuple(data.draw(_extreme_coefficient(j))
+                                    for j in range(data.draw(st.integers(1, 4)))))
+        bonus = data.draw(st.one_of(st.sampled_from([0.0, 1e9, 1e300]), st.floats(0.0, 3.0)))
+        step = n / steps
+        slopes = oracle._Slopes(delay, bonus, step, 0)
+        for k in range(steps + 1):
+            x = k * step
+            assert repr(slopes.entry(k)) == repr(x * (delay(x) + bonus))
+
     def test_constant_delays_are_not_certified(self):
         # b * x wobbles: no curvature to absorb the rounding
         assert _certified_from(GameInstance.identical(3, (1.0,), 0.5), 300) == [300] * 3

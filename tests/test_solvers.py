@@ -1029,3 +1029,91 @@ class TestBookkeeping:
         expected = ([0.0] * len(block) if mass <= 0.0 or s <= 0.0
                     else [v * (mass / s) for v in block])
         assert repr(solvers._renorm(block, mass)) == repr(expected)
+
+
+def _isnan_max_worst(residuals):
+    """The residual maximum as once written: ``math.isnan``, then ``max``."""
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+        worst = max(worst, r)
+    return worst
+
+
+class TestDirectEvaluation:
+    """The hot paths take delay values from ``game.horner`` on the instance's
+    coefficient tables, bit for bit what ``DelayFunction.__call__`` gives;
+    repr keeps signed zeros, inf and NaN apart."""
+
+    VALUE = st.floats(0.0, 4.0) | st.floats(0.0, 1e300)
+    LOAD = VALUE | st.just(-0.0)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_selfish_score_matches_per_server_delays(self, data):
+        n = data.draw(st.integers(1, 5))
+        delays = tuple(data.draw(st.lists(self.VALUE, min_size=1, max_size=4))
+                       for _ in range(n))  # degrees 0 to 3
+        strength = data.draw(self.VALUE)
+        loads = data.draw(st.lists(self.LOAD, min_size=n, max_size=n))
+        block = data.draw(st.lists(self.LOAD, min_size=n, max_size=n))
+        servers = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        mass = data.draw(st.floats(1e-9, 10.0))
+        for target in range(1, n + 1):
+            instance = GameInstance(n, delays, target, strength)
+            reference = attacked_delays(instance, loads)
+            best = min(reference[i - 1] for i in servers)
+            eps = solvers._used_eps(mass)
+            expected = _isnan_max_worst(d - best for d, b in zip(reference, block) if b > eps)
+            score, _ = solvers._residual(instance, servers, mass, False, block, loads,
+                                         solvers._levels(instance))
+            assert repr(score) == repr(expected)
+
+    @pytest.mark.parametrize("residuals", [
+        [], [math.nan], [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
+        [math.inf], [1.0, math.inf, 2.0], [math.inf, math.nan], [-math.inf],
+        [-1.0, -2.0], [-0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, 5e-324, -0.0],
+    ])
+    def test_worst_matches_isnan_max_loop(self, residuals):
+        assert repr(solvers._worst(iter(residuals))) == repr(_isnan_max_worst(residuals))
+
+    @given(st.lists(st.floats() | st.just(-0.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_worst_matches_isnan_max_loop_on_any_floats(self, residuals):
+        assert repr(solvers._worst(iter(residuals))) == repr(_isnan_max_worst(residuals))
+
+
+class TestHotPathsSkipDelayCall:
+    """No solve, certificate or lattice search goes through
+    ``DelayFunction.__call__``: each reads the instance's coefficient tables
+    and calls ``game.horner`` itself."""
+
+    CASES = {
+        "linear": (GameInstance.linear(3, 1.0),
+                   SchedulerPopulation.for_instance(3, ((1.0, (2, 3)), (0.5, None)), (1, 2))),
+        # the team_poly draws: quadratic and cubic servers, several access groups
+        "poly": (GameInstance(3, ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 2.0), (0.0, 0.0, 0.5)), 1, 0.7),
+                 SchedulerPopulation.for_instance(3, ((1.0, (1, 2, 3)), (0.5, (1, 3))), (1, 2))),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_delay_call(self, monkeypatch, case):
+        instance, population = self.CASES[case]
+        calls = []
+        original = game.DelayFunction.__call__
+
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(game.DelayFunction, "__call__", counted)
+        team = solve_team_equilibrium(instance, population)
+        selfish = solve_fully_selfish(instance, population)
+        assert team.converged and selfish.converged
+        equilibrium_residuals(instance, population, team.profile)
+        grid_search_optimum(instance, 1e-2)
+        assert calls == []
+        # the counter sees a call that does go through the method
+        instance.delays[0](1.0)
+        assert calls == [1.0]
