@@ -22,6 +22,7 @@ Linear levels are their own tangents, so their fill is exact in one step.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -66,8 +67,18 @@ class SolveSettings:
     max_outer_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        tolerance = self.tolerance
+        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+            # True would compare as 1.0, and "1e-3" or None fail the comparison
+            tolerance = math.nan
+        try:
+            tolerance = float(tolerance)
+        except OverflowError:
+            tolerance = math.inf
+        if not 0.0 < tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be a positive finite number, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "max_outer_iterations",
                            as_count(self.max_outer_iterations, "max_outer_iterations"))
         if self.max_outer_iterations < 1:
@@ -100,48 +111,54 @@ class SolveReport:
 # level-equalizing fills
 
 
-def _walk(n: int, mass: float, starts: dict[int, float],
-          slopes: dict[int, float]) -> list[float]:
-    """Exact fill of the lines ``starts[i] + slopes[i] * y`` in load increments y.
+def _walk(n: int, mass: float, servers: Sequence[int], starts: Sequence[float],
+          slopes: Sequence[float]) -> list[float]:
+    """Exact fill of the lines ``starts[k] + slopes[k] * y`` in load increments y.
 
-    Server i takes ``(level - starts[i]) / slope_i`` once the common level
-    passes its start level. The walk enters the servers in ascending start
-    order and keeps the level relative to the last start entered, ``top``:
-    ``below`` is the mass that lifts every entered server to ``top``, a
-    server starting at t enters while ``below + (t - top) * sum 1/c`` stays
-    under ``mass``, and each entered server takes ``(top - t_i) / c_i`` plus
-    its share ``(1/c_i) / sum 1/c`` of the rest. Unlike the absolute level
-    ``(mass + sum t/c) / sum 1/c``, these differences keep the load of a
-    server whose slope is orders of magnitude below the others'. A flat line
-    (slope 0) holds the level at its start once the walk reaches it: the
-    flat lines starting there share the rest equally.
+    Line k belongs to server ``servers[k]`` and its load lands at
+    ``y[servers[k] - 1]``. Server i takes ``(level - t_i) / c_i`` once the
+    common level passes its start level t_i. The walk enters the lines in
+    ascending start order, ties in list order (ascending servers enter ties
+    by server index), and keeps the level relative to the last start
+    entered, ``top``: ``below`` is the mass that lifts every entered server
+    to ``top``, a server starting at t enters while
+    ``below + (t - top) * sum 1/c`` stays under ``mass``, and each entered
+    server takes ``(top - t_i) / c_i`` plus its share ``(1/c_i) / sum 1/c``
+    of the rest. Unlike the absolute level ``(mass + sum t/c) / sum 1/c``,
+    these differences keep the load of a server whose slope is orders of
+    magnitude below the others'. A flat line (slope 0) holds the level at
+    its start once the walk reaches it: the flat lines starting there share
+    the rest equally.
     """
-    order = sorted(starts, key=starts.__getitem__)
+    order = sorted(range(len(servers)), key=starts.__getitem__)
     top = starts[order[0]]
     below = 0.0
     inv_slope = 0.0
     entered = 0
     flat: list[int] = []
-    for i in order:
+    for k in order:
+        start = starts[k]
         # the first entry lifts nothing, also from an infinite start
-        lift = below + (starts[i] - top) * inv_slope if entered else 0.0
+        lift = below + (start - top) * inv_slope if entered else 0.0
         if lift >= mass:
             break
-        below, top = lift, starts[i]
-        if slopes[i] == 0.0:
+        below, top = lift, start
+        slope = slopes[k]
+        if slope == 0.0:
             flat = [j for j in order[entered:] if slopes[j] == 0.0 and starts[j] == top]
             break
-        inv_slope += 1.0 / slopes[i]
+        inv_slope += 1.0 / slope
         entered += 1
     rest = mass - below
     y = [0.0] * n
     if flat:
         share = rest / len(flat)
-        for i in flat:
-            y[i - 1] = share
+        for k in flat:
+            y[servers[k] - 1] = share
         rest = 0.0
-    for i in order[:entered]:
-        y[i - 1] = (top - starts[i]) / slopes[i] + rest / (inv_slope * slopes[i])
+    for k in order[:entered]:
+        slope = slopes[k]
+        y[servers[k] - 1] = (top - starts[k]) / slope + rest / (inv_slope * slope)
     return y
 
 
@@ -151,29 +168,34 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
                        bonuses: Sequence[float]) -> list[float]:
     """Distribute ``mass`` over ``servers`` so the level functions equalize.
 
-    ``level_coeffs[i-1]`` is a nondecreasing polynomial of the aggregate load
-    on server i and ``bonuses[i-1]`` a constant offset. Each Newton step
-    replaces every level by its tangent at the server's current load
-    increment (the background on the first step) and fills those lines
-    exactly by :func:`_walk`. A tangent flatter than :data:`_FLAT_SLOPE`
-    (``x**2`` at load 0) gives way to the secant over the whole mass, and a
-    level whose rise over the whole mass is below float resolution becomes a
-    flat line. A line is its own tangent, so a fill whose levels are all
-    linear ends after one step; otherwise the steps go on until the loads
-    stop moving or their largest move, once below :data:`_SETTLED` times the
-    mass, stops shrinking, for at most :data:`_FILL_STEPS` steps. The result
-    is rescaled to the exact mass.
+    ``servers`` ascends; ``level_coeffs[i-1]`` is a nondecreasing polynomial
+    of the aggregate load on server i and ``bonuses[i-1]`` a constant
+    offset. Each Newton step replaces every level by its tangent at the
+    server's current load increment (the background on the first step),
+    evaluated once per server, and fills those lines exactly by
+    :func:`_walk`, their start levels and slopes listed in the order of
+    ``servers``. A tangent flatter than :data:`_FLAT_SLOPE` (``x**2`` at
+    load 0) gives way to the secant over the whole mass, and a level whose
+    rise over the whole mass is below float resolution becomes a flat line.
+    A line is its own tangent, so a fill whose levels are all linear ends
+    after one step; otherwise the steps go on until the loads stop moving
+    or their largest move, once below :data:`_SETTLED` times the mass, stops
+    shrinking, for at most :data:`_FILL_STEPS` steps. The result is
+    rescaled to the exact mass; a mass whose every share underflowed goes
+    whole to the first least start in ``servers`` order.
     """
     if mass <= 0.0:
         return [0.0] * n
     if not servers:
         raise InfeasibleError("cannot place positive mass: no accessible server")
     y = [0.0] * n
-    last_move = math.inf
+    # the loop's constants, bound once per fill
+    last_move = inf = math.inf
+    flat_slope = _FLAT_SLOPE
     for _ in range(_FILL_STEPS):
         curved = False
-        starts = {}
-        slopes = {}
+        starts: list[float] = []
+        slopes: list[float] = []
         for i in servers:
             coeffs = level_coeffs[i - 1]
             # a line is its own tangent, taken at the background
@@ -181,18 +203,19 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
             if len(coeffs) > 2 and any(coeffs[2:]):
                 curved = True
                 at = y[i - 1]
-            value, slope = horner(coeffs, background[i - 1] + at)
-            if not slope >= _FLAT_SLOPE:
-                slope = (horner(coeffs, background[i - 1] + at + mass)[0] - value) / mass
-            if not (slope >= _FLAT_SLOPE and slope * mass > 0.0):
+            x = background[i - 1] + at
+            value, slope = horner(coeffs, x)
+            if not slope >= flat_slope:
+                slope = (horner(coeffs, x + mass)[0] - value) / mass
+            if not (slope >= flat_slope and slope * mass > 0.0):
                 slope = 0.0
             start = value - slope * at + bonuses[i - 1]
-            if not abs(start) < math.inf:
+            if not abs(start) < inf:
                 # an overflowed level takes mass only where every level overflows
-                start, slope = math.inf, 0.0
-            starts[i] = start
-            slopes[i] = slope
-        step = _walk(n, mass, starts, slopes)
+                start, slope = inf, 0.0
+            starts.append(start)
+            slopes.append(slope)
+        step = _walk(n, mass, servers, starts, slopes)
         if not curved:
             y = step
             break
@@ -205,7 +228,7 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
     if total == 0.0:
         # a mass below the smallest normal float, every share of which
         # underflowed: it goes whole to the line the walk enters first
-        y[min(starts, key=starts.__getitem__) - 1] = total = mass
+        y[servers[min(range(len(starts)), key=starts.__getitem__)] - 1] = total = mass
     scale = mass / total
     return [v * scale for v in y]
 
@@ -298,7 +321,8 @@ def _residual(instance: GameInstance, servers: Sequence[int], mass: float, socia
     """
     if mass <= _USED_EPS:
         return 0.0, [0.0] * instance.n
-    bg = [max(0.0, x - b) for x, b in zip(loads, block)]
+    # max(0.0, x - b) in one comparison: 0.0 also at x == b, NaN and inf - inf
+    bg = [x - b if x > b else 0.0 for x, b in zip(loads, block)]
     response = _fill_common_level(instance.n, servers, mass, bg, *levels[social])
     if social:
         return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)]), response

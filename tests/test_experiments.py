@@ -544,7 +544,7 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: tolerance must be positive and finite, got inf\n"
+        assert err == "error: tolerance must be a positive finite number, got inf\n"
 
     @pytest.mark.parametrize("command", [
         ["figure", "fig4"],

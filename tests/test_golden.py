@@ -7,7 +7,8 @@ their default grids, numeric figure data and the ``verify`` stdout, whose
 gaps pin the lattice oracle's winning points, also of
 ``golden/target_three.json`` (three linear full-access servers, attacked at
 server 3). ``golden/solver_reports.sha256`` pins the bits of 200 team solve
-reports on linear servers.
+reports on linear servers, ``golden/poly_reports.sha256`` those of 60 on
+quadratic and cubic servers, whose fills take Newton steps.
 A change that moves any of these bytes must explain each moved digit.
 
 ``cli.main`` builds its parser once per process; the tests after the golden
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from teamsched import GameInstance, SchedulerPopulation, cli, solve_team_equilibrium
+from teamsched import (GameInstance, SchedulerPopulation, SolveSettings, cli,
+                       solve_team_equilibrium)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = {path.stem: path for path in
@@ -123,11 +125,52 @@ def _solver_report_digest() -> str:
         else:
             population = SchedulerPopulation.full_access(n, r)
         report = solve_team_equilibrium(GameInstance.linear(n, alpha), population)
-        digest.update(repr((report.cost, report.profile.selfish, report.profile.per_machine,
-                            report.selfish_residual, report.machine_residual,
-                            report.converged, report.iterations)).encode() + b"\n")
+        digest.update(_report_line(report))
+    return digest.hexdigest()
+
+
+def _report_line(report) -> bytes:
+    """The repr of a report's cost, profile, residuals, ``converged`` and sweeps."""
+    return repr((report.cost, report.profile.selfish, report.profile.per_machine,
+                 report.selfish_residual, report.machine_residual,
+                 report.converged, report.iterations)).encode() + b"\n"
+
+
+def _poly_report_digest() -> str:
+    """sha256 over 60 fixed team solves on quadratic and cubic servers.
+
+    Each draw takes n from {2, 3} in turn; one server is cubic and the rest
+    quadratic, all sharing one intercept in [0, 1], with coefficients in
+    [0.2, 1.5]. 1 to 3 machine groups (in turn) and the selfish jobs each
+    reach a random nonempty set of servers, alpha is drawn from [0.01, 4]
+    and the machines hold 20-90% of the mass. The sweep cap of 1000 stops
+    the one slow draw unconverged, so the digest also pins where a capped
+    solve stops.
+    """
+    rng = random.Random(29)
+    settings = SolveSettings(max_outer_iterations=1000)
+    digest = hashlib.sha256()
+    for k in range(60):
+        n = (2, 3)[k % 2]
+        c0 = rng.uniform(0.0, 1.0)
+        cubic = rng.randrange(n)
+        delays = [(c0,) + tuple(rng.uniform(0.2, 1.5) for _ in range(3 if i == cubic else 2))
+                  for i in range(n)]
+        servers = range(1, n + 1)
+        groups = [tuple(sorted(rng.sample(servers, rng.randint(1, n)))) for _ in range(1 + k % 3)]
+        mass = rng.uniform(0.2, 0.9) * n
+        weights = [rng.random() + 0.2 for _ in groups]
+        machines = [(mass * w / sum(weights), access) for w, access in zip(weights, groups)]
+        selfish = sorted(rng.sample(servers, rng.randint(1, n)))
+        instance = GameInstance(n, delays, 1, rng.uniform(0.01, 4.0))
+        population = SchedulerPopulation.for_instance(n, machines, selfish)
+        digest.update(_report_line(solve_team_equilibrium(instance, population, settings)))
     return digest.hexdigest()
 
 
 def test_solver_report_digest():
     assert _solver_report_digest() == (GOLDEN / "solver_reports.sha256").read_text().strip()
+
+
+def test_poly_report_digest():
+    assert _poly_report_digest() == (GOLDEN / "poly_reports.sha256").read_text().strip()

@@ -702,9 +702,16 @@ class TestTeamEquilibrium:
         assert rep.iterations <= 10
 
     def test_settings_validation(self):
-        for tolerance in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        # True once compared as 1.0 and "1e-3" failed with a bare TypeError
+        for tolerance in (0.0, -1e-10, math.inf, math.nan, True, "1e-3", None, 10**400):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"tolerance must be a positive finite number, got {tolerance!r}")):
                 SolveSettings(tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [1e-10, 1, Fraction(1, 1000), 5e-324])
+    def test_settings_store_tolerance_as_float(self, tolerance):
+        stored = SolveSettings(tolerance=tolerance).tolerance
+        assert stored == float(tolerance) and type(stored) is float
 
     @pytest.mark.parametrize("cap", [2.5, math.inf, math.nan, True])
     def test_settings_reject_non_integral_sweep_cap(self, cap):
@@ -1117,3 +1124,214 @@ class TestHotPathsSkipDelayCall:
         # the counter sees a call that does go through the method
         instance.delays[0](1.0)
         assert calls == [1.0]
+
+
+def _dict_walk(n, mass, starts, slopes):
+    """The breakpoint walk as once written, on dicts keyed by server."""
+    order = sorted(starts, key=starts.__getitem__)
+    top = starts[order[0]]
+    below = 0.0
+    inv_slope = 0.0
+    entered = 0
+    flat = []
+    for i in order:
+        lift = below + (starts[i] - top) * inv_slope if entered else 0.0
+        if lift >= mass:
+            break
+        below, top = lift, starts[i]
+        if slopes[i] == 0.0:
+            flat = [j for j in order[entered:] if slopes[j] == 0.0 and starts[j] == top]
+            break
+        inv_slope += 1.0 / slopes[i]
+        entered += 1
+    rest = mass - below
+    y = [0.0] * n
+    if flat:
+        share = rest / len(flat)
+        for i in flat:
+            y[i - 1] = share
+        rest = 0.0
+    for i in order[:entered]:
+        y[i - 1] = (top - starts[i]) / slopes[i] + rest / (inv_slope * slopes[i])
+    return y
+
+
+def _dict_fill(n, servers, mass, background, level_coeffs, bonuses):
+    """The level fill as once written: dict starts and slopes, the tangent
+    point summed afresh for the secant, and the underflow fallback on the
+    first least start in server order."""
+    if mass <= 0.0:
+        return [0.0] * n
+    y = [0.0] * n
+    last_move = math.inf
+    for _ in range(solvers._FILL_STEPS):
+        curved = False
+        starts = {}
+        slopes = {}
+        for i in servers:
+            coeffs = level_coeffs[i - 1]
+            at = 0.0
+            if len(coeffs) > 2 and any(coeffs[2:]):
+                curved = True
+                at = y[i - 1]
+            value, slope = horner(coeffs, background[i - 1] + at)
+            if not slope >= solvers._FLAT_SLOPE:
+                slope = (horner(coeffs, background[i - 1] + at + mass)[0] - value) / mass
+            if not (slope >= solvers._FLAT_SLOPE and slope * mass > 0.0):
+                slope = 0.0
+            start = value - slope * at + bonuses[i - 1]
+            if not abs(start) < math.inf:
+                start, slope = math.inf, 0.0
+            starts[i] = start
+            slopes[i] = slope
+        step = _dict_walk(n, mass, starts, slopes)
+        if not curved:
+            y = step
+            break
+        move = max(abs(u - v) for u, v in zip(step, y))
+        y = step
+        if move == 0.0 or (move <= solvers._SETTLED * mass and not move < last_move):
+            break
+        last_move = move
+    total = math.fsum(y)
+    if total == 0.0:
+        y[min(starts, key=starts.__getitem__) - 1] = total = mass
+    scale = mass / total
+    return [v * scale for v in y]
+
+
+def _outcome(function, *args):
+    """repr of the result, or the name of the exception raised; repr keeps
+    signed zeros, inf and NaN apart."""
+    try:
+        return repr(function(*args))
+    except ArithmeticError as error:
+        return type(error).__name__
+
+
+class TestListWalk:
+    """The walk and the fill on parallel lists in access order give the
+    dict-based walk and fill bit for bit."""
+
+    # a small pool of start levels makes ties common
+    START = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 2.0 ** -52, 3.0, math.inf, -math.inf,
+                             5e-324]) | st.floats(-4.0, 4.0)
+    SLOPE = st.sampled_from([0.0, 5e-324, 1e-310, solvers._FLAT_SLOPE, 1.0, 2.0, 3.0]) \
+        | st.floats(1e-300, 1e300)
+    MASS = st.sampled_from([5e-324, 1e-323, 2.2250738585072014e-308]) \
+        | st.floats(1e-320, 1e-300) | st.floats(1e-9, 10.0)
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_walk_matches_dict_walk(self, data):
+        n = data.draw(st.integers(1, 7))
+        # any access subset, in ascending server order as every caller passes it
+        servers = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        starts = [data.draw(self.START) for _ in servers]
+        slopes = [data.draw(self.SLOPE) for _ in servers]
+        mass = data.draw(self.MASS)
+        assert (_outcome(solvers._walk, n, mass, servers, starts, slopes)
+                == _outcome(_dict_walk, n, mass, dict(zip(servers, starts)),
+                            dict(zip(servers, slopes))))
+
+    @pytest.mark.parametrize("starts, slopes", [
+        # three tied lines: the sum of inverse slopes runs in server order,
+        # and 1/0.1 + 1/0.3 + 1/11 in reverse order moves the last bit
+        ([0.0, 0.0, 0.0], [0.1, 0.3, 11.0]),
+        ([2.0, 2.0, 2.0], [11.0, 0.3, 0.1]),
+        # a flat line tied with sloped ones
+        ([1.0, 1.0, 1.0], [0.3, 0.0, 11.0]),
+    ])
+    def test_ties_enter_in_server_order(self, starts, slopes):
+        servers = [2, 3, 5]
+        for mass in (5e-324, 0.3, 1.0, 4.0):
+            y = solvers._walk(6, mass, servers, starts, slopes)
+            assert repr(y) == repr(_dict_walk(6, mass, dict(zip(servers, starts)),
+                                              dict(zip(servers, slopes))))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fill_matches_dict_fill(self, data):
+        n = data.draw(st.integers(1, 5))
+        # identical levels and backgrounds tie the start levels
+        shared = data.draw(st.booleans())
+        coeff = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1e3)
+        level = st.lists(coeff, min_size=1, max_size=4).map(tuple)
+        first = data.draw(level)
+        levels = [first if shared else data.draw(level) for _ in range(n)]
+        value = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0)
+        background = [0.0 if shared else data.draw(value) for _ in range(n)]
+        bonuses = [0.0 if shared else data.draw(value) for _ in range(n)]
+        servers = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        mass = data.draw(self.MASS)
+        args = (n, servers, mass, background, levels, bonuses)
+        assert _outcome(solvers._fill_common_level, *args) == _outcome(_dict_fill, *args)
+
+    @pytest.mark.parametrize("levels, background, servers, expected", [
+        # every share of the smallest float underflows; of the tied least
+        # starts, the first in server order takes the whole mass
+        ([(1.0, 1.0), (0.0, 1.0), (0.0, 3.0), (0.0, 1.0)], [0.0] * 4, [1, 2, 3, 4], 2),
+        ([(1.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], [0.0] * 4, [3, 4], 3),
+        ([(0.0, 1.0)] * 3, [0.0, 0.0, 0.0], [1, 3], 1),
+        # the tie is between curved levels, whose fill takes Newton steps
+        ([(0.5, 1.0), (0.0, 1.0, 1.0), (0.0, 1.0, 1.0)], [0.0] * 3, [1, 2, 3], 2),
+    ])
+    def test_underflow_fallback_matches_dict_fill(self, levels, background, servers, expected):
+        n = len(levels)
+        args = (n, servers, 5e-324, background, levels, [0.0] * n)
+        y = solvers._fill_common_level(*args)
+        assert repr(y) == repr(_dict_fill(*args))
+        assert y[expected - 1] == 5e-324 and math.fsum(y) == 5e-324
+
+
+class TestBackgroundClamp:
+    """``_residual`` fills atop ``x - b if x > b else 0.0``, bit for bit the
+    fill atop ``max(0.0, x - b)``."""
+
+    LOAD = (st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 1.0, 2.0, math.inf])
+            | st.floats(0.0, 4.0))
+
+    @classmethod
+    def _near(cls, data, x):
+        """A block load at, one subnormal or one ulp around, or anywhere
+        below or above the aggregate load ``x``."""
+        return data.draw(st.sampled_from([x, x - 5e-324, x + 5e-324, math.nextafter(x, -math.inf),
+                                          math.nextafter(x, math.inf), -0.0, math.inf])
+                         | cls.LOAD)
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_response_matches_max_clamp(self, data):
+        n = data.draw(st.integers(1, 4))
+        delays = tuple(data.draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4))
+                       for _ in range(n))
+        instance = GameInstance(n, delays, data.draw(st.integers(1, n)),
+                                data.draw(st.floats(0.0, 4.0)))
+        levels = solvers._levels(instance)
+        loads = [data.draw(self.LOAD) for _ in range(n)]
+        block = [self._near(data, x) for x in loads]
+        servers = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        mass = data.draw(st.floats(1e-9, 10.0))
+        background = [max(0.0, x - b) for x, b in zip(loads, block)]
+        for social in (False, True):
+            response = _outcome(lambda: solvers._residual(instance, servers, mass, social,
+                                                          block, loads, levels)[1])
+            expected = _outcome(solvers._fill_common_level, n, servers, mass, background,
+                                *levels[social])
+            assert response == expected
+
+    @pytest.mark.parametrize("x, b", [
+        (1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0),
+        (5e-324, 0.0), (0.0, 5e-324), (1e-323, 5e-324), (math.inf, 1.0), (math.inf, math.inf),
+        (1.0, math.inf),
+    ])
+    def test_clamp_cases(self, x, b):
+        # the second server's load sits at x with the block holding b of it
+        instance = GameInstance(2, ((0.0, 1.0, 1.0), (0.5, 2.0)), 1, 0.5)
+        levels = solvers._levels(instance)
+        for social in (False, True):
+            _, response = solvers._residual(instance, [1, 2], 1.5, social, [0.25, b],
+                                            [0.25, x], levels)
+            expected = solvers._fill_common_level(2, [1, 2], 1.5, [0.0, max(0.0, x - b)],
+                                                  *levels[social])
+            assert repr(response) == repr(expected)
