@@ -181,8 +181,10 @@ class GameInstance:
         :func:`horner` on :attr:`delay_coefficients`, the same bits as
         ``DelayFunction.__call__``.
         """
+        if len(loads) != self.n:
+            raise ValueError(f"cost needs {self.n} loads, one per server, got {len(loads)}")
         total = 0.0
-        for c, a, x in zip(self.delay_coefficients, self.attack_offsets, loads, strict=True):
+        for c, a, x in zip(self.delay_coefficients, self.attack_offsets, loads):
             total += x * (horner(c, x)[0] + a)
         return total / self.n
 

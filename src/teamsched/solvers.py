@@ -325,11 +325,24 @@ def _residual(instance: GameInstance, servers: Sequence[int], mass: float, socia
     bg = [x - b if x > b else 0.0 for x, b in zip(loads, block)]
     response = _fill_common_level(instance.n, servers, mass, bg, *levels[social])
     if social:
-        return instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)]), response
-    delays = [horner(c, x)[0] + a for c, a, x in zip(*levels[social], loads)]
-    best = min(delays[i - 1] for i in servers)
+        now = new = 0.0  # instance.cost of loads and of bg + response, in one pass
+        for c, a, x, b, r in zip(*levels[False], loads, bg, response):
+            z = b + r
+            now += x * (horner(c, x)[0] + a)
+            new += z * (horner(c, z)[0] + a)
+        return now / instance.n - new / instance.n, response
+    delays = [horner(c, x)[0] + a for c, a, x in zip(*levels[False], loads)]
+    best = min([delays[i - 1] for i in servers])
     eps = _used_eps(mass)
-    return _worst(d - best for d, b in zip(delays, block) if b > eps), response
+    worst = 0.0  # _worst's rules over the used servers: floor 0.0, NaN at once
+    for d, b in zip(delays, block):
+        if b > eps:
+            r = d - best
+            if r > worst:
+                worst = r
+            elif r != r:
+                return math.nan, response
+    return worst, response
 
 
 def _certificate(instance: GameInstance, members: Sequence[_Member],

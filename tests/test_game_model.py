@@ -206,7 +206,8 @@ class TestSystemCost:
 
     @pytest.mark.parametrize("loads", [(1.0,), (1.0, 1.0, 1.0)], ids=["short", "long"])
     def test_cost_rejects_wrong_length(self, loads):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^cost needs 2 loads, one per server, "
+                                             rf"got {len(loads)}$"):
             GameInstance.linear(2, 1.0).cost(loads)
 
     @given(

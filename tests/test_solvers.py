@@ -1077,6 +1077,37 @@ class TestDirectEvaluation:
                                          solvers._levels(instance))
             assert repr(score) == repr(expected)
 
+    @staticmethod
+    def _social_score_and_reference(instance, servers, mass, block, loads):
+        score, response = solvers._residual(instance, servers, mass, True, block, loads,
+                                            solvers._levels(instance))
+        bg = [max(0.0, x - b) for x, b in zip(loads, block)]
+        return score, instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)])
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_social_score_matches_two_costs(self, data):
+        n = data.draw(st.integers(1, 5))
+        delays = tuple(data.draw(st.lists(self.VALUE, min_size=1, max_size=4))
+                       for _ in range(n))  # degrees 0 to 3
+        strength = data.draw(self.VALUE)
+        loads = data.draw(st.lists(self.LOAD, min_size=n, max_size=n))
+        block = data.draw(st.lists(self.LOAD, min_size=n, max_size=n))
+        servers = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        mass = data.draw(st.floats(1e-9, 10.0))
+        for target in range(1, n + 1):
+            instance = GameInstance(n, delays, target, strength)
+            score, expected = self._social_score_and_reference(instance, servers, mass,
+                                                               block, loads)
+            assert repr(score) == repr(expected)
+
+    def test_social_score_keeps_inf_minus_inf(self):
+        # a cubic at 1e300 overflows both costs: inf - inf is NaN on both sides
+        instance = GameInstance(2, ((0.0, 0.0, 0.0, 1.0), (0.0, 1.0)), 1, 0.0)
+        score, expected = self._social_score_and_reference(
+            instance, [1, 2], 1.0, [0.5, 0.0], [1e300, 1.0])
+        assert math.isnan(expected) and repr(score) == repr(expected)
+
     @pytest.mark.parametrize("residuals", [
         [], [math.nan], [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
         [math.inf], [1.0, math.inf, 2.0], [math.inf, math.nan], [-math.inf],
@@ -1124,6 +1155,27 @@ class TestHotPathsSkipDelayCall:
         # the counter sees a call that does go through the method
         instance.delays[0](1.0)
         assert calls == [1.0]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_cost_call_per_solve(self, monkeypatch, case):
+        # the block scores sum their costs inline; only the report calls cost
+        instance, population = self.CASES[case]
+        calls = []
+        original = game.GameInstance.cost
+
+        def counted(self, loads):
+            calls.append(tuple(loads))
+            return original(self, loads)
+
+        monkeypatch.setattr(game.GameInstance, "cost", counted)
+        for solve in (solve_fully_selfish, solve_team_equilibrium):
+            calls.clear()
+            report = solve(instance, population)
+            assert report.converged
+            assert calls == [report.aggregate.loads]
+        calls.clear()
+        equilibrium_residuals(instance, population, report.profile)  # the team profile
+        assert calls == []
 
 
 def _dict_walk(n, mass, starts, slopes):
