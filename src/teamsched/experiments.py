@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .game import (DelayFunction, GameInstance, LoadProfile, SchedulerPopulation,
-                   ValidationError, system_cost, validate)
+                   ValidationError, system_cost)
 from .solvers import SolveReport, SolveSettings, solve_fully_selfish, \
     solve_social_optimum, solve_team_equilibrium
 
@@ -176,9 +176,9 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
     The first broken field raises :class:`ScenarioError` naming it (a bad
-    attack, intercept or ``sweep.alpha`` point keeps its code); the
-    population checks of :func:`validate` raise :class:`ValidationError`
-    with every violation.
+    attack, intercept or ``sweep.alpha`` point keeps its code); a population
+    that breaks a mass or access rule raises :class:`ValidationError` with
+    every violation as it is built.
     """
     path = Path(path)
     try:
@@ -229,10 +229,6 @@ def load_scenario(path: str | Path) -> Scenario:
     selfish_access = _field(selfish, "access", "selfish", list, None, items=int)
     population = SchedulerPopulation.for_instance(n, pairs, selfish_access)
 
-    issues = validate(instance, population)
-    if issues:
-        raise ValidationError("; ".join(issues))
-
     sweep = _only(_field(doc, "sweep", "", dict, {}), "sweep", "alpha", "r")
     alpha_grid = _parse_grid(sweep, "alpha")
     if alpha_grid is not None:
@@ -272,15 +268,12 @@ def load_scenario(path: str | Path) -> Scenario:
                     alpha_grid, r_grid, settings, leader)
 
 
-def _population_at_mass(population: SchedulerPopulation, n: int, r: float) -> SchedulerPopulation:
+def _population_at_mass(population: SchedulerPopulation, r: float) -> SchedulerPopulation:
     """Rescale machine masses proportionally to total ``r`` (dropping them at zero)."""
     if r <= 0.0:
-        return SchedulerPopulation.for_instance(n, (), population.selfish_access)
-    base = population.machine_mass_total
-    scale = r / base
-    pairs = tuple((m * scale, a) for m, a in
-                  zip(population.machine_masses, population.machine_access))
-    return SchedulerPopulation.for_instance(n, pairs, population.selfish_access)
+        return replace(population, machine_masses=(), machine_access=())
+    scale = r / population.machine_mass_total
+    return replace(population, machine_masses=tuple(m * scale for m in population.machine_masses))
 
 
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
@@ -302,7 +295,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
 
     def solve_point(alpha: float, r: float) -> SweepRow:
         attacked = replace(instance, attack_strength=alpha)
-        pop = _population_at_mass(population, n, r)
+        pop = _population_at_mass(population, r)
         team = solve_team_equilibrium(attacked, pop, scenario.settings)
         optimal = LoadProfile.from_raw(solve_social_optimum(attacked, full, float(n)))
         selfish = solve_fully_selfish(attacked, pop, scenario.settings)

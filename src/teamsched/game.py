@@ -279,31 +279,49 @@ def system_cost(instance: GameInstance, profile: LoadProfile | Sequence[float]) 
 
 @dataclass(frozen=True)
 class SchedulerPopulation:
-    """Machine masses and access sets plus the residual selfish mass.
+    """Machine masses and access sets of an ``n``-server system; the
+    selfish jobs hold what the machines leave of the total mass ``n``.
 
     ``machine_access[k]`` and ``selfish_access`` are sets of 1-based server
-    indices. ``selfish_mass`` must equal ``n - sum(machine_masses)``; use
-    :meth:`for_instance` to compute it. Consistency with a concrete instance
-    is reported by :func:`validate`.
+    indices. Every way of building one (``replace`` included) checks it: a
+    count or index that is not an integer raises ``ValueError``, any broken
+    mass or access rule :class:`ValidationError` with every violation's
+    code. :func:`validate` pairs it with an instance.
     """
 
+    n: int
     machine_masses: tuple[float, ...]
     machine_access: tuple[frozenset[int], ...]
     selfish_access: frozenset[int]
-    selfish_mass: float
 
     def __post_init__(self) -> None:
+        n = as_count(self.n, "server count")
         masses = _as_floats(self.machine_masses)
         access = tuple(frozenset(as_count(i, "server index") for i in a)
                        for a in self.machine_access)
         if len(masses) != len(access):
             raise ValueError(
                 f"{len(masses)} machine masses but {len(access)} access sets")
+        selfish = frozenset(as_count(i, "server index") for i in self.selfish_access)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "machine_masses", masses)
         object.__setattr__(self, "machine_access", access)
-        object.__setattr__(self, "selfish_access",
-                           frozenset(as_count(i, "server index") for i in self.selfish_access))
-        object.__setattr__(self, "selfish_mass", float(self.selfish_mass))
+        object.__setattr__(self, "selfish_access", selfish)
+        issues: list[str] = []
+        total_machine = self.machine_mass_total
+        if total_machine > n + 1e-12:
+            issues.append(f"mass-overflow: machine masses sum to {total_machine} > {n}")
+        for k, mass in enumerate(masses, start=1):
+            if not mass > 0.0:  # NaN included
+                issues.append(f"nonpositive-machine-mass: machine {k} has mass {mass}")
+        groups = [(f"machine {k}", a) for k, a in enumerate(access, start=1)]
+        for who, servers in groups + [("selfish population", selfish)]:
+            if not servers:
+                issues.append(f"empty-access: {who}")
+            issues += [f"bad-server-index: {who} references server {i}"
+                       for i in sorted(servers) if not 1 <= i <= n]
+        if issues:
+            raise ValidationError("; ".join(issues))
 
     @classmethod
     def for_instance(cls, n: int,
@@ -319,7 +337,7 @@ class SchedulerPopulation:
         masses = tuple(float(m) for m, _ in machines)
         access = tuple(everything if a is None else a for _, a in machines)
         selfish = everything if selfish_access is None else selfish_access
-        return cls(masses, access, selfish, n - total_mass(masses))
+        return cls(n, masses, access, selfish)
 
     @classmethod
     def full_access(cls, n: int, machine_mass: float, machines: int = 1) -> "SchedulerPopulation":
@@ -342,6 +360,11 @@ class SchedulerPopulation:
     @property
     def machine_mass_total(self) -> float:
         return total_mass(self.machine_masses)
+
+    @property
+    def selfish_mass(self) -> float:
+        """What the machines leave of the total mass ``n``."""
+        return self.n - self.machine_mass_total
 
 
 @dataclass(frozen=True)
@@ -369,30 +392,12 @@ class DisaggregatedProfile:
 def validate(instance: GameInstance, population: SchedulerPopulation) -> list[str]:
     """Check the population against the instance; return violations as data.
 
-    Each entry is ``"code: detail"`` naming the broken invariant and the
-    offending index. An empty list means the pair is well-formed. The
-    instance checks its own attack when it is built.
+    Each entry is ``"code: detail"`` naming the broken invariant. An empty
+    list means the pair is well-formed. The instance checks its own attack
+    and the population its own masses and access sets when each is built,
+    so only the pairing is left to check.
     """
-    issues: list[str] = []
-    n = instance.n
-    total_machine = population.machine_mass_total
-    if total_machine > n + 1e-12:
-        issues.append(f"mass-overflow: machine masses sum to {total_machine} > {n}")
-    stored, expected = population.selfish_mass, n - total_machine
-    if stored != expected and not abs(stored - expected) <= MASS_TOL:  # NaN fails
-        issues.append(f"selfish-mass-mismatch: stored {stored}, expected {expected}")
-    for k, mass in enumerate(population.machine_masses, start=1):
-        if not mass > 0.0:  # NaN included
-            issues.append(f"nonpositive-machine-mass: machine {k} has mass {mass}")
-    for k, access in enumerate(population.machine_access, start=1):
-        if not access:
-            issues.append(f"empty-access: machine {k}")
-        for i in sorted(access):
-            if not 1 <= i <= n:
-                issues.append(f"bad-server-index: machine {k} references server {i}")
-    if not population.selfish_access:
-        issues.append("empty-access: selfish population")
-    for i in sorted(population.selfish_access):
-        if not 1 <= i <= n:
-            issues.append(f"bad-server-index: selfish population references server {i}")
-    return issues
+    if population.n != instance.n:
+        return [f"server-count-mismatch: population has {population.n} servers, "
+                f"instance has {instance.n}"]
+    return []

@@ -363,8 +363,9 @@ def _members(population: SchedulerPopulation, team: bool) -> list[_Member]:
 
 
 def _check_solvable(instance: GameInstance, population: SchedulerPopulation) -> None:
-    """Raise :class:`ValidationError` on every :func:`validate` violation; the
-    fills take what passes unchecked."""
+    """Raise :class:`ValidationError` on a :func:`validate` violation (the
+    instance and the population check themselves when built); the fills
+    take what passes unchecked."""
     issues = validate(instance, population)
     if issues:
         raise ValidationError("; ".join(issues))

@@ -409,8 +409,6 @@ class TestCli:
         proc = self.run_cli(command, str(path))
         assert proc.returncode == 1
         assert "mass-overflow" in proc.stderr
-        # -inf stored against -inf expected is no mismatch
-        assert "selfish-mass-mismatch" not in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

@@ -277,14 +277,52 @@ class TestFullAccess:
 class TestPopulation:
     def test_rejects_masses_without_access_sets(self):
         with pytest.raises(ValueError, match="2 machine masses but 1 access sets"):
-            SchedulerPopulation((0.5, 0.5), (frozenset({1, 2}),), frozenset({1, 2}), 1.0)
+            SchedulerPopulation(2, (0.5, 0.5), (frozenset({1, 2}),), frozenset({1, 2}))
 
     def test_overflowing_machine_masses_are_a_mass_overflow(self):
         # the selfish mass 2 - (1e308 + 1e308) once raised a raw OverflowError
-        pop = SchedulerPopulation.for_instance(2, ((1e308, None), (1e308, None)))
-        assert pop.machine_mass_total == math.inf
-        issues = validate(GameInstance.linear(2), pop)
-        assert issues[0].startswith("mass-overflow")
+        with pytest.raises(ValidationError, match="^mass-overflow: machine masses sum to inf > 2$"):
+            SchedulerPopulation.for_instance(2, ((1e308, None), (1e308, None)))
+
+    def test_old_positional_order_fails_loudly(self):
+        # the server count comes first, so masses in its place are no count
+        with pytest.raises(ValueError, match="server count must be an integer"):
+            SchedulerPopulation((1.0,), (frozenset({1, 2}),), frozenset({1, 2}), 1.0)
+
+
+class TestDerivedSelfishMass:
+    # the selfish mass is n - fsum(masses), the float for_instance stored
+    # when it was a field; a sum past n by an ulp leaves a tiny negative
+    # mass, which the oracle's random starts clamp to 0
+    @given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, 4),
+           ulps=st.integers(-2, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit(self, data, n, k, ulps):
+        share = st.floats(min_value=1e-300, max_value=n / k, allow_subnormal=False)
+        masses = data.draw(st.lists(share, min_size=k - 1, max_size=k - 1))
+        if data.draw(st.booleans(), label="fill to n"):
+            last = n - math.fsum(masses)
+            for _ in range(abs(ulps)):
+                last = math.nextafter(last, math.copysign(math.inf, ulps))
+            masses.append(last)
+        pop = SchedulerPopulation.for_instance(n, [(m, None) for m in masses])
+        assert pop.machine_masses == tuple(masses)
+        assert pop.selfish_mass.hex() == (n - math.fsum(masses)).hex()
+
+    def test_an_ulp_past_n_leaves_a_negative_mass(self):
+        pop = SchedulerPopulation.for_instance(3, ((2.0000000000000004, None), (1.0, (2, 3))))
+        assert pop.selfish_mass == -4.440892098500626e-16
+
+    @pytest.mark.parametrize("changes, code", [
+        ({"machine_masses": (0.0,)}, "nonpositive-machine-mass"),
+        ({"machine_masses": (math.nan,)}, "nonpositive-machine-mass"),
+        ({"machine_masses": (3.5,)}, "mass-overflow"),
+        ({"machine_access": (frozenset(),)}, "empty-access"),
+        ({"n": 2}, "bad-server-index"),
+    ], ids=["zero", "nan", "overflow", "empty", "fewer-servers"])
+    def test_replace_checks_the_population(self, changes, code):
+        with pytest.raises(ValidationError, match=f"^{code}: "):
+            replace(SchedulerPopulation.full_access(3, 1.0), **changes)
 
 
 class TestServerCount:
@@ -307,11 +345,11 @@ class TestServerCount:
 
 
 class TestServerIndex:
-    # int(i) once truncated 1.5 to server 1 and validate saw a well-formed population
+    # int(i) once truncated 1.5 to server 1 and the population passed as well-formed
     @pytest.mark.parametrize("build", [
-        lambda: SchedulerPopulation((1.0,), ([1.5, 2],), [1, 2], 1.0),
-        lambda: SchedulerPopulation((1.0,), ([1, 2],), [1, 2.5], 1.0),
-        lambda: SchedulerPopulation((1.0,), ([True, 2],), [1, 2], 1.0),
+        lambda: SchedulerPopulation(2, (1.0,), ([1.5, 2],), [1, 2]),
+        lambda: SchedulerPopulation(2, (1.0,), ([1, 2],), [1, 2.5]),
+        lambda: SchedulerPopulation(2, (1.0,), ([True, 2],), [1, 2]),
     ], ids=["machine", "selfish", "machine-bool"])
     def test_constructor_rejects_non_integral(self, build):
         with pytest.raises(ValueError, match="server index must be an integer"):
@@ -367,7 +405,9 @@ class TestPotential:
         assert not _has_potential(instance)
 
 
-class TestValidate:
+class TestPopulationRules:
+    # every mass and access rule raises when the population is built;
+    # validate is left with the pairing
     def test_well_formed(self):
         inst = GameInstance.linear(2, 1.0)
         pop = SchedulerPopulation.full_access(2, 1.0)
@@ -380,40 +420,47 @@ class TestValidate:
         pop = SchedulerPopulation.full_access(2, 1.0)
         assert validate(inst, pop) == []
 
-    def test_mass_overflow(self):
-        inst = GameInstance.linear(2)
-        pop = SchedulerPopulation.for_instance(2, ((2.1, None),))
-        issues = validate(inst, pop)
-        assert any(v.startswith("mass-overflow") for v in issues)
+    def test_server_count_mismatch(self):
+        assert validate(GameInstance.linear(2), SchedulerPopulation.full_access(3, 1.0)) == [
+            "server-count-mismatch: population has 3 servers, instance has 2"]
 
-    @pytest.mark.parametrize("mass", [0.0, -0.5, math.nan])
+    def test_mass_overflow(self):
+        with pytest.raises(ValidationError, match="^mass-overflow: machine masses sum to 2.1 > 2$"):
+            SchedulerPopulation.for_instance(2, ((2.1, None),))
+
+    @pytest.mark.parametrize("mass", [0.0, -0.5, -0.0])
     def test_nonpositive_machine_mass(self, mass):
-        inst = GameInstance.linear(2)
-        pop = SchedulerPopulation.for_instance(2, ((mass, None),))
-        issues = validate(inst, pop)
-        assert any(v.startswith("nonpositive-machine-mass") for v in issues)
+        with pytest.raises(ValidationError,
+                           match=f"^nonpositive-machine-mass: machine 1 has mass {mass}$"):
+            SchedulerPopulation.for_instance(2, ((mass, None),))
+
+    def test_nan_machine_mass_names_only_its_rule(self):
+        # the stored selfish mass was NaN too, and its mismatch once led the message
+        with pytest.raises(ValidationError) as exc:
+            SchedulerPopulation.for_instance(3, ((math.nan, None),))
+        assert str(exc.value) == "nonpositive-machine-mass: machine 1 has mass nan"
 
     def test_bad_server_index(self):
-        inst = GameInstance.linear(2)
-        pop = SchedulerPopulation.for_instance(2, ((1.0, (1, 3)),))
-        issues = validate(inst, pop)
-        assert any(v.startswith("bad-server-index") for v in issues)
+        with pytest.raises(ValidationError, match="^bad-server-index: machine 1 references server 3$"):
+            SchedulerPopulation.for_instance(2, ((1.0, (1, 3)),))
 
     def test_empty_access(self):
-        inst = GameInstance.linear(2)
-        pop = SchedulerPopulation((1.0,), (frozenset(),), frozenset({1, 2}), 1.0)
-        issues = validate(inst, pop)
-        assert any(v.startswith("empty-access") for v in issues)
+        with pytest.raises(ValidationError, match="^empty-access: machine 1$"):
+            SchedulerPopulation(2, (1.0,), (frozenset(),), frozenset({1, 2}))
 
     def test_empty_selfish_access(self):
-        pop = SchedulerPopulation.for_instance(2, ((1.0, None),), ())
-        assert validate(GameInstance.linear(2), pop) == ["empty-access: selfish population"]
+        with pytest.raises(ValidationError, match="^empty-access: selfish population$"):
+            SchedulerPopulation.for_instance(2, ((1.0, None),), ())
 
-    def test_nan_selfish_mass(self):
-        # once passed: abs(nan - expected) > MASS_TOL is False
-        pop = SchedulerPopulation((1.0,), (frozenset({1, 2, 3}),), frozenset({1, 2, 3}), math.nan)
-        issues = validate(GameInstance.linear(3, 1.0), pop)
-        assert [v.split(":")[0] for v in issues] == ["selfish-mass-mismatch"]
+    def test_every_violation_in_order(self):
+        with pytest.raises(ValidationError) as exc:
+            SchedulerPopulation.for_instance(2, ((3.0, (1, 3)), (0.0, ())), (0,))
+        assert str(exc.value) == (
+            "mass-overflow: machine masses sum to 3.0 > 2; "
+            "nonpositive-machine-mass: machine 2 has mass 0.0; "
+            "bad-server-index: machine 1 references server 3; "
+            "empty-access: machine 2; "
+            "bad-server-index: selfish population references server 0")
 
 
 _MAX = sys.float_info.max

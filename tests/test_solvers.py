@@ -440,12 +440,12 @@ def _full2():
 
 
 #: one factory of (instance, population) per violation code, each breaking only
-#: that invariant; the attack codes raise when their instance is built, so a
-#: case is built inside its own test
+#: that invariant; the attack and population codes raise when their instance
+#: or population is built, so a case is built inside its own test
 BLOCKING_CASES = {
     "mass-overflow": lambda: (_linear2(), SchedulerPopulation.for_instance(2, ((2.1, None),))),
     "empty-access": lambda: (_linear2(), SchedulerPopulation(
-        (1.0,), (frozenset(),), frozenset({1, 2}), 1.0)),
+        2, (1.0,), (frozenset(),), frozenset({1, 2}))),
     "bad-server-index": lambda: (_linear2(), SchedulerPopulation.for_instance(
         2, ((1.0, (1, 3)),))),
     "bad-attack-target": lambda: (GameInstance.linear(2, 1.0, attack_target=5), _full2()),
@@ -453,8 +453,7 @@ BLOCKING_CASES = {
     "negative-attack-strength": lambda: (GameInstance.linear(2, -1.0), _full2()),
     "nonpositive-machine-mass": lambda: (_linear2(), SchedulerPopulation.for_instance(
         2, ((-0.5, None),))),
-    "selfish-mass-mismatch": lambda: (_linear2(), SchedulerPopulation(
-        (1.0,), (frozenset({1, 2}),), frozenset({1, 2}), 0.5)),
+    "server-count-mismatch": lambda: (_linear2(), SchedulerPopulation.full_access(3, 1.0)),
     "attack-overflow": lambda: (GameInstance(2, ((1e308, 1.0), (1e308, 1.0)), 1, 1e308),
                                 _full2()),
 }
@@ -472,9 +471,11 @@ def _codes(function):
 
 class TestValidateForSolve:
     def test_cases_cover_every_code(self):
-        # the attack codes of the instance, the population codes of validate
-        # and the loader's own codes each have a case
-        assert _codes(GameInstance.__post_init__) | _codes(game.validate) == set(BLOCKING_CASES)
+        # the attack codes of the instance, the mass and access codes of the
+        # population, the pairing code of validate and the loader's own codes
+        # each have a case
+        assert (_codes(GameInstance.__post_init__) | _codes(SchedulerPopulation.__post_init__)
+                | _codes(game.validate)) == set(BLOCKING_CASES)
         assert _codes(load_scenario) == set(LOADER_CASES)
 
     @pytest.mark.parametrize("code", sorted(BLOCKING_CASES))
@@ -505,20 +506,10 @@ class TestValidateForSolve:
         # server 5 once raised a raw IndexError, and server 0 read server 3's
         # delay and scored (2.0, 0.33)
         inst = GameInstance.linear(3, 1.0)
-        pop = SchedulerPopulation.for_instance(3, ((1.0, None),), (server, 1, 2))
         profile = DisaggregatedProfile((1.0, 1.0, 0.0), ((1 / 3, 1 / 3, 1 / 3),))
         with pytest.raises(ValidationError, match=f"bad-server-index: .* server {server}"):
+            pop = SchedulerPopulation.for_instance(3, ((1.0, None),), (server, 1, 2))
             equilibrium_residuals(inst, pop, profile)
-
-    def test_nan_selfish_mass_blocks_solve_and_certificate(self):
-        # the solve once dropped the selfish group and reported loads
-        # (0, 1.5, 1.5) as converged, and the certificate passed them
-        inst = GameInstance.linear(3, 1.0)
-        pop = SchedulerPopulation((1.0,), (frozenset({1, 2, 3}),), frozenset({1, 2, 3}), math.nan)
-        with pytest.raises(ValidationError, match="selfish-mass-mismatch"):
-            solve_team_equilibrium(inst, pop)
-        with pytest.raises(ValidationError, match="selfish-mass-mismatch"):
-            equilibrium_residuals(inst, pop, DisaggregatedProfile((0.0,) * 3, ((0.0, 0.5, 0.5),)))
 
     @pytest.mark.parametrize("instance, population", [
         (GameInstance.linear(3, 1.0), SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))),
@@ -748,9 +739,8 @@ class TestTeamEquilibrium:
 
     def test_blocking_violations_raise(self):
         inst = GameInstance.linear(2, 1.0)
-        pop = SchedulerPopulation.for_instance(2, ((2.5, None),))
         with pytest.raises(ValidationError):
-            solve_team_equilibrium(inst, pop)
+            solve_team_equilibrium(inst, SchedulerPopulation.for_instance(2, ((2.5, None),)))
 
 
 class TestResiduals:
@@ -860,6 +850,31 @@ class TestFullySelfish:
         assert rep.cost == pytest.approx(team_cost_linear(4, 0.0, alpha), abs=1e-8)
 
 
+def _fig4_draws(seed, count=60):
+    """fig4's access beyond identical servers: machines of mass n - 1 on
+    {2..n} and the selfish unit on {1, 2}, random slopes, one intercept."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        c0 = rng.uniform(0.0, 1.0)
+        delays = tuple((c0, rng.uniform(0.2, 2.0)) for _ in range(n))
+        yield (GameInstance(n, delays, 1, rng.uniform(0.05, 3.0)),
+               SchedulerPopulation.for_instance(n, ((n - 1.0, range(2, n + 1)),), (1, 2)))
+
+
+class TestClaimTwo:
+    # the paper's second claim: under fig4's constrained access the machines
+    # cannot influence the selfish jobs, so the team does no better than the
+    # same jobs all selfish; proven for identical unit slopes, held here for
+    # heterogeneous ones
+    def test_team_cost_is_fully_selfish_cost(self):
+        for instance, population in _fig4_draws(12):
+            team = solve_team_equilibrium(instance, population)
+            selfish = solve_fully_selfish(instance, population)
+            assert team.converged and selfish.converged
+            assert abs(team.cost - selfish.cost) <= 1e-8, (instance, team.cost, selfish.cost)
+
+
 class TestSharedLoop:
     # selfish jobs share servers {1, 2} with two machines, so the fully
     # selfish solver merges them into one class while the team keeps the
@@ -951,7 +966,7 @@ class TestOneResidualRule:
 
     def test_negative_rounding_selfish_mass_solves(self):
         # the machines leave a selfish mass of 3 - 3.0000000000000004 < 0,
-        # which validate accepts; that block takes no part in either solve
+        # which the population accepts; that block takes no part in either solve
         inst = GameInstance.linear(3, 1.0)
         pop = SchedulerPopulation.for_instance(3, ((2.0000000000000004, None), (1.0, (2, 3))))
         assert pop.selfish_mass < 0.0
