@@ -17,8 +17,8 @@ A scenario is one JSON document::
 ``delays`` lists polynomial coefficients (constant first) per server, each
 with the same constant term; access lists use 1-based server indices and
 default to every server. The optional sweep block defines attack-strength and
-machine-mass grids; sweeping ``r`` scales the machine masses proportionally,
-so it needs at least one machine.
+machine-mass grids; sweeping ``r`` scales the machine masses to total ``r``
+by :meth:`SchedulerPopulation.at_mass`, so it needs at least one machine.
 ``stackelberg`` adds the leader-follower solution, whose model needs three or
 more servers with delay ``[0, 1]`` and the attack on server 1.
 Every field is type-checked on load: a missing required or an unknown field,
@@ -268,14 +268,6 @@ def load_scenario(path: str | Path) -> Scenario:
                     alpha_grid, r_grid, settings, leader)
 
 
-def _population_at_mass(population: SchedulerPopulation, r: float) -> SchedulerPopulation:
-    """Rescale machine masses proportionally to total ``r`` (dropping them at zero)."""
-    if r <= 0.0:
-        return replace(population, machine_masses=(), machine_access=())
-    scale = r / population.machine_mass_total
-    return replace(population, machine_masses=tuple(m * scale for m in population.machine_masses))
-
-
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Solve every (alpha, r) sweep point of the scenario.
 
@@ -295,7 +287,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
 
     def solve_point(alpha: float, r: float) -> SweepRow:
         attacked = replace(instance, attack_strength=alpha)
-        pop = _population_at_mass(population, r)
+        pop = population.at_mass(r)
         team = solve_team_equilibrium(attacked, pop, scenario.settings)
         optimal = LoadProfile.from_raw(solve_social_optimum(attacked, full, float(n)))
         selfish = solve_fully_selfish(attacked, pop, scenario.settings)
@@ -376,15 +368,20 @@ def figure_data(figure_id: str, *, numeric: bool = False,
     strength for the same three profiles. ``numeric`` forces the iterative /
     search solvers instead of the closed forms, for cross-validation; a team
     solve that does not converge raises :class:`NonConvergenceError`.
+    ``alphas`` replaces the figure's default attack strengths; an empty one
+    raises ``ValueError``.
     """
+    if alphas is not None and len(alphas) == 0:
+        raise ValueError("alphas must hold at least one attack strength")
     if figure_id == "fig2":
-        curves = tuple(alphas) if alphas else FIG2_DEFAULT_ALPHAS
+        curves = FIG2_DEFAULT_ALPHAS if alphas is None else tuple(alphas)
         return _csv(["r"] + [f"cost_alpha_{_fmt(a)}" for a in curves],
                     ([r] + [_fig2_cost(r, a, numeric) for a in curves]
                      for r in _grid(0.0, 2.0, 201)))
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
-    points = ((a, _constrained_point(a, numeric)) for a in alphas or _grid(0.0, 3.0, 61))
+    points = ((a, _constrained_point(a, numeric))
+              for a in (_grid(0.0, 3.0, 61) if alphas is None else alphas))
     if figure_id == "fig4":
         return _csv(["alpha", "uninfluenced_cost", "stackelberg_cost", "optimal_cost"],
                     ([a] + [cost for cost, _ in point] for a, point in points))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 #: absolute slack for scaled-simplex membership of a load profile
@@ -340,18 +340,28 @@ class SchedulerPopulation:
         return cls(n, masses, access, selfish)
 
     @classmethod
-    def full_access(cls, n: int, machine_mass: float, machines: int = 1) -> "SchedulerPopulation":
-        """``machines`` identical full-access machines sharing ``machine_mass``;
-        a zero mass means no machines."""
-        machines = as_count(machines, "machine count")
-        if machines < 0:
-            raise ValueError("machine count must be nonnegative")
+    def full_access(cls, n: int, machine_mass: float) -> "SchedulerPopulation":
+        """One full-access machine of ``machine_mass``; a zero mass means no
+        machines."""
         if not machine_mass >= 0.0:
             raise ValueError(f"machine mass must be nonnegative, got {machine_mass}")
-        if machine_mass <= 0.0 or machines == 0:
-            return cls.for_instance(n, ())
-        share = machine_mass / machines
-        return cls.for_instance(n, tuple((share, None) for _ in range(machines)))
+        return cls.for_instance(n, ((machine_mass, None),) if machine_mass > 0.0 else ())
+
+    def at_mass(self, r: float) -> "SchedulerPopulation":
+        """The population with its machine masses scaled in proportion to
+        total ``r``, access sets kept; ``r == 0`` drops the machines.
+
+        A negative or NaN ``r`` raises ``ValueError``, and so does a positive
+        ``r`` on a population with no machines to scale.
+        """
+        if not r >= 0.0:
+            raise ValueError(f"machine mass must be nonnegative, got {r}")
+        if r == 0.0:
+            return replace(self, machine_masses=(), machine_access=())
+        if not self.machine_masses:
+            raise ValueError(f"cannot scale to machine mass {r}: the population has no machines")
+        scale = r / self.machine_mass_total
+        return replace(self, machine_masses=tuple(m * scale for m in self.machine_masses))
 
     @property
     def machine_count(self) -> int:

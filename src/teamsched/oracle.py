@@ -384,25 +384,36 @@ def verify_weak_security(instance: GameInstance, population: SchedulerPopulation
     return verify_security(instance, population, alphas, settings=settings, seed=seed)[1]
 
 
-def monotonicity_sweep(instance: GameInstance, r_grid: Sequence[float], alpha: float, *,
+def monotonicity_sweep(instance: GameInstance, population: SchedulerPopulation,
+                       masses: Sequence[float], *,
                        settings: SolveSettings | None = None) -> MonotonicityReport:
-    """Team cost along an ascending machine-mass grid with full access.
+    """Team cost of ``population.at_mass(r)`` at the instance's attack, for
+    each machine mass ``r`` of an ascending grid.
 
-    Costs should never increase, beyond :data:`_MONOTONE_TOL`, as more mass
-    moves under machine control. An empty or descending grid raises
-    ``ValueError``.
+    The paper's first claim is that, with full access, more machine mass
+    never raises the team cost; it proves this on identical unit-slope
+    servers. The report is ``nonincreasing`` when no cost rises by more than
+    :data:`_MONOTONE_TOL` over its neighbour. The conjecture checked beyond
+    the paper is that the cost never rises whenever every machine group may
+    use every server the selfish jobs may use, on heterogeneous delays too:
+    seeded draws of linear and common-degree servers found no rise. Its
+    limit is machine access narrower than the selfish access. There, mass
+    moved from the selfish jobs to the machines also loses servers it could
+    use, and the cost can rise (87 of 250 random draws did, by up to 1.96).
+    That is an access loss, not a counterexample to the paper.
+
+    An empty or descending grid raises ``ValueError``, and so does any mass
+    :meth:`SchedulerPopulation.at_mass` refuses, before anything is solved.
     """
     settings = settings or SolveSettings()
-    grid = [float(r) for r in r_grid]
+    grid = [float(r) for r in masses]
     if not grid:
         raise ValueError("machine-mass grid must hold at least one mass")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("machine-mass grid must be ascending")
-    attacked = replace(instance, attack_strength=float(alpha))
     costs = []
-    for r in grid:
-        population = SchedulerPopulation.full_access(attacked.n, r)
-        report = solve_team_equilibrium(attacked, population, settings)
+    for scaled in [population.at_mass(r) for r in grid]:
+        report = solve_team_equilibrium(instance, scaled, settings)
         if not report.converged:
             return MonotonicityReport(False, tuple(costs), inconclusive=True)
         costs.append(report.cost)

@@ -155,13 +155,13 @@ def test_criterion_6_first_order_residuals():
 def test_criterion_7_property_suites():
     start = time.perf_counter()
     templates = [
-        (GameInstance.linear(2), 1.0),
-        (GameInstance.linear(3), 1.5),
-        (GameInstance.identical(3, (0.0, 1.0, 1.0)), 1.0),  # nonlinear path
+        GameInstance.linear(2, 1.0),
+        GameInstance.linear(3, 1.5),
+        GameInstance.identical(3, (0.0, 1.0, 1.0), 1.0),  # nonlinear path
     ]
-    for instance, alpha in templates:
+    for instance in templates:
         grid = [instance.n * i / 99 for i in range(100)]
-        report = monotonicity_sweep(instance, grid, alpha)
+        report = monotonicity_sweep(instance, SchedulerPopulation.full_access(instance.n, 1.0), grid)
         assert not report.inconclusive
         assert report.nonincreasing
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from teamsched import ValidationError, cli, experiments, oracle
+from teamsched import SchedulerPopulation, ValidationError, cli, experiments, oracle
 from teamsched.experiments import (
     FIG2_DEFAULT_ALPHAS,
     ScenarioError,
@@ -177,6 +177,15 @@ class TestRunSweep:
         assert len(body) == len(result)
         assert body[0][6] in ("true", "false")
 
+    def test_mass_grid_without_machines_names_them(self, rows):
+        # a scenario built past the loader's 'sweep.r' gate once raised a
+        # bare ZeroDivisionError at the first positive mass
+        scenario, _ = rows
+        bare = replace(scenario, population=SchedulerPopulation.for_instance(2),
+                       alpha_grid=(1.0,), r_grid=(0.0, 1.0))
+        with pytest.raises(ValueError, match="no machines"):
+            run_sweep(bare)
+
 
 class TestFigureData:
     def test_fig2_curves_nonincreasing(self):
@@ -242,6 +251,12 @@ class TestFigureData:
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             figure_data("fig9")
+
+    @pytest.mark.parametrize("figure_id", ["fig2", "fig4", "fig5"])
+    def test_empty_alphas_rejected(self, figure_id):
+        # an empty list once fell back to the default grid
+        with pytest.raises(ValueError, match="^alphas must hold at least one attack strength$"):
+            figure_data(figure_id, alphas=[])
 
 
 class TestCli:

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -257,21 +258,67 @@ class TestFullAccess:
         with pytest.raises(ValueError, match="machine mass"):
             SchedulerPopulation.full_access(3, mass)
 
-    def test_rejects_non_integral_machine_count(self):
-        with pytest.raises(ValueError, match="machine count must be an integer"):
-            SchedulerPopulation.full_access(3, 1.0, machines=2.5)
-
-    def test_integral_float_machine_count(self):
-        assert SchedulerPopulation.full_access(3, 1.0, machines=2.0).machine_masses == (0.5, 0.5)
-
     def test_zero_mass_means_no_machines(self):
         pop = SchedulerPopulation.full_access(3, 0.0)
         assert pop.machine_count == 0
         assert pop.selfish_mass == 3.0
 
-    def test_rejects_negative_machine_count(self):
-        with pytest.raises(ValueError, match="machine count must be nonnegative"):
-            SchedulerPopulation.full_access(2, 1.0, machines=-1)
+
+class TestAtMass:
+    NESTED = SchedulerPopulation.for_instance(4, ((0.5, (1, 2)), (1.5, None)), (2, 3))
+
+    @pytest.mark.parametrize("r", [-1.0, -1e-300, -math.inf, math.nan])
+    def test_rejects_negative_or_nan_mass(self, r):
+        # a negative mass once dropped the machines silently
+        with pytest.raises(ValueError, match="^machine mass must be nonnegative, got"):
+            self.NESTED.at_mass(r)
+
+    @pytest.mark.parametrize("r", [0.0, -0.0])
+    def test_zero_mass_drops_the_machines(self, r):
+        pop = self.NESTED.at_mass(r)
+        assert pop.machine_count == 0
+        assert pop.selfish_mass == 4.0
+        assert pop.selfish_access == frozenset({2, 3})
+        assert SchedulerPopulation.for_instance(2).at_mass(r) == SchedulerPopulation.for_instance(2)
+
+    def test_positive_mass_without_machines_names_them(self):
+        # once a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="no machines"):
+            SchedulerPopulation.for_instance(3).at_mass(1.0)
+
+    def test_keeps_access_and_proportions(self):
+        pop = self.NESTED.at_mass(3.0)
+        assert pop.machine_masses == (0.75, 2.25)
+        assert pop.machine_access == self.NESTED.machine_access
+        assert pop.selfish_access == self.NESTED.selfish_access
+        assert pop.selfish_mass == 1.0
+
+    def test_mass_past_the_servers_is_an_overflow(self):
+        with pytest.raises(ValidationError, match="^mass-overflow"):
+            self.NESTED.at_mass(4.5)
+
+    def test_same_floats_as_one_scale_factor(self):
+        # every machine mass is m * (r / total), the bits the sweep has
+        # always used
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            masses = [rng.uniform(0.01, 1.0) for _ in range(rng.randint(1, 4))]
+            scale_to = n / math.fsum(masses)
+            masses = [m * scale_to * rng.uniform(0.05, 0.999) for m in masses]
+            pop = SchedulerPopulation.for_instance(
+                n, [(m, rng.sample(range(1, n + 1), rng.randint(1, n))) for m in masses])
+            r = rng.choice([n, rng.uniform(0.0, n)])
+            total = pop.machine_mass_total
+            assert pop.at_mass(r).machine_masses == tuple(m * (r / total) for m in masses)
+
+    def test_unit_full_access_rescales_to_full_access(self):
+        rng = random.Random(12)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            r = rng.choice([0.0, float(n), rng.uniform(0.0, n)])
+            assert SchedulerPopulation.full_access(n, 1.0).at_mass(r) == \
+                SchedulerPopulation.full_access(n, r)
 
 
 class TestPopulation:

@@ -730,11 +730,33 @@ class TestPotential:
         assert max(abs(cost - default.cost) for cost in costs) <= 1e-8
 
 
+def _nested_access_draws(seed, count=25):
+    """Claim 1 beyond identical servers: one or two machine groups whose
+    access contains the selfish access, on heterogeneous linear or
+    common-degree-2 servers with one intercept."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        c0 = rng.uniform(0.0, 1.0)
+        degree = rng.choice((1, 2))
+        delays = tuple((c0,) + (0.0,) * (degree - 1) + (rng.uniform(0.2, 2.0),)
+                       for _ in range(n))
+        selfish = rng.sample(range(1, n + 1), rng.randint(1, n))
+        machines = tuple((rng.uniform(0.1, 1.0),
+                          set(selfish) | set(rng.sample(range(1, n + 1), rng.randint(0, n))))
+                         for _ in range(rng.randint(1, 2)))
+        yield (GameInstance(n, delays, rng.randint(1, n), rng.uniform(0.05, 3.0)),
+               SchedulerPopulation.for_instance(n, machines, selfish))
+
+
 class TestMonotonicity:
+    # one full-access machine, which the sweep rescales to each grid mass
+    UNIT = SchedulerPopulation.full_access(2, 1.0)
+
     def test_moderate_attack_plateau(self):
-        inst = GameInstance.linear(2)
+        inst = GameInstance.linear(2, 1.0)
         grid = [i * 0.1 for i in range(21)]
-        report = monotonicity_sweep(inst, grid, 1.0)
+        report = monotonicity_sweep(inst, self.UNIT, grid)
         assert report.nonincreasing
         assert not report.inconclusive
         for r, cost in zip(grid, report.costs):
@@ -742,16 +764,16 @@ class TestMonotonicity:
                 assert cost == pytest.approx(1.4375, abs=1e-8)
 
     def test_no_attack_flat(self):
-        inst = GameInstance.linear(2)
-        report = monotonicity_sweep(inst, [i * 0.2 for i in range(11)], 0.0)
+        report = monotonicity_sweep(GameInstance.linear(2), self.UNIT,
+                                    [i * 0.2 for i in range(11)])
         assert report.nonincreasing
         assert report.costs == pytest.approx([1.0] * 11, abs=1e-9)
 
     def test_strong_attack_range(self):
         # penetration threshold sits at 0.5; cost falls from 2.0 to 1.75
-        inst = GameInstance.linear(2)
+        inst = GameInstance.linear(2, 2.0)
         grid = [i * 0.1 for i in range(21)]
-        report = monotonicity_sweep(inst, grid, 2.0)
+        report = monotonicity_sweep(inst, self.UNIT, grid)
         assert report.nonincreasing
         assert report.costs[0] == pytest.approx(2.0, abs=1e-8)
         assert report.costs[-1] == pytest.approx(1.75, abs=1e-8)
@@ -761,19 +783,34 @@ class TestMonotonicity:
 
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError):
-            monotonicity_sweep(GameInstance.linear(2), [1.0, 0.5], 1.0)
+            monotonicity_sweep(GameInstance.linear(2, 1.0), self.UNIT, [1.0, 0.5])
 
     def test_inconclusive_on_non_convergence(self):
-        inst = GameInstance.linear(2)
-        report = monotonicity_sweep(inst, [0.4, 0.8], 1.0,
+        report = monotonicity_sweep(GameInstance.linear(2, 1.0), self.UNIT, [0.4, 0.8],
                                     settings=SolveSettings(max_outer_iterations=1))
         assert report.inconclusive
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="grid"):
-            monotonicity_sweep(GameInstance.linear(2), [], 1.0)
+            monotonicity_sweep(GameInstance.linear(2, 1.0), self.UNIT, [])
 
     def test_rejects_negative_machine_mass(self):
         # a negative mass would otherwise pass as no machines
         with pytest.raises(ValueError, match="machine mass"):
-            monotonicity_sweep(GameInstance.linear(2), [-1.0, 1.0], 1.0)
+            monotonicity_sweep(GameInstance.linear(2, 1.0), self.UNIT, [-1.0, 1.0])
+
+    def test_rejects_mass_without_machines(self, monkeypatch):
+        # refused before the first solve
+        monkeypatch.setattr(oracle, "solve_team_equilibrium", None)
+        with pytest.raises(ValueError, match="no machines"):
+            monotonicity_sweep(GameInstance.linear(2, 1.0), SchedulerPopulation.for_instance(2),
+                               [0.0, 1.0])
+
+    def test_claim_one_on_nested_access(self):
+        # the paper's first claim beyond identical full-access servers:
+        # machine access containing the selfish access, heterogeneous slopes
+        for instance, population in _nested_access_draws(32):
+            grid = [instance.n * i / 10 for i in range(11)]
+            report = monotonicity_sweep(instance, population, grid)
+            assert not report.inconclusive
+            assert report.nonincreasing, (instance, population, report.costs)

@@ -609,7 +609,7 @@ class TestTeamEquilibrium:
 
     def test_multiple_machines_same_access_split_proportionally(self):
         inst = GameInstance.linear(2, 1.0)
-        pop = SchedulerPopulation.full_access(2, 1.0, machines=4)
+        pop = SchedulerPopulation.for_instance(2, ((0.25, None),) * 4)
         rep = solve_team_equilibrium(inst, pop)
         assert rep.converged
         assert rep.cost == pytest.approx(1.4375, abs=1e-8)
@@ -985,7 +985,7 @@ class TestOneBestResponse:
     # level data per machine class
     CONSTRAINED = (GameInstance.linear(3, 1.0),
                    SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2)))
-    FULL = (GameInstance.linear(3, 1.0), SchedulerPopulation.full_access(3, 1.5, machines=3))
+    FULL = (GameInstance.linear(3, 1.0), SchedulerPopulation.for_instance(3, ((0.5, None),) * 3))
 
     @staticmethod
     def counting(monkeypatch, name):
