@@ -134,12 +134,7 @@ def _cmd_figure(args) -> int:
 def _cmd_verify(args) -> int:
     from . import oracle
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    if args.alpha_list is not None:
-        alphas = args.alpha_list
-    elif scenario.alpha_grid:
-        alphas = list(scenario.alpha_grid)
-    else:
-        alphas = [scenario.instance.attack_strength]
+    alphas = scenario.alphas if args.alpha_list is None else args.alpha_list
     strong, weak = oracle.verify_security(
         scenario.instance, scenario.population, alphas,
         settings=scenario.settings, seed=args.seed)

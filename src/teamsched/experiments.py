@@ -20,7 +20,8 @@ default to every server. The optional sweep block defines attack-strength and
 machine-mass grids; sweeping ``r`` scales the machine masses to total ``r``
 by :meth:`SchedulerPopulation.at_mass`, so it needs at least one machine.
 ``stackelberg`` adds the leader-follower solution, whose model needs three or
-more servers with delay ``[0, 1]`` and the attack on server 1.
+more servers with delay ``[0, 1]``, the attack on server 1, every machine on
+servers 2..n and a selfish mass of 1 on servers 1 and 2.
 Every field is type-checked on load: a missing required or an unknown field,
 a value of the wrong JSON type (a non-integral count, index or iteration cap
 included), a server count below 1 or a sweep axis of more than
@@ -39,7 +40,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .game import (DelayFunction, GameInstance, LoadProfile, SchedulerPopulation,
+from .game import (MASS_TOL, DelayFunction, GameInstance, LoadProfile, SchedulerPopulation,
                    ValidationError, system_cost)
 from .solvers import SolveReport, SolveSettings, solve_fully_selfish, \
     solve_social_optimum, solve_team_equilibrium
@@ -66,6 +67,11 @@ class Scenario:
     r_grid: tuple[float, ...] | None
     settings: SolveSettings
     stackelberg: bool = False
+
+    @property
+    def alphas(self) -> tuple[float, ...]:
+        """The attack strengths to run: the sweep grid, else the attack's own."""
+        return self.alpha_grid or (self.instance.attack_strength,)
 
 
 @dataclass(frozen=True)
@@ -259,11 +265,15 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"scenario field 'servers.delays[{i}]': intercept-mismatch: "
                                 f"tau(0)={d.intercept}, server 1 has {delay_fns[0].intercept}")
     leader = _field(doc, "stackelberg", "", bool, False)
-    # the Stackelberg model is n >= 3 unit-slope linear servers attacked at server 1
+    # the servers, attack and population of the Stackelberg model (stackelberg.py)
     if leader and not (n >= 3 and target == 1
-                       and all(d.coefficients == (0.0, 1.0) for d in delay_fns)):
-        raise ScenarioError("scenario field 'stackelberg': needs servers.count >= 3, "
-                            "every delay [0, 1] and attack.target 1")
+                       and all(d.coefficients == (0.0, 1.0) for d in delay_fns)
+                       and all(a == set(range(2, n + 1)) for a in population.machine_access)
+                       and population.selfish_access == {1, 2}
+                       and abs(population.selfish_mass - 1.0) <= MASS_TOL):
+        raise ScenarioError("scenario field 'stackelberg': needs servers.count >= 3, every "
+                            "delay [0, 1], attack.target 1, every machine's access 2..n and "
+                            "selfish mass 1 with access [1, 2]")
     return Scenario(_field(doc, "name", "", str, path.stem), instance, population,
                     alpha_grid, r_grid, settings, leader)
 
@@ -278,7 +288,6 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """
     instance, population = scenario.instance, scenario.population
     n = instance.n
-    alphas = scenario.alpha_grid or (instance.attack_strength,)
     rs = scenario.r_grid or (population.machine_mass_total,)
     full = frozenset(range(1, n + 1))
 
@@ -301,7 +310,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
             team_loads=team.aggregate.loads,
         )
 
-    return [solve_point(alpha, r) for alpha in alphas for r in rs]
+    return [solve_point(alpha, r) for alpha in scenario.alphas for r in rs]
 
 
 def sweep_csv(scenario: Scenario, rows: Iterable[SweepRow]) -> str:

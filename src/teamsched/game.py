@@ -173,6 +173,11 @@ class GameInstance:
         """Every server's delay coefficients, in server order."""
         return tuple(d.coefficients for d in self.delays)
 
+    @cached_property
+    def marginal_coefficients(self) -> tuple[tuple[float, ...], ...]:
+        """Every server's marginal-cost coefficients, in server order."""
+        return tuple(d.marginal_coefficients for d in self.delays)
+
     def cost(self, loads: Sequence[float]) -> float:
         """Mean delay of a raw load vector; trusts the caller on feasibility
         but raises ``ValueError`` on a vector of the wrong length.
@@ -269,11 +274,11 @@ def system_cost(instance: GameInstance, profile: LoadProfile | Sequence[float]) 
     The attacked server contributes ``x * (tau(x) + alpha)``; everything else
     ``x * tau(x)``; divided by the server count.
     """
-    if not isinstance(profile, LoadProfile):
-        profile = LoadProfile(_as_floats(profile))
     if len(profile) != instance.n:
         raise ValidationError(
             f"profile has {len(profile)} servers, instance has {instance.n}")
+    if not isinstance(profile, LoadProfile):
+        profile = LoadProfile(profile)
     return instance.cost(profile.loads)
 
 

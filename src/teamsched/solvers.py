@@ -9,8 +9,8 @@
   answer: the social optimum for machines (team) or a Wardrop fill like the
   selfish jobs' (fully selfish). One certificate, over every scheduler
   class, gates reported convergence in both. The sweep and the certificate
-  fill and score every block by one routine on the solve's level data: a
-  selfish block scores its worst delay gap, a machine block the cost its
+  fill and score every block by one routine on the instance's level tables:
+  a selfish block scores its worst delay gap, a machine block the cost its
   best response saves. Only the two public fills check their arguments.
 
 Both fills equalize a common service level by Newton steps: each step
@@ -51,8 +51,6 @@ _SETTLED = 1e-9
 _FLAT_SLOPE = 1e-300
 #: share of the way each sweep moves a group toward its best response
 _BLEND = 0.5
-#: per-server level coefficients and attack offsets, indexed by ``social``
-_Levels = tuple[tuple[tuple[tuple[float, ...], ...], tuple[float, ...]], ...]
 
 
 class InfeasibleError(ValueError):
@@ -253,14 +251,6 @@ def _check_fill_args(instance: GameInstance, access: Iterable[int], mass: float,
     return servers, bg
 
 
-def _levels(instance: GameInstance) -> _Levels:
-    """The fills' :data:`_Levels`: the delay at ``False`` (the instance's own
-    ``delay_coefficients``), the marginal cost at ``True``."""
-    offsets = instance.attack_offsets
-    return ((instance.delay_coefficients, offsets),
-            (tuple(d.marginal_coefficients for d in instance.delays), offsets))
-
-
 def solve_wardrop(instance: GameInstance, access: Iterable[int], mass: float,
                   background: Sequence[float] | None = None) -> list[float]:
     """Selfish block allocation: every server the block uses ends up with
@@ -269,7 +259,8 @@ def solve_wardrop(instance: GameInstance, access: Iterable[int], mass: float,
     Returns a length-n vector (zero off the access set) summing to ``mass``.
     """
     servers, bg = _check_fill_args(instance, access, mass, background)
-    return _fill_common_level(instance.n, servers, mass, bg, *_levels(instance)[False])
+    return _fill_common_level(instance.n, servers, mass, bg, instance.delay_coefficients,
+                              instance.attack_offsets)
 
 
 def solve_social_optimum(instance: GameInstance, access: Iterable[int], mass: float,
@@ -281,15 +272,16 @@ def solve_social_optimum(instance: GameInstance, access: Iterable[int], mass: fl
     access set is optimal.
     """
     servers, bg = _check_fill_args(instance, access, mass, background)
-    return _fill_common_level(instance.n, servers, mass, bg, *_levels(instance)[True])
+    return _fill_common_level(instance.n, servers, mass, bg, instance.marginal_coefficients,
+                              instance.attack_offsets)
 
 
 # ---------------------------------------------------------------------------
 # residuals
 
 
-#: one block of the population: (access, mass, optimizes the system)
-_Member = tuple[frozenset[int], float, bool]
+#: one scheduler class: (ascending servers, mass, optimizes the system)
+_Member = tuple[tuple[int, ...], float, bool]
 
 
 def _worst(residuals: Iterable[float]) -> float:
@@ -308,30 +300,32 @@ def _used_eps(block_mass: float) -> float:
     return _USED_EPS * max(1.0, block_mass)
 
 
-def _residual(instance: GameInstance, servers: Sequence[int], mass: float, social: bool,
-              block: Sequence[float], loads: Sequence[float],
-              levels: _Levels) -> tuple[float, list[float]]:
+def _residual(instance: GameInstance, member: _Member, block: Sequence[float],
+              loads: Sequence[float]) -> tuple[float, list[float]]:
     """``(residual, best response)`` of one block at the aggregate ``loads``.
 
-    The response fills ``mass`` over the sorted ``servers``, atop the other
-    blocks' loads, by the block's level in ``levels``. A selfish block scores
-    the worst delay excess, over its best accessible server, of a server on
-    which it holds more than :func:`_used_eps`; a social block, the cost its
-    response saves. A block of mass at most :data:`_USED_EPS` scores 0 unfilled.
+    The response fills the member's mass over its servers, atop the other
+    blocks' loads, by its marginal cost if social, else its delay. A selfish
+    block scores its worst delay excess over its best accessible server on a
+    server where it holds over :func:`_used_eps`, a social block the cost its
+    response saves; one of mass at most :data:`_USED_EPS` scores 0 unfilled.
     """
+    servers, mass, social = member
     if mass <= _USED_EPS:
         return 0.0, [0.0] * instance.n
     # max(0.0, x - b) in one comparison: 0.0 also at x == b, NaN and inf - inf
     bg = [x - b if x > b else 0.0 for x, b in zip(loads, block)]
-    response = _fill_common_level(instance.n, servers, mass, bg, *levels[social])
+    delays, offsets = instance.delay_coefficients, instance.attack_offsets
+    response = _fill_common_level(instance.n, servers, mass, bg,
+                                  instance.marginal_coefficients if social else delays, offsets)
     if social:
         now = new = 0.0  # instance.cost of loads and of bg + response, in one pass
-        for c, a, x, b, r in zip(*levels[False], loads, bg, response):
+        for c, a, x, b, r in zip(delays, offsets, loads, bg, response):
             z = b + r
             now += x * (horner(c, x)[0] + a)
             new += z * (horner(c, z)[0] + a)
         return now / instance.n - new / instance.n, response
-    delays = [horner(c, x)[0] + a for c, a, x in zip(*levels[False], loads)]
+    delays = [horner(c, x)[0] + a for c, a, x in zip(delays, offsets, loads)]
     best = min([delays[i - 1] for i in servers])
     eps = _used_eps(mass)
     worst = 0.0  # _worst's rules over the used servers: floor 0.0, NaN at once
@@ -346,19 +340,18 @@ def _residual(instance: GameInstance, servers: Sequence[int], mass: float, socia
 
 
 def _certificate(instance: GameInstance, members: Sequence[_Member],
-                 blocks: Sequence[Sequence[float]], loads: Sequence[float],
-                 levels: _Levels) -> tuple[float, float]:
+                 blocks: Sequence[Sequence[float]], loads: Sequence[float]) -> tuple[float, float]:
     """Worst :func:`_residual` over the selfish blocks and over the social blocks."""
-    residuals = [(social, _residual(instance, sorted(access), mass, social, block, loads, levels)[0])
-                 for (access, mass, social), block in zip(members, blocks)]
+    residuals = [(member[2], _residual(instance, member, block, loads)[0])
+                 for member, block in zip(members, blocks)]
     return (_worst(r for social, r in residuals if not social),
             _worst(r for social, r in residuals if social))
 
 
 def _members(population: SchedulerPopulation, team: bool) -> list[_Member]:
     """The selfish population, then each machine, social with ``team``."""
-    return [(population.selfish_access, population.selfish_mass, False)] + [
-        (access, mass, team)
+    return [(tuple(sorted(population.selfish_access)), population.selfish_mass, False)] + [
+        (tuple(sorted(access)), mass, team)
         for access, mass in zip(population.machine_access, population.machine_masses)]
 
 
@@ -389,9 +382,10 @@ def _check_blocks(n: int, members: Sequence[_Member],
             f"profile has {len(profile.per_machine)} machine blocks, "
             f"population has {len(members) - 1}")
     blocks = (profile.selfish,) + profile.per_machine
-    for k, ((access, mass, _social), block) in enumerate(zip(members, blocks)):
+    for k, ((servers, mass, _social), block) in enumerate(zip(members, blocks)):
         who = f"machine {k}" if k else "selfish"
         eps = _used_eps(mass)
+        access = set(servers)
         for i in range(1, n + 1):
             if i not in access and block[i - 1] > eps:
                 raise ValidationError(f"{who} mass on inaccessible server {i}")
@@ -413,7 +407,7 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
     _check_solvable(instance, population)
     members = _members(population, team=True)
     blocks = _check_blocks(instance.n, members, profile)
-    return _certificate(instance, members, blocks, profile.aggregate_loads(), _levels(instance))
+    return _certificate(instance, members, blocks, profile.aggregate_loads())
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +428,20 @@ def _loads(blocks: Sequence[Sequence[float]]) -> list[float]:
 
 
 def _group_by_access(members: Sequence[_Member]) -> tuple[list[_Member], list[list[int]]]:
-    """Group the members by ``(access, social)``, skipping empty ones.
+    """Group the members by ``(servers, social)``, skipping empty ones.
 
     Social blocks (machines) share the system objective, so a joint optimum
     of their aggregate mass satisfies each member's optimality condition;
     selfish blocks with one access set share every Wardrop condition.
-    Returns the groups, each one ``(access, total mass, social)`` block, and
-    their member indices, in order of first appearance.
+    Returns the groups, each one ``(servers, total mass, social)`` record,
+    and their member indices, in order of first appearance.
     """
-    indices: dict[tuple[frozenset[int], bool], list[int]] = {}
-    for k, (access, mass, social) in enumerate(members):
+    indices: dict[tuple[tuple[int, ...], bool], list[int]] = {}
+    for k, (servers, mass, social) in enumerate(members):
         if mass > _USED_EPS:
-            indices.setdefault((access, social), []).append(k)
-    groups = [(access, math.fsum(members[k][1] for k in ks), social)
-              for (access, social), ks in indices.items()]
+            indices.setdefault((servers, social), []).append(k)
+    groups = [(servers, math.fsum(members[k][1] for k in ks), social)
+              for (servers, social), ks in indices.items()]
     return groups, list(indices.values())
 
 
@@ -456,7 +450,7 @@ def _split(n: int, members: Sequence[_Member], groups: Sequence[_Member],
     """Profile with each group block split across its members proportionally
     to mass; member 0 is the selfish population, member k + 1 machine k."""
     blocks: list[tuple[float, ...]] = [(0.0,) * n] * len(members)
-    for (_access, total, _social), ks, block in zip(groups, indices, group_blocks):
+    for (_servers, total, _social), ks, block in zip(groups, indices, group_blocks):
         for k in ks:
             frac = members[k][1] / total
             blocks[k] = tuple(v * frac for v in block)
@@ -481,15 +475,12 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     n = instance.n
     members = _members(population, team)
     groups, indices = _group_by_access(members)
-    # the fills' servers and level data, built once per solve, not on every fill
-    servers = [sorted(access) for access, _total, _social in groups]
-    levels = _levels(instance)
 
     def certify(blocks: list[list[float]], iterations: int) -> SolveReport:
         profile = _split(n, members, groups, indices, blocks)
         loads = profile.aggregate_loads()
         s_res, m_res = _certificate(instance, members, (profile.selfish,) + profile.per_machine,
-                                    loads, levels)
+                                    loads)
         aggregate = LoadProfile.from_raw(loads)
         cost = instance.cost(aggregate.loads)
         tol = settings.tolerance
@@ -499,28 +490,27 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     # a lone group best-responds to an empty background, which is already
     # the equilibrium; skip the iteration and just certify
     if initial is None and len(groups) == 1:
-        (_access, total, social), = groups
         zeros = [0.0] * n
-        return certify([_residual(instance, servers[0], total, social, zeros, zeros, levels)[1]], 1)
+        return certify([_residual(instance, groups[0], zeros, zeros)[1]], 1)
 
     if initial is not None:
         starts = _check_blocks(n, members, initial)
     blocks = []
-    for (access, total, _social), ks in zip(groups, indices):
+    for (servers, total, _social), ks in zip(groups, indices):
         # the members' initial blocks, or an even spread over the access set
         start = ([1.0] * n if initial is None
                  else _loads([starts[k] for k in ks]))
-        blocks.append(_renorm([start[i - 1] if i in access else 0.0
+        blocks.append(_renorm([start[i - 1] if i in servers else 0.0
                                for i in range(1, n + 1)], total))
 
     iterations = 0
     for iterations in range(1, settings.max_outer_iterations + 1):
         residuals = []
-        for g, (_access, total, social) in enumerate(groups):
-            residual, response = _residual(instance, servers[g], total, social, blocks[g],
-                                           _loads(blocks), levels)
+        for g, group in enumerate(groups):
+            residual, response = _residual(instance, group, blocks[g], _loads(blocks))
             residuals.append(residual)
-            blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], response)], total)
+            blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], response)],
+                                group[1])
 
         residual = _worst(residuals)
         if math.isnan(residual):

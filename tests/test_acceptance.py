@@ -168,9 +168,8 @@ def test_criterion_7_property_suites():
     verdicts = []
     for path in sorted(SCENARIOS.glob("*.json")):
         scenario = load_scenario(path)
-        alphas = scenario.alpha_grid or (scenario.instance.attack_strength,)
         verdict = verify_weak_security(scenario.instance, scenario.population,
-                                       alphas, settings=scenario.settings)
+                                       scenario.alphas, settings=scenario.settings)
         assert not verdict.inconclusive
         assert verdict.weak, f"{path.name}: weak security failed with gap {verdict.gap}"
         verdicts.append(verdict)

@@ -111,6 +111,11 @@ class TestLoadScenario:
             path.write_text(text)
             assert load_scenario(path).instance.n >= 2
 
+    def test_alphas_default_to_the_attack(self, tmp_path):
+        assert load_scenario(write_scenario(tmp_path, base_doc())).alphas == (1.0,)
+        doc = base_doc(sweep={"alpha": {"start": 0.0, "stop": 2.0, "points": 3}})
+        assert load_scenario(write_scenario(tmp_path, doc)).alphas == (0.0, 1.0, 2.0)
+
     def test_r_sweep_needs_machines(self, tmp_path):
         doc = base_doc(machines=[], sweep={"r": {"start": 0, "stop": 1, "points": 3}})
         with pytest.raises(ScenarioError, match="machine"):
@@ -472,9 +477,18 @@ class TestCli:
         assert f"'{field}'" in err
         assert out == ""
 
+    def test_top_level_not_an_object_exit_one(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, [1, 2])
+        assert cli.main(["solve", str(path)]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert "top level must be an object" in err
+        assert out == ""
+
     # the leader-follower model is n >= 3 servers of delay [0, 1] attacked
-    # at server 1; before the check, the first case printed the team report
-    # and exited 3 and the second printed a linear-server Stackelberg cost
+    # at server 1, the machines on servers 2..n and unit selfish mass on
+    # servers 1 and 2; before the check, the first case printed the team
+    # report and exited 3, and the others printed a Stackelberg cost for the
+    # model's own population, not the file's
     @pytest.mark.parametrize("base, change", [
         ("unconstrained_two_servers", {"stackelberg": True}),
         ("stackelberg_three_servers",
@@ -482,6 +496,10 @@ class TestCli:
         ("stackelberg_three_servers",
          {"servers": {"count": 3, "delays": [[0, 1], [0, 2], [0, 1]]}}),
         ("stackelberg_three_servers", {"attack": {"target": 2, "strength": 1.0}}),
+        ("stackelberg_three_servers", {"machines": [{"mass": 0.5}], "selfish": {}}),
+        ("stackelberg_three_servers", {"selfish": {"access": [1, 2, 3]}}),
+        ("stackelberg_three_servers", {"machines": [{"mass": 2.0, "access": [1, 2, 3]}]}),
+        ("stackelberg_three_servers", {"machines": [{"mass": 1.5, "access": [2, 3]}]}),
     ])
     def test_stackelberg_outside_its_model_exit_one(self, tmp_path, capsys, base, change):
         doc = json.loads((SCENARIOS / f"{base}.json").read_text())

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -187,6 +188,20 @@ class TestSystemCost:
         inst = GameInstance.linear(3, 1.0)
         with pytest.raises(ValidationError):
             system_cost(inst, LoadProfile((1.0, 1.0)))
+
+    def test_sequence_matches_its_profile(self):
+        inst = GameInstance(3, ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 2.0)), 2, 0.7)
+        loads = (0.25, 1.5, 1.25)
+        assert repr(system_cost(inst, loads)) == repr(system_cost(inst, LoadProfile(loads)))
+
+    @pytest.mark.parametrize("loads, message", [
+        # the length is checked before the mass: (1.5, 1.5) once read as a mass error
+        ((1.5, 1.5), "profile has 2 servers, instance has 3"),
+        ((1.0, 1.0, 1.5), "profile mass 3.5 differs from required 3"),
+    ])
+    def test_sequence_errors_name_their_rule(self, loads, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            system_cost(GameInstance.linear(3, 1.0), loads)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -389,6 +404,17 @@ class TestServerCount:
                       lambda: SchedulerPopulation.full_access(n, 1.0)):
             with pytest.raises(ValueError, match="server count must be an integer"):
                 build()
+
+
+class TestInstanceShape:
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_count_below_one(self, n):
+        with pytest.raises(ValueError, match=f"server count must be positive, got {n}"):
+            GameInstance(n, ())
+
+    def test_delay_count_differs(self):
+        with pytest.raises(ValueError, match="expected 3 delay functions, got 2"):
+            GameInstance(3, ((0, 1), (0, 1)))
 
 
 class TestServerIndex:

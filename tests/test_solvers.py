@@ -979,12 +979,9 @@ class TestOneResidualRule:
 
 class TestOneBestResponse:
     # the sweep and the certificate take every block's best response from
-    # solvers._residual on the solve's level data; the certificate once
-    # reached each machine's response through the public
-    # solve_social_optimum, which re-checked its arguments and rebuilt the
-    # level data per machine class
-    CONSTRAINED = (GameInstance.linear(3, 1.0),
-                   SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2)))
+    # solvers._residual on the instance's cached delay and marginal-cost
+    # tables; neither goes through a public fill and its argument checks
+    CONSTRAINED = SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))
     FULL = (GameInstance.linear(3, 1.0), SchedulerPopulation.for_instance(3, ((0.5, None),) * 3))
 
     @staticmethod
@@ -999,19 +996,31 @@ class TestOneBestResponse:
         monkeypatch.setattr(solvers, name, counted)
         return calls
 
+    @staticmethod
+    def tables(calls, instance):
+        """Which of the instance's cached tables each counted fill read."""
+        named = {id(instance.delay_coefficients): "delay",
+                 id(instance.marginal_coefficients): "marginal"}
+        return {named.get(id(args[4]), "other") for args in calls}
+
     def test_constrained_team_solve_checks_no_fill(self, monkeypatch):
+        # a fresh instance: a table the solve did not cache is another object
+        instance = GameInstance.linear(3, 1.0)
         checks = self.counting(monkeypatch, "_check_fill_args")
-        levels = self.counting(monkeypatch, "_levels")
-        assert solve_team_equilibrium(*self.CONSTRAINED).converged
-        assert (len(checks), len(levels)) == (0, 1)
+        fills = self.counting(monkeypatch, "_fill_common_level")
+        assert solve_team_equilibrium(instance, self.CONSTRAINED).converged
+        assert len(checks) == 0
+        assert self.tables(fills, instance) == {"delay", "marginal"}
 
     def test_certificate_checks_no_fill(self, monkeypatch):
         rep = solve_team_equilibrium(*self.FULL)
         assert rep.converged
+        instance = GameInstance.linear(3, 1.0)
         checks = self.counting(monkeypatch, "_check_fill_args")
-        levels = self.counting(monkeypatch, "_levels")
-        equilibrium_residuals(*self.FULL, rep.profile)
-        assert (len(checks), len(levels)) == (0, 1)
+        fills = self.counting(monkeypatch, "_fill_common_level")
+        equilibrium_residuals(instance, self.FULL[1], rep.profile)
+        assert len(checks) == 0
+        assert self.tables(fills, instance) == {"delay", "marginal"}
 
     def test_machine_residual_is_the_public_fill_saving(self):
         # off equilibrium, each machine scores what its public social fill
@@ -1080,7 +1089,7 @@ class TestDirectEvaluation:
         strength = data.draw(self.VALUE)
         loads = data.draw(st.lists(self.LOAD, min_size=n, max_size=n))
         block = data.draw(st.lists(self.LOAD, min_size=n, max_size=n))
-        servers = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        servers = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
         mass = data.draw(st.floats(1e-9, 10.0))
         for target in range(1, n + 1):
             instance = GameInstance(n, delays, target, strength)
@@ -1088,14 +1097,12 @@ class TestDirectEvaluation:
             best = min(reference[i - 1] for i in servers)
             eps = solvers._used_eps(mass)
             expected = _isnan_max_worst(d - best for d, b in zip(reference, block) if b > eps)
-            score, _ = solvers._residual(instance, servers, mass, False, block, loads,
-                                         solvers._levels(instance))
+            score, _ = solvers._residual(instance, (servers, mass, False), block, loads)
             assert repr(score) == repr(expected)
 
     @staticmethod
     def _social_score_and_reference(instance, servers, mass, block, loads):
-        score, response = solvers._residual(instance, servers, mass, True, block, loads,
-                                            solvers._levels(instance))
+        score, response = solvers._residual(instance, (servers, mass, True), block, loads)
         bg = [max(0.0, x - b) for x, b in zip(loads, block)]
         return score, instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)])
 
@@ -1108,7 +1115,7 @@ class TestDirectEvaluation:
         strength = data.draw(self.VALUE)
         loads = data.draw(st.lists(self.LOAD, min_size=n, max_size=n))
         block = data.draw(st.lists(self.LOAD, min_size=n, max_size=n))
-        servers = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        servers = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
         mass = data.draw(st.floats(1e-9, 10.0))
         for target in range(1, n + 1):
             instance = GameInstance(n, delays, target, strength)
@@ -1120,7 +1127,7 @@ class TestDirectEvaluation:
         # a cubic at 1e300 overflows both costs: inf - inf is NaN on both sides
         instance = GameInstance(2, ((0.0, 0.0, 0.0, 1.0), (0.0, 1.0)), 1, 0.0)
         score, expected = self._social_score_and_reference(
-            instance, [1, 2], 1.0, [0.5, 0.0], [1e300, 1.0])
+            instance, (1, 2), 1.0, [0.5, 0.0], [1e300, 1.0])
         assert math.isnan(expected) and repr(score) == repr(expected)
 
     @pytest.mark.parametrize("residuals", [
@@ -1351,6 +1358,12 @@ class TestListWalk:
         assert y[expected - 1] == 5e-324 and math.fsum(y) == 5e-324
 
 
+def _level_tables(instance, social):
+    """The fill arguments a block reads: its level coefficients and the attack offsets."""
+    return (instance.marginal_coefficients if social else instance.delay_coefficients,
+            instance.attack_offsets)
+
+
 class TestBackgroundClamp:
     """``_residual`` fills atop ``x - b if x > b else 0.0``, bit for bit the
     fill atop ``max(0.0, x - b)``."""
@@ -1374,17 +1387,16 @@ class TestBackgroundClamp:
                        for _ in range(n))
         instance = GameInstance(n, delays, data.draw(st.integers(1, n)),
                                 data.draw(st.floats(0.0, 4.0)))
-        levels = solvers._levels(instance)
         loads = [data.draw(self.LOAD) for _ in range(n)]
         block = [self._near(data, x) for x in loads]
-        servers = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        servers = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
         mass = data.draw(st.floats(1e-9, 10.0))
         background = [max(0.0, x - b) for x, b in zip(loads, block)]
         for social in (False, True):
-            response = _outcome(lambda: solvers._residual(instance, servers, mass, social,
-                                                          block, loads, levels)[1])
+            response = _outcome(lambda: solvers._residual(instance, (servers, mass, social),
+                                                          block, loads)[1])
             expected = _outcome(solvers._fill_common_level, n, servers, mass, background,
-                                *levels[social])
+                                *_level_tables(instance, social))
             assert response == expected
 
     @pytest.mark.parametrize("x, b", [
@@ -1395,10 +1407,9 @@ class TestBackgroundClamp:
     def test_clamp_cases(self, x, b):
         # the second server's load sits at x with the block holding b of it
         instance = GameInstance(2, ((0.0, 1.0, 1.0), (0.5, 2.0)), 1, 0.5)
-        levels = solvers._levels(instance)
         for social in (False, True):
-            _, response = solvers._residual(instance, [1, 2], 1.5, social, [0.25, b],
-                                            [0.25, x], levels)
-            expected = solvers._fill_common_level(2, [1, 2], 1.5, [0.0, max(0.0, x - b)],
-                                                  *levels[social])
+            _, response = solvers._residual(instance, ((1, 2), 1.5, social), [0.25, b],
+                                            [0.25, x])
+            expected = solvers._fill_common_level(2, (1, 2), 1.5, [0.0, max(0.0, x - b)],
+                                                  *_level_tables(instance, social))
             assert repr(response) == repr(expected)
