@@ -11,7 +11,9 @@
   class, gates reported convergence in both. The sweep and the certificate
   fill and score every block by one routine on the instance's level tables:
   a selfish block scores its worst delay gap, a machine block the cost its
-  best response saves. Only the two public fills check their arguments.
+  best response saves. A sweep scores its groups in order until one misses
+  the tolerance and only fills the rest, except on instances whose costs
+  can overflow. Only the two public fills check their arguments.
 
 Both fills equalize a common service level by Newton steps: each step
 replaces every level by its tangent at the server's current load and fills
@@ -300,24 +302,35 @@ def _used_eps(block_mass: float) -> float:
     return _USED_EPS * max(1.0, block_mass)
 
 
+def _response(instance: GameInstance, member: _Member, block: Sequence[float],
+              loads: Sequence[float]) -> tuple[list[float], list[float]]:
+    """``(background, best response)`` of one block of positive mass at the
+    aggregate ``loads``: the response fills the member's mass over its
+    servers, atop the other blocks' loads, by its marginal cost if social,
+    else its delay."""
+    servers, mass, social = member
+    # max(0.0, x - b) in one comparison: 0.0 also at x == b, NaN and inf - inf
+    bg = [x - b if x > b else 0.0 for x, b in zip(loads, block)]
+    return bg, _fill_common_level(
+        instance.n, servers, mass, bg,
+        instance.marginal_coefficients if social else instance.delay_coefficients,
+        instance.attack_offsets)
+
+
 def _residual(instance: GameInstance, member: _Member, block: Sequence[float],
               loads: Sequence[float]) -> tuple[float, list[float]]:
     """``(residual, best response)`` of one block at the aggregate ``loads``.
 
-    The response fills the member's mass over its servers, atop the other
-    blocks' loads, by its marginal cost if social, else its delay. A selfish
-    block scores its worst delay excess over its best accessible server on a
-    server where it holds over :func:`_used_eps`, a social block the cost its
-    response saves; one of mass at most :data:`_USED_EPS` scores 0 unfilled.
+    The response is :func:`_response`'s. A selfish block scores its worst
+    delay excess over its best accessible server on a server where it holds
+    over :func:`_used_eps`, a social block the cost its response saves; one
+    of mass at most :data:`_USED_EPS` scores 0 unfilled.
     """
     servers, mass, social = member
     if mass <= _USED_EPS:
         return 0.0, [0.0] * instance.n
-    # max(0.0, x - b) in one comparison: 0.0 also at x == b, NaN and inf - inf
-    bg = [x - b if x > b else 0.0 for x, b in zip(loads, block)]
+    bg, response = _response(instance, member, block, loads)
     delays, offsets = instance.delay_coefficients, instance.attack_offsets
-    response = _fill_common_level(instance.n, servers, mass, bg,
-                                  instance.marginal_coefficients if social else delays, offsets)
     if social:
         now = new = 0.0  # instance.cost of loads and of bg + response, in one pass
         for c, a, x, b, r in zip(delays, offsets, loads, bg, response):
@@ -457,6 +470,20 @@ def _split(n: int, members: Sequence[_Member], groups: Sequence[_Member],
     return DisaggregatedProfile(blocks[0], tuple(blocks[1:]))
 
 
+def _finite_scores(instance: GameInstance) -> bool:
+    """Is every score of a sweep finite, so none can be NaN?
+
+    Each block sums to its group's mass and the groups to ``n``, so every
+    load, background and response load of the loop lies in ``[0, 2n]``.
+    Nonnegative coefficients make each delay, each partial Horner sum and
+    each cost term nondecreasing there, and the scores add the cost terms in
+    :meth:`GameInstance.cost`'s order, so a finite cost at ``2n`` on every
+    server bounds every delay and every cost sum a score takes.
+    """
+    n = instance.n
+    return math.isfinite(instance.cost([2.0 * n] * n))
+
+
 def _best_response(instance: GameInstance, population: SchedulerPopulation,
                    settings: SolveSettings | None, team: bool,
                    initial: DisaggregatedProfile | None = None) -> SolveReport:
@@ -464,8 +491,12 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
 
     With ``team`` the machines answer with their constrained social optimum,
     otherwise every block answers with its Wardrop response; each sweep
-    takes every group's response and score from :func:`_residual`. A sweep
-    whose residuals pass the tolerance still needs the certificate before it
+    takes every group's response and score from :func:`_residual`, in group
+    order, until one score misses the tolerance: the sweep then goes on, so
+    the later groups take their response alone from :func:`_response`.
+    Scores never feed the blocks. Where :func:`_finite_scores` fails, a
+    skipped score could be NaN, so every group scores. A sweep whose
+    residuals pass the tolerance still needs the certificate before it
     claims convergence: :func:`_certificate` over each member's block of the
     split profile, which passes :func:`equilibrium_residuals`' checks by
     construction. A NaN residual ends the loop at once with that certificate.
@@ -503,21 +534,27 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
         blocks.append(_renorm([start[i - 1] if i in servers else 0.0
                                for i in range(1, n + 1)], total))
 
+    # once one score misses the tolerance the sweep goes on, so the rest of
+    # it only fills; where a skipped score could be NaN, every group scores
+    cut = settings.tolerance if _finite_scores(instance) else math.inf
     iterations = 0
     for iterations in range(1, settings.max_outer_iterations + 1):
-        residuals = []
+        worst = 0.0  # _worst's rules: floor 0.0, a NaN stays
         for g, group in enumerate(groups):
-            residual, response = _residual(instance, group, blocks[g], _loads(blocks))
-            residuals.append(residual)
+            if worst <= cut:
+                residual, response = _residual(instance, group, blocks[g], _loads(blocks))
+                if residual > worst or residual != residual:
+                    worst = residual
+            else:
+                response = _response(instance, group, blocks[g], _loads(blocks))[1]
             blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], response)],
                                 group[1])
 
-        residual = _worst(residuals)
-        if math.isnan(residual):
+        if math.isnan(worst):
             # a residual that compares infinite costs cannot recover its
             # tolerance; certify (unconverged) instead of running every sweep
             return certify(blocks, iterations)
-        if residual <= settings.tolerance:
+        if worst <= settings.tolerance:
             report = certify(blocks, iterations)
             if report.converged:
                 return report

@@ -1037,6 +1037,112 @@ class TestOneBestResponse:
         assert equilibrium_residuals(inst, pop, profile)[1] == saving
 
 
+def _random_split(rng, n, access, mass):
+    """A random nonnegative split of ``mass`` over the servers of ``access``."""
+    weights = [rng.random() + 0.1 if i in access else 0.0 for i in range(1, n + 1)]
+    total = math.fsum(weights)
+    return tuple(max(0.0, mass) * w / total for w in weights)
+
+
+def _lazy_scoring_cases():
+    """Seeded multi-group solves: heterogeneous linear, one common degree
+    (2 or 3) and mixed degrees, each also from a random ``initial`` start."""
+    rng = random.Random(34)
+    cases = []
+    for family in ("linear", "common", "mixed"):
+        for _ in range(4):
+            n = rng.randint(2, 4)
+            degree = rng.choice((2, 3))
+            delays = []
+            for _ in range(n):
+                b, c = rng.uniform(0.0, 1.0), rng.uniform(0.2, 2.0)
+                if family == "linear":
+                    delays.append((b, c))
+                elif family == "common":
+                    delays.append((b,) + (0.0,) * (degree - 1) + (c,))
+                else:
+                    delays.append((b, c) + tuple(rng.uniform(0.0, 1.0)
+                                                 for _ in range(rng.randint(0, 2))))
+            subsets = [set(x) for size in range(1, n + 1)
+                       for x in itertools.combinations(range(1, n + 1), size)]
+            machines = tuple((rng.uniform(0.1, 0.8), rng.choice(subsets))
+                             for _ in range(rng.randint(1, 3)))
+            instance = GameInstance(n, delays, rng.randint(1, n), rng.uniform(0.05, 3.0))
+            population = SchedulerPopulation.for_instance(n, machines, rng.choice(subsets))
+            initial = DisaggregatedProfile(
+                _random_split(rng, n, population.selfish_access, population.selfish_mass),
+                tuple(_random_split(rng, n, access, mass) for access, mass in
+                      zip(population.machine_access, population.machine_masses)))
+            cases.append((instance, population, initial))
+    return cases + [(*_golden_multi_group(), None)]
+
+
+class TestLazyScoring:
+    """A sweep stops scoring at the first group over the tolerance, only where
+    no skipped score can be NaN; the reports are those of scoring every
+    group, bit for bit (``_finite_scores`` forced off scores every group)."""
+
+    # the machine cost at 2n overflows: inf - inf scores the machines NaN
+    OVERFLOW = {
+        (2, 0.5): "SolveReport(profile=DisaggregatedProfile(selfish=(0.375, 1.125), "
+                  "per_machine=((0.125, 0.375),)), aggregate=LoadProfile(loads=(0.5, 1.5)), "
+                  "cost=inf, selfish_residual=inf, machine_residual=nan, converged=False, "
+                  "iterations=1)",
+        (2, 1.0): "SolveReport(profile=DisaggregatedProfile(selfish=(0.25, 0.75), "
+                  "per_machine=((0.25, 0.75),)), aggregate=LoadProfile(loads=(0.5, 1.5)), "
+                  "cost=inf, selfish_residual=inf, machine_residual=nan, converged=False, "
+                  "iterations=1)",
+        (3, 0.5): "SolveReport(profile=DisaggregatedProfile(selfish=(0.4166666666666667, "
+                  "1.0416666666666667, 1.0416666666666667), per_machine=((0.08333333333333334, "
+                  "0.20833333333333337, 0.20833333333333337),)), aggregate=LoadProfile("
+                  "loads=(0.5, 1.25, 1.25)), cost=inf, selfish_residual=inf, "
+                  "machine_residual=nan, converged=False, iterations=1)",
+        (3, 1.0): "SolveReport(profile=DisaggregatedProfile(selfish=(0.33333333333333337, "
+                  "0.8333333333333335, 0.8333333333333335), per_machine=((0.16666666666666669, "
+                  "0.41666666666666674, 0.41666666666666674),)), aggregate=LoadProfile("
+                  "loads=(0.49999999999999994, 1.25, 1.25)), cost=inf, selfish_residual=inf, "
+                  "machine_residual=nan, converged=False, iterations=1)",
+    }
+
+    @pytest.mark.parametrize("n, r", OVERFLOW)
+    def test_overflowing_costs_keep_the_nan_exit(self, n, r):
+        # the selfish score misses first, so only full scoring reaches the
+        # machines' NaN and ends the solve after one sweep
+        inst = GameInstance(n, [(0.0, 8e307)] + [(0.0, 4e307)] * (n - 1), 1, 1.7e308)
+        assert not solvers._finite_scores(inst)
+        rep = solve_team_equilibrium(inst, SchedulerPopulation.full_access(n, r))
+        assert repr(rep) == self.OVERFLOW[n, r]
+
+    @pytest.mark.parametrize("case", range(13))
+    def test_lazy_reports_match_full_scoring(self, monkeypatch, case):
+        instance, population, initial = _lazy_scoring_cases()[case]
+        assert solvers._finite_scores(instance)
+        runs = [lambda: solve_fully_selfish(instance, population),
+                lambda: solve_team_equilibrium(instance, population)]
+        if initial is not None:
+            runs.append(lambda: solve_team_equilibrium(instance, population, initial=initial))
+        lazy = [repr(run()) for run in runs]
+        monkeypatch.setattr(solvers, "_finite_scores", lambda instance: False)
+        assert lazy == [repr(run()) for run in runs]
+
+    def test_lazy_sweeps_skip_scores(self, monkeypatch):
+        instance, population = _golden_multi_group()
+        calls = []
+        original = solvers._residual
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "_residual", counted)
+        lazy = solve_team_equilibrium(instance, population)
+        lazy_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(solvers, "_finite_scores", lambda instance: False)
+        assert repr(solve_team_equilibrium(instance, population)) == repr(lazy)
+        assert lazy_calls < len(calls)
+
+
 class TestBookkeeping:
     """The sweep's load sums and rescale give the per-element rules bit for
     bit; repr keeps signed zeros, inf and NaN apart."""
@@ -1180,8 +1286,10 @@ class TestHotPathsSkipDelayCall:
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_cost_call_per_solve(self, monkeypatch, case):
-        # the block scores sum their costs inline; only the report calls cost
+        # the block scores sum their costs inline; only the overflow guard,
+        # at 2n on every server, and the report call cost
         instance, population = self.CASES[case]
+        guard = (2.0 * instance.n,) * instance.n
         calls = []
         original = game.GameInstance.cost
 
@@ -1194,7 +1302,7 @@ class TestHotPathsSkipDelayCall:
             calls.clear()
             report = solve(instance, population)
             assert report.converged
-            assert calls == [report.aggregate.loads]
+            assert calls == [guard, report.aggregate.loads]
         calls.clear()
         equilibrium_residuals(instance, population, report.profile)  # the team profile
         assert calls == []
