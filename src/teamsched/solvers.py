@@ -13,7 +13,9 @@
   a selfish block scores its worst delay gap, a machine block the cost its
   best response saves. A sweep scores its groups in order until one misses
   the tolerance and only fills the rest, except on instances whose costs
-  can overflow. Only the two public fills check their arguments.
+  can overflow. A non-social block drops a load of at most its
+  ``_used_eps`` on a server its response abandons. Only the two public
+  fills check their arguments.
 
 Both fills equalize a common service level by Newton steps: each step
 replaces every level by its tangent at the server's current load and fills
@@ -495,11 +497,15 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     order, until one score misses the tolerance: the sweep then goes on, so
     the later groups take their response alone from :func:`_response`.
     Scores never feed the blocks. Where :func:`_finite_scores` fails, a
-    skipped score could be NaN, so every group scores. A sweep whose
-    residuals pass the tolerance still needs the certificate before it
-    claims convergence: :func:`_certificate` over each member's block of the
-    split profile, which passes :func:`equilibrium_residuals`' checks by
-    construction. A NaN residual ends the loop at once with that certificate.
+    skipped score could be NaN, so every group scores. A non-social block
+    sets to 0.0 its blended load on a server its response leaves empty once
+    that load is at or below :func:`_used_eps` of its mass, which its score
+    already counts as unused; the rescale spreads that mass over the block.
+    A sweep whose residuals pass the tolerance still needs the certificate
+    before it claims convergence: :func:`_certificate` over each member's
+    block of the split profile, which passes :func:`equilibrium_residuals`'
+    checks by construction. A NaN residual ends the loop at once with that
+    certificate.
     """
     settings = settings or SolveSettings()
     _check_solvable(instance, population)
@@ -547,8 +553,14 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
                     worst = residual
             else:
                 response = _response(instance, group, blocks[g], _loads(blocks))[1]
-            blocks[g] = _renorm([o + _BLEND * (v - o) for o, v in zip(blocks[g], response)],
-                                group[1])
+            block = [o + _BLEND * (v - o) for o, v in zip(blocks[g], response)]
+            if not group[2]:
+                # the selfish score counts a load at or below _used_eps as
+                # unused; once the response abandons its server, drop it
+                # rather than let the cost charge it the attack
+                eps = _used_eps(group[1])
+                block = [0.0 if v == 0.0 and b <= eps else b for b, v in zip(block, response)]
+            blocks[g] = _renorm(block, group[1])
 
         if math.isnan(worst):
             # a residual that compares infinite costs cannot recover its

@@ -232,6 +232,15 @@ class TestFigureData:
             for c_val, n_val in zip(c_row, n_row):
                 assert float(n_val) == pytest.approx(float(c_val), abs=1e-6)
 
+    def test_fig4_numeric_bytes_match_closed_form_under_strong_attack(self, capsys):
+        # a selfish tail abandoned on the attacked server once cost it the
+        # whole attack: 1.6515824503 at 1e12 instead of 1.5
+        alphas = ["--alpha-list", "1e4,1e6,1e9,1e12,1e15"]
+        assert cli.main(["figure", "fig4"] + alphas) == cli.EXIT_OK
+        closed = capsys.readouterr().out
+        assert cli.main(["figure", "fig4", "--numeric"] + alphas) == cli.EXIT_OK
+        assert capsys.readouterr().out == closed
+
     def test_fig5_numeric_stackelberg_bytes_match_closed_form(self):
         # the exact piecewise search prints the closed-form commitment
         header, c_rows = parse_csv(figure_data("fig5"))

@@ -875,6 +875,20 @@ class TestClaimTwo:
             assert abs(team.cost - selfish.cost) <= 1e-8, (instance, team.cost, selfish.cost)
 
 
+class TestAbandonedTail:
+    # the selfish response leaves the attacked server empty; the blend drops
+    # the tail once it is no more than _used_eps, which the selfish score
+    # already counts as unused, instead of charging it the attack
+    def test_constrained_strong_attack_leaves_server_one_empty(self):
+        inst = GameInstance.linear(3, 1e12)
+        pop = SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))
+        rep = solve_team_equilibrium(inst, pop)
+        assert rep.converged
+        assert rep.profile.selfish[0] == 0.0
+        assert rep.aggregate.loads[0] == 0.0
+        assert rep.cost == pytest.approx(1.5, abs=1e-11)
+
+
 class TestSharedLoop:
     # selfish jobs share servers {1, 2} with two machines, so the fully
     # selfish solver merges them into one class while the team keeps the
