@@ -553,13 +553,15 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
                     worst = residual
             else:
                 response = _response(instance, group, blocks[g], _loads(blocks))[1]
-            block = [o + _BLEND * (v - o) for o, v in zip(blocks[g], response)]
-            if not group[2]:
+            if group[2]:
+                block = [o + _BLEND * (v - o) for o, v in zip(blocks[g], response)]
+            else:
                 # the selfish score counts a load at or below _used_eps as
                 # unused; once the response abandons its server, drop it
                 # rather than let the cost charge it the attack
                 eps = _used_eps(group[1])
-                block = [0.0 if v == 0.0 and b <= eps else b for b, v in zip(block, response)]
+                block = [0.0 if (b := o + _BLEND * (v - o)) <= eps and v == 0.0 else b
+                         for o, v in zip(blocks[g], response)]
             blocks[g] = _renorm(block, group[1])
 
         if math.isnan(worst):
