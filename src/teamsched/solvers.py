@@ -11,11 +11,11 @@
   class, gates reported convergence in both. The sweep and the certificate
   fill and score every block by one routine on the instance's level tables:
   a selfish block scores its worst delay gap, a machine block the cost its
-  best response saves. A sweep scores its groups in order until one misses
-  the tolerance and only fills the rest, except on instances whose costs
-  can overflow. A non-social block drops a load of at most its
-  ``_used_eps`` on a server its response abandons. Only the two public
-  fills check their arguments.
+  best response saves. Every sweep scores its groups in order until one
+  misses the tolerance and only fills the rest; a NaN it scores ends the
+  solve. A non-social block drops a load of at most its ``_used_eps`` on a
+  server its response abandons. Only the two public fills check their
+  arguments.
 
 Both fills equalize a common service level by Newton steps: each step
 replaces every level by its tangent at the server's current load and fills
@@ -472,20 +472,6 @@ def _split(n: int, members: Sequence[_Member], groups: Sequence[_Member],
     return DisaggregatedProfile(blocks[0], tuple(blocks[1:]))
 
 
-def _finite_scores(instance: GameInstance) -> bool:
-    """Is every score of a sweep finite, so none can be NaN?
-
-    Each block sums to its group's mass and the groups to ``n``, so every
-    load, background and response load of the loop lies in ``[0, 2n]``.
-    Nonnegative coefficients make each delay, each partial Horner sum and
-    each cost term nondecreasing there, and the scores add the cost terms in
-    :meth:`GameInstance.cost`'s order, so a finite cost at ``2n`` on every
-    server bounds every delay and every cost sum a score takes.
-    """
-    n = instance.n
-    return math.isfinite(instance.cost([2.0 * n] * n))
-
-
 def _best_response(instance: GameInstance, population: SchedulerPopulation,
                    settings: SolveSettings | None, team: bool,
                    initial: DisaggregatedProfile | None = None) -> SolveReport:
@@ -496,18 +482,18 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     takes every group's response and score from :func:`_residual`, in group
     order, until one score misses the tolerance: the sweep then goes on, so
     the later groups take their response alone from :func:`_response`.
-    Scores never feed the blocks. Where :func:`_finite_scores` fails, a
-    skipped score could be NaN, so every group scores. A non-social block
-    sets to 0.0 its blended load on a server its response leaves empty once
-    that load is at or below :func:`_used_eps` of its mass, which its score
-    already counts as unused; the rescale spreads that mass over the block.
-    A sweep whose residuals pass the tolerance still needs the certificate
-    before it claims convergence: :func:`_certificate` over each member's
-    block of the split profile, which passes :func:`equilibrium_residuals`'
-    checks by construction. A NaN residual ends the loop at once with that
-    certificate.
+    Scores never feed the blocks. A non-social block sets to 0.0 its blended
+    load on a server its response leaves empty once that load is at or below
+    :func:`_used_eps` of its mass, which its score already counts as unused;
+    the rescale spreads that mass over the block. A sweep whose residuals
+    pass the tolerance still needs the certificate before it claims
+    convergence: :func:`_certificate` over each member's block of the split
+    profile, which passes :func:`equilibrium_residuals`' checks by
+    construction. A NaN that a sweep scores (``inf - inf``) ends the loop
+    at once with that certificate; a NaN among the skipped scores does not.
     """
     settings = settings or SolveSettings()
+    tolerance = settings.tolerance
     _check_solvable(instance, population)
     n = instance.n
     members = _members(population, team)
@@ -520,15 +506,15 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
                                     loads)
         aggregate = LoadProfile.from_raw(loads)
         cost = instance.cost(aggregate.loads)
-        tol = settings.tolerance
         return SolveReport(profile, aggregate, cost, s_res, m_res,
-                           math.isfinite(cost) and s_res <= tol and m_res <= tol, iterations)
+                           math.isfinite(cost) and s_res <= tolerance and m_res <= tolerance,
+                           iterations)
 
     # a lone group best-responds to an empty background, which is already
     # the equilibrium; skip the iteration and just certify
     if initial is None and len(groups) == 1:
         zeros = [0.0] * n
-        return certify([_residual(instance, groups[0], zeros, zeros)[1]], 1)
+        return certify([_response(instance, groups[0], zeros, zeros)[1]], 1)
 
     if initial is not None:
         starts = _check_blocks(n, members, initial)
@@ -540,14 +526,13 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
         blocks.append(_renorm([start[i - 1] if i in servers else 0.0
                                for i in range(1, n + 1)], total))
 
-    # once one score misses the tolerance the sweep goes on, so the rest of
-    # it only fills; where a skipped score could be NaN, every group scores
-    cut = settings.tolerance if _finite_scores(instance) else math.inf
     iterations = 0
     for iterations in range(1, settings.max_outer_iterations + 1):
         worst = 0.0  # _worst's rules: floor 0.0, a NaN stays
         for g, group in enumerate(groups):
-            if worst <= cut:
+            # once one score misses the tolerance the sweep goes on, so the
+            # rest of it only fills
+            if worst <= tolerance:
                 residual, response = _residual(instance, group, blocks[g], _loads(blocks))
                 if residual > worst or residual != residual:
                     worst = residual
@@ -568,7 +553,7 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
             # a residual that compares infinite costs cannot recover its
             # tolerance; certify (unconverged) instead of running every sweep
             return certify(blocks, iterations)
-        if worst <= settings.tolerance:
+        if worst <= tolerance:
             report = certify(blocks, iterations)
             if report.converged:
                 return report

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import json
@@ -30,6 +31,8 @@ from teamsched import (
     system_cost,
     team_cost_linear,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def attacked_delays(instance, loads):
@@ -935,7 +938,7 @@ def _multi_group_instances():
 
 
 def _golden_multi_group():
-    scenario = load_scenario(Path(__file__).parent / "golden" / "multi_group.json")
+    scenario = load_scenario(GOLDEN / "multi_group.json")
     return scenario.instance, scenario.population
 
 
@@ -1091,56 +1094,111 @@ def _lazy_scoring_cases():
     return cases + [(*_golden_multi_group(), None)]
 
 
+def _overflow_draws():
+    """60 seeded instances whose cost with every server at load ``2n``
+    overflows: n from 2 to 4, linear delays with intercepts in [0, 1] and
+    slopes log-uniform in [1e150, 8e307], an attack of 1e-2 to 1.7e308
+    (log-uniform) on a random server, and about half one full-access machine
+    of mass 0 to 2, the rest 1-3 machine groups on random access sets
+    holding 20-90% of the mass. Draws whose cost at ``2n`` is finite are
+    skipped."""
+    rng = random.Random(7)
+    draws = []
+    while len(draws) < 60:
+        n = rng.randint(2, 4)
+        delays = [(rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(150.0, 307.9)) for _ in range(n)]
+        alpha = min(10.0 ** rng.uniform(-2.0, 308.0), 1.7e308)
+        instance = GameInstance(n, delays, rng.randint(1, n), alpha)
+        servers = range(1, n + 1)
+        if rng.random() < 0.5:
+            population = SchedulerPopulation.full_access(n, rng.uniform(0.0, 2.0))
+        else:
+            groups = [tuple(sorted(rng.sample(servers, rng.randint(1, n))))
+                      for _ in range(rng.randint(1, 3))]
+            mass = rng.uniform(0.2, 0.9) * n
+            weights = [rng.random() + 0.2 for _ in groups]
+            machines = [(mass * w / sum(weights), access) for w, access in zip(weights, groups)]
+            population = SchedulerPopulation.for_instance(
+                n, machines, sorted(rng.sample(servers, rng.randint(1, n))))
+        if not math.isfinite(instance.cost([2.0 * n] * n)):
+            draws.append((instance, population))
+    return draws
+
+
+def _report_digest(reports) -> str:
+    """sha256 over the reprs of ``reports``, one line each."""
+    return hashlib.sha256(b"".join(repr(report).encode() + b"\n" for report in reports)).hexdigest()
+
+
+def _overflowing(n):
+    """Slopes 8e307 and 4e307 and an attack of 1.7e308 on server 1: the machine
+    cost overflows at the even-spread start."""
+    return GameInstance(n, [(0.0, 8e307)] + [(0.0, 4e307)] * (n - 1), 1, 1.7e308)
+
+
 class TestLazyScoring:
-    """A sweep stops scoring at the first group over the tolerance, only where
-    no skipped score can be NaN; the reports are those of scoring every
-    group, bit for bit (``_finite_scores`` forced off scores every group)."""
+    """One scoring rule: a sweep scores its groups in order until one misses
+    the tolerance and only fills the rest, on every instance. A NaN that a
+    sweep scores ends the solve. The reports are those of scoring every
+    group, bit for bit: ``golden/full_scoring_reports.sha256`` holds, one
+    line per case of :func:`_lazy_scoring_cases`, the digest of the reports
+    of a loop that scored every group, and ``golden/overflow_reports.sha256``
+    that of the :func:`_overflow_draws`, on which that loop also scored
+    every group."""
 
-    # the machine cost at 2n overflows: inf - inf scores the machines NaN
-    OVERFLOW = {
-        (2, 0.5): "SolveReport(profile=DisaggregatedProfile(selfish=(0.375, 1.125), "
-                  "per_machine=((0.125, 0.375),)), aggregate=LoadProfile(loads=(0.5, 1.5)), "
-                  "cost=inf, selfish_residual=inf, machine_residual=nan, converged=False, "
-                  "iterations=1)",
-        (2, 1.0): "SolveReport(profile=DisaggregatedProfile(selfish=(0.25, 0.75), "
-                  "per_machine=((0.25, 0.75),)), aggregate=LoadProfile(loads=(0.5, 1.5)), "
-                  "cost=inf, selfish_residual=inf, machine_residual=nan, converged=False, "
-                  "iterations=1)",
-        (3, 0.5): "SolveReport(profile=DisaggregatedProfile(selfish=(0.4166666666666667, "
-                  "1.0416666666666667, 1.0416666666666667), per_machine=((0.08333333333333334, "
-                  "0.20833333333333337, 0.20833333333333337),)), aggregate=LoadProfile("
-                  "loads=(0.5, 1.25, 1.25)), cost=inf, selfish_residual=inf, "
-                  "machine_residual=nan, converged=False, iterations=1)",
-        (3, 1.0): "SolveReport(profile=DisaggregatedProfile(selfish=(0.33333333333333337, "
-                  "0.8333333333333335, 0.8333333333333335), per_machine=((0.16666666666666669, "
-                  "0.41666666666666674, 0.41666666666666674),)), aggregate=LoadProfile("
-                  "loads=(0.49999999999999994, 1.25, 1.25)), cost=inf, selfish_residual=inf, "
-                  "machine_residual=nan, converged=False, iterations=1)",
-    }
+    @pytest.mark.parametrize("r, sweeps", [(0.5, 49), (1.0, 50)])
+    def test_overflowing_start_converges(self, r, sweeps):
+        # the even-spread start scores the machines inf - inf, but the
+        # selfish score misses first, so no sweep scores that NaN
+        inst = _overflowing(2)
+        pop = SchedulerPopulation.full_access(2, r)
+        rep = solve_team_equilibrium(inst, pop)
+        assert rep.converged and rep.iterations == sweeps and rep.cost == 8e307
+        assert equilibrium_residuals(inst, pop, rep.profile) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("n, r", OVERFLOW)
-    def test_overflowing_costs_keep_the_nan_exit(self, n, r):
-        # the selfish score misses first, so only full scoring reaches the
-        # machines' NaN and ends the solve after one sweep
-        inst = GameInstance(n, [(0.0, 8e307)] + [(0.0, 4e307)] * (n - 1), 1, 1.7e308)
-        assert not solvers._finite_scores(inst)
-        rep = solve_team_equilibrium(inst, SchedulerPopulation.full_access(n, r))
-        assert repr(rep) == self.OVERFLOW[n, r]
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_overflowing_costs_reach_the_nan_exit(self, r):
+        # three servers: the machine cost overflows on every split, so once
+        # the selfish score passes, the machines score NaN and end the solve
+        rep = solve_team_equilibrium(_overflowing(3), SchedulerPopulation.full_access(3, r))
+        assert not rep.converged and rep.iterations == 40 and rep.cost == math.inf
+        assert rep.selfish_residual == 0.0 and math.isnan(rep.machine_residual)
+
+    def test_confined_overflow_runs_to_the_cap(self):
+        # a machine confined to a server whose cost overflows scores NaN, but
+        # the selfish gap at delays near 1e244 never meets the tolerance, so
+        # no sweep scores the machine: the solve runs to the sweep cap
+        inst = GameInstance(4, [(0.32579655002885244, 9.839068648967185e+244),
+                                (0.815068753777836, 1.8855427758698147e+247),
+                                (0.20972231999270852, 1.8384308876318296e+307),
+                                (0.3431627426169167, 3.4274930547802418e+252)],
+                            2, 329047667108227.94)
+        pop = SchedulerPopulation.for_instance(4, ((3.2656298935586117, (3,)),), (1, 3, 4))
+        rep = solve_team_equilibrium(inst, pop, SolveSettings(max_outer_iterations=200))
+        assert not rep.converged and rep.iterations == 200 and rep.cost == math.inf
+        assert rep.selfish_residual > 1e200 and math.isnan(rep.machine_residual)
 
     @pytest.mark.parametrize("case", range(13))
-    def test_lazy_reports_match_full_scoring(self, monkeypatch, case):
+    def test_lazy_reports_match_full_scoring(self, case):
         instance, population, initial = _lazy_scoring_cases()[case]
-        assert solvers._finite_scores(instance)
         runs = [lambda: solve_fully_selfish(instance, population),
                 lambda: solve_team_equilibrium(instance, population)]
         if initial is not None:
             runs.append(lambda: solve_team_equilibrium(instance, population, initial=initial))
-        lazy = [repr(run()) for run in runs]
-        monkeypatch.setattr(solvers, "_finite_scores", lambda instance: False)
-        assert lazy == [repr(run()) for run in runs]
+        expected = (GOLDEN / "full_scoring_reports.sha256").read_text().split()[case]
+        assert _report_digest(run() for run in runs) == expected
 
-    def test_lazy_sweeps_skip_scores(self, monkeypatch):
-        instance, population = _golden_multi_group()
+    def test_overflow_reports_match_full_scoring(self):
+        settings = SolveSettings(max_outer_iterations=200)
+        reports = (solve(instance, population, settings)
+                   for instance, population in _overflow_draws()
+                   for solve in (solve_team_equilibrium, solve_fully_selfish))
+        expected = (GOLDEN / "overflow_reports.sha256").read_text().strip()
+        assert _report_digest(reports) == expected
+
+    @staticmethod
+    def _count_residuals(monkeypatch):
+        """The list that each later ``solvers._residual`` call appends its arguments to."""
         calls = []
         original = solvers._residual
 
@@ -1149,12 +1207,30 @@ class TestLazyScoring:
             return original(*args)
 
         monkeypatch.setattr(solvers, "_residual", counted)
-        lazy = solve_team_equilibrium(instance, population)
-        lazy_calls = len(calls)
-        calls.clear()
-        monkeypatch.setattr(solvers, "_finite_scores", lambda instance: False)
-        assert repr(solve_team_equilibrium(instance, population)) == repr(lazy)
-        assert lazy_calls < len(calls)
+        return calls
+
+    def test_lazy_sweeps_skip_scores(self, monkeypatch):
+        instance, population = _golden_multi_group()
+        calls = self._count_residuals(monkeypatch)
+        report = solve_team_equilibrium(instance, population)
+        groups, _ = solvers._group_by_access(solvers._members(population, True))
+        members = 1 + len(population.machine_masses)
+        # scoring every group of every sweep, then the certificate
+        assert len(calls) < len(groups) * report.iterations + members
+
+    @pytest.mark.parametrize("solve, machine_mass", [
+        (solve_team_equilibrium, 3.0),  # machines only: one social group
+        (solve_fully_selfish, 1.0),  # every class selfish on one access set
+    ])
+    def test_lone_group_scores_only_its_certificate(self, monkeypatch, solve, machine_mass):
+        # one access group answers the empty background at once: its response
+        # is filled, not scored, and the certificate scores each member once
+        instance = GameInstance.linear(3, 1.0)
+        population = SchedulerPopulation.full_access(3, machine_mass)
+        calls = self._count_residuals(monkeypatch)
+        report = solve(instance, population)
+        assert report.converged and report.iterations == 1
+        assert len(calls) == 1 + len(population.machine_masses)
 
 
 class TestBookkeeping:
@@ -1300,10 +1376,8 @@ class TestHotPathsSkipDelayCall:
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_cost_call_per_solve(self, monkeypatch, case):
-        # the block scores sum their costs inline; only the overflow guard,
-        # at 2n on every server, and the report call cost
+        # the block scores sum their costs inline; only the report calls cost
         instance, population = self.CASES[case]
-        guard = (2.0 * instance.n,) * instance.n
         calls = []
         original = game.GameInstance.cost
 
@@ -1316,7 +1390,7 @@ class TestHotPathsSkipDelayCall:
             calls.clear()
             report = solve(instance, population)
             assert report.converged
-            assert calls == [guard, report.aggregate.loads]
+            assert calls == [report.aggregate.loads]
         calls.clear()
         equilibrium_residuals(instance, population, report.profile)  # the team profile
         assert calls == []
