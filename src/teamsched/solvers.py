@@ -8,14 +8,15 @@
   alternating best response over access groups, each moving halfway to its
   answer: the social optimum for machines (team) or a Wardrop fill like the
   selfish jobs' (fully selfish). One certificate, over every scheduler
-  class, gates reported convergence in both. The sweep and the certificate
-  fill and score every block by one routine on the instance's level tables:
-  a selfish block scores its worst delay gap, a machine block the cost its
-  best response saves. Every sweep scores its groups in order until one
-  misses the tolerance and only fills the rest; a NaN it scores ends the
-  solve. A non-social block drops a load of at most its ``_used_eps`` on a
-  server its response abandons. Only the two public fills check their
-  arguments.
+  class, gates reported convergence in both. One routine fills every
+  block's best response on the instance's level tables, and two scores
+  read it: a selfish block scores its worst delay gap off the profile, with
+  no fill, and a machine block the cost its best response saves. Every
+  sweep fills each group once and scores the groups in order until one
+  misses the tolerance; a NaN it scores ends the solve. The certificate
+  fills only the machine blocks. A non-social block drops a load of at
+  most its ``_used_eps`` on a server its response abandons. Only the two
+  public fills check their arguments.
 
 Both fills equalize a common service level by Newton steps: each step
 replaces every level by its tangent at the server's current load and fills
@@ -319,30 +320,15 @@ def _response(instance: GameInstance, member: _Member, block: Sequence[float],
         instance.attack_offsets)
 
 
-def _residual(instance: GameInstance, member: _Member, block: Sequence[float],
-              loads: Sequence[float]) -> tuple[float, list[float]]:
-    """``(residual, best response)`` of one block at the aggregate ``loads``.
-
-    The response is :func:`_response`'s. A selfish block scores its worst
-    delay excess over its best accessible server on a server where it holds
-    over :func:`_used_eps`, a social block the cost its response saves; one
-    of mass at most :data:`_USED_EPS` scores 0 unfilled.
-    """
-    servers, mass, social = member
-    if mass <= _USED_EPS:
-        return 0.0, [0.0] * instance.n
-    bg, response = _response(instance, member, block, loads)
-    delays, offsets = instance.delay_coefficients, instance.attack_offsets
-    if social:
-        now = new = 0.0  # instance.cost of loads and of bg + response, in one pass
-        for c, a, x, b, r in zip(delays, offsets, loads, bg, response):
-            z = b + r
-            now += x * (horner(c, x)[0] + a)
-            new += z * (horner(c, z)[0] + a)
-        return now / instance.n - new / instance.n, response
-    delays = [horner(c, x)[0] + a for c, a, x in zip(delays, offsets, loads)]
-    best = min([delays[i - 1] for i in servers])
-    eps = _used_eps(mass)
+def _gap(instance: GameInstance, member: _Member, block: Sequence[float],
+         loads: Sequence[float]) -> float:
+    """Worst delay excess of a selfish ``block`` over its best accessible
+    server at the aggregate ``loads``, on a server where it holds over
+    :func:`_used_eps`; read off the profile, with no fill."""
+    delays = [horner(c, x)[0] + a
+              for c, a, x in zip(instance.delay_coefficients, instance.attack_offsets, loads)]
+    best = min([delays[i - 1] for i in member[0]])
+    eps = _used_eps(member[1])
     worst = 0.0  # _worst's rules over the used servers: floor 0.0, NaN at once
     for d, b in zip(delays, block):
         if b > eps:
@@ -350,17 +336,34 @@ def _residual(instance: GameInstance, member: _Member, block: Sequence[float],
             if r > worst:
                 worst = r
             elif r != r:
-                return math.nan, response
-    return worst, response
+                return math.nan
+    return worst
+
+
+def _saving(instance: GameInstance, loads: Sequence[float], bg: Sequence[float],
+            response: Sequence[float]) -> float:
+    """Cost a social block saves at the aggregate ``loads`` by its
+    :func:`_response` ``response`` atop the background ``bg``."""
+    now = new = 0.0  # instance.cost of loads and of bg + response, in one pass
+    for c, a, x, b, r in zip(instance.delay_coefficients, instance.attack_offsets,
+                             loads, bg, response):
+        z = b + r
+        now += x * (horner(c, x)[0] + a)
+        new += z * (horner(c, z)[0] + a)
+    return now / instance.n - new / instance.n
 
 
 def _certificate(instance: GameInstance, members: Sequence[_Member],
                  blocks: Sequence[Sequence[float]], loads: Sequence[float]) -> tuple[float, float]:
-    """Worst :func:`_residual` over the selfish blocks and over the social blocks."""
-    residuals = [(member[2], _residual(instance, member, block, loads)[0])
-                 for member, block in zip(members, blocks)]
-    return (_worst(r for social, r in residuals if not social),
-            _worst(r for social, r in residuals if social))
+    """Worst :func:`_gap` over the selfish blocks and worst :func:`_saving`
+    over the social blocks, each 0 when none counts. A member of mass at
+    most :data:`_USED_EPS` is not scored, and only a social member's
+    response is filled."""
+    scores = [(member[2], _saving(instance, loads, *_response(instance, member, block, loads))
+               if member[2] else _gap(instance, member, block, loads))
+              for member, block in zip(members, blocks) if member[1] > _USED_EPS]
+    return (_worst(r for social, r in scores if not social),
+            _worst(r for social, r in scores if social))
 
 
 def _members(population: SchedulerPopulation, team: bool) -> list[_Member]:
@@ -479,11 +482,12 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
 
     With ``team`` the machines answer with their constrained social optimum,
     otherwise every block answers with its Wardrop response; each sweep
-    takes every group's response and score from :func:`_residual`, in group
-    order, until one score misses the tolerance: the sweep then goes on, so
-    the later groups take their response alone from :func:`_response`.
-    Scores never feed the blocks. A non-social block sets to 0.0 its blended
-    load on a server its response leaves empty once that load is at or below
+    takes every group's response from one :func:`_response` call, in group
+    order, and while no score of the sweep has missed the tolerance also
+    scores the group: :func:`_saving` of that response if social, else
+    :func:`_gap` of its block. Both scores return a float, so they never
+    feed the blocks. A non-social block sets to 0.0 its blended load on a
+    server its response leaves empty once that load is at or below
     :func:`_used_eps` of its mass, which its score already counts as unused;
     the rescale spreads that mass over the block. A sweep whose residuals
     pass the tolerance still needs the certificate before it claims
@@ -530,14 +534,15 @@ def _best_response(instance: GameInstance, population: SchedulerPopulation,
     for iterations in range(1, settings.max_outer_iterations + 1):
         worst = 0.0  # _worst's rules: floor 0.0, a NaN stays
         for g, group in enumerate(groups):
-            # once one score misses the tolerance the sweep goes on, so the
-            # rest of it only fills
+            # once one score misses the tolerance, the rest of the sweep
+            # goes unscored
+            loads = _loads(blocks)
+            bg, response = _response(instance, group, blocks[g], loads)
             if worst <= tolerance:
-                residual, response = _residual(instance, group, blocks[g], _loads(blocks))
+                residual = (_saving(instance, loads, bg, response) if group[2]
+                            else _gap(instance, group, blocks[g], loads))
                 if residual > worst or residual != residual:
                     worst = residual
-            else:
-                response = _response(instance, group, blocks[g], _loads(blocks))[1]
             if group[2]:
                 block = [o + _BLEND * (v - o) for o, v in zip(blocks[g], response)]
             else:

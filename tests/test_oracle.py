@@ -550,6 +550,20 @@ class TestCertificate:
         # b * x wobbles: no curvature to absorb the rounding
         assert _certified_from(GameInstance.identical(3, (1.0,), 0.5), 300) == [300] * 3
 
+    @pytest.mark.parametrize("resolution, point", [(0.1, [1, 19]), (0.02, [3, 97])])
+    def test_overflowing_floor_is_not_certified(self, resolution, point):
+        # degree 1024: top ** (d + 1) overflows the underflow floor, so the
+        # certificate gives up on both tables and the search sorts them whole
+        instance = GameInstance(2, [(0.0,) * 1024 + (1e-300,), (0.0,) * 1024 + (2e-300,)], 1, 0.5)
+        steps = round(instance.n / resolution)
+        assert _certified_from(instance, steps) == [steps, steps]
+        _reference_matches(instance, resolution)
+        key, _ = brute_force_minimum(instance, resolution)
+        assert key == point
+        profile, _ = grid_search_optimum(instance, resolution)
+        step = _exact_lattice(instance, resolution).step
+        assert profile.loads == LoadProfile.from_raw([k * step for k in key]).loads
+
 
 def _largest_coefficient(j):
     """The largest c_j that :class:`DelayFunction` admits: ``(j + 1) * c_j`` finite."""

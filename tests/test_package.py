@@ -1,8 +1,10 @@
 """The package's public names, which it resolves on first use."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +66,12 @@ def test_submodules_import():
     from teamsched import game, solvers
     assert game is sys.modules["teamsched.game"]
     assert solvers is sys.modules["teamsched.solvers"]
+
+
+def test_sources_parse_as_python_3_10():
+    # the package requires Python 3.10: no file may use newer syntax
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -996,8 +996,9 @@ class TestOneResidualRule:
 
 class TestOneBestResponse:
     # the sweep and the certificate take every block's best response from
-    # solvers._residual on the instance's cached delay and marginal-cost
-    # tables; neither goes through a public fill and its argument checks
+    # solvers._response on the instance's cached delay and marginal-cost
+    # tables; the certificate fills only the machine blocks, and neither
+    # goes through a public fill and its argument checks
     CONSTRAINED = SchedulerPopulation.for_instance(3, ((2.0, (2, 3)),), (1, 2))
     FULL = (GameInstance.linear(3, 1.0), SchedulerPopulation.for_instance(3, ((0.5, None),) * 3))
 
@@ -1037,7 +1038,22 @@ class TestOneBestResponse:
         fills = self.counting(monkeypatch, "_fill_common_level")
         equilibrium_residuals(instance, self.FULL[1], rep.profile)
         assert len(checks) == 0
-        assert self.tables(fills, instance) == {"delay", "marginal"}
+        # the selfish gap reads the profile; only the machines are filled
+        assert self.tables(fills, instance) == {"marginal"}
+
+    def test_no_fill_for_a_selfish_certificate(self, monkeypatch):
+        instance = GameInstance.linear(3, 1.0)
+        fills = self.counting(monkeypatch, "_fill_common_level")
+        # a lone selfish group: its one response, and no fill to certify it
+        report = solve_fully_selfish(instance, SchedulerPopulation.full_access(3, 1.0))
+        assert report.converged and report.iterations == 1
+        assert len(fills) == 1
+        # one fill per machine, none for the selfish block
+        for population in (self.CONSTRAINED, self.FULL[1]):
+            profile = solve_team_equilibrium(instance, population).profile
+            fills.clear()
+            equilibrium_residuals(instance, population, profile)
+            assert len(fills) == len(population.machine_masses)
 
     def test_machine_residual_is_the_public_fill_saving(self):
         # off equilibrium, each machine scores what its public social fill
@@ -1197,40 +1213,44 @@ class TestLazyScoring:
         assert _report_digest(reports) == expected
 
     @staticmethod
-    def _count_residuals(monkeypatch):
-        """The list that each later ``solvers._residual`` call appends its arguments to."""
+    def _count_scores(monkeypatch):
+        """The list that each later ``solvers._gap`` or ``solvers._saving``
+        call appends its arguments to."""
         calls = []
-        original = solvers._residual
+        for name in ("_gap", "_saving"):
+            def counted(*args, original=getattr(solvers, name)):
+                calls.append(args)
+                return original(*args)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(solvers, "_residual", counted)
+            monkeypatch.setattr(solvers, name, counted)
         return calls
 
     def test_lazy_sweeps_skip_scores(self, monkeypatch):
         instance, population = _golden_multi_group()
-        calls = self._count_residuals(monkeypatch)
+        calls = self._count_scores(monkeypatch)
         report = solve_team_equilibrium(instance, population)
         groups, _ = solvers._group_by_access(solvers._members(population, True))
         members = 1 + len(population.machine_masses)
         # scoring every group of every sweep, then the certificate
         assert len(calls) < len(groups) * report.iterations + members
 
-    @pytest.mark.parametrize("solve, machine_mass", [
-        (solve_team_equilibrium, 3.0),  # machines only: one social group
-        (solve_fully_selfish, 1.0),  # every class selfish on one access set
+    @pytest.mark.parametrize("solve, machine_mass, scores", [
+        (solve_team_equilibrium, 3.0, 1),  # machines only: one social group
+        (solve_fully_selfish, 1.0, 2),  # every class selfish on one access set
     ])
-    def test_lone_group_scores_only_its_certificate(self, monkeypatch, solve, machine_mass):
+    def test_lone_group_scores_only_its_certificate(self, monkeypatch, solve, machine_mass,
+                                                    scores):
         # one access group answers the empty background at once: its response
-        # is filled, not scored, and the certificate scores each member once
+        # is filled, not scored, and the certificate scores each member of
+        # positive mass once (the machines-only population has no selfish mass)
         instance = GameInstance.linear(3, 1.0)
         population = SchedulerPopulation.full_access(3, machine_mass)
-        calls = self._count_residuals(monkeypatch)
+        calls = self._count_scores(monkeypatch)
         report = solve(instance, population)
         assert report.converged and report.iterations == 1
-        assert len(calls) == 1 + len(population.machine_masses)
+        assert len(calls) == scores
+        assert scores == sum(mass > 0.0 for mass in
+                             (population.selfish_mass,) + population.machine_masses)
 
 
 class TestBookkeeping:
@@ -1293,12 +1313,14 @@ class TestDirectEvaluation:
             best = min(reference[i - 1] for i in servers)
             eps = solvers._used_eps(mass)
             expected = _isnan_max_worst(d - best for d, b in zip(reference, block) if b > eps)
-            score, _ = solvers._residual(instance, (servers, mass, False), block, loads)
+            score = solvers._gap(instance, (servers, mass, False), block, loads)
             assert repr(score) == repr(expected)
 
     @staticmethod
     def _social_score_and_reference(instance, servers, mass, block, loads):
-        score, response = solvers._residual(instance, (servers, mass, True), block, loads)
+        # the score reads the background and response that the sweep fills
+        background, response = solvers._response(instance, (servers, mass, True), block, loads)
+        score = solvers._saving(instance, loads, background, response)
         bg = [max(0.0, x - b) for x, b in zip(loads, block)]
         return score, instance.cost(loads) - instance.cost([b + r for b, r in zip(bg, response)])
 
@@ -1561,7 +1583,7 @@ def _level_tables(instance, social):
 
 
 class TestBackgroundClamp:
-    """``_residual`` fills atop ``x - b if x > b else 0.0``, bit for bit the
+    """``_response`` fills atop ``x - b if x > b else 0.0``, bit for bit the
     fill atop ``max(0.0, x - b)``."""
 
     LOAD = (st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 1.0, 2.0, math.inf])
@@ -1589,7 +1611,7 @@ class TestBackgroundClamp:
         mass = data.draw(st.floats(1e-9, 10.0))
         background = [max(0.0, x - b) for x, b in zip(loads, block)]
         for social in (False, True):
-            response = _outcome(lambda: solvers._residual(instance, (servers, mass, social),
+            response = _outcome(lambda: solvers._response(instance, (servers, mass, social),
                                                           block, loads)[1])
             expected = _outcome(solvers._fill_common_level, n, servers, mass, background,
                                 *_level_tables(instance, social))
@@ -1604,7 +1626,7 @@ class TestBackgroundClamp:
         # the second server's load sits at x with the block holding b of it
         instance = GameInstance(2, ((0.0, 1.0, 1.0), (0.5, 2.0)), 1, 0.5)
         for social in (False, True):
-            _, response = solvers._residual(instance, ((1, 2), 1.5, social), [0.25, b],
+            _, response = solvers._response(instance, ((1, 2), 1.5, social), [0.25, b],
                                             [0.25, x])
             expected = solvers._fill_common_level(2, (1, 2), 1.5, [0.0, max(0.0, x - b)],
                                                   *_level_tables(instance, social))
