@@ -284,7 +284,8 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     Each row records the team equilibrium, the exact optimum (marginal-cost
     fill over all servers), the attack-oblivious baseline, and the fully
     selfish equilibrium. Per-point non-convergence is recorded in the row,
-    never fatal. Rows are ordered by (alpha, r).
+    never fatal. Rows are ordered by (alpha, r). Each attack strength is
+    one attacked instance, whose optimum and baseline costs serve every r.
     """
     instance, population = scenario.instance, scenario.population
     n = instance.n
@@ -293,24 +294,19 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
 
     calm = replace(instance, attack_strength=0.0)
     baseline = LoadProfile.from_raw(solve_social_optimum(calm, full, float(n)))
-
-    def solve_point(alpha: float, r: float) -> SweepRow:
+    rows = []
+    for alpha in scenario.alphas:
         attacked = replace(instance, attack_strength=alpha)
-        pop = population.at_mass(r)
-        team = solve_team_equilibrium(attacked, pop, scenario.settings)
         optimal = LoadProfile.from_raw(solve_social_optimum(attacked, full, float(n)))
-        selfish = solve_fully_selfish(attacked, pop, scenario.settings)
-        return SweepRow(
-            alpha=alpha, r=r,
-            team_cost=team.cost,
-            optimal_cost=system_cost(attacked, optimal),
-            baseline_cost=system_cost(attacked, baseline),
-            selfish_cost=selfish.cost,
-            converged=team.converged and selfish.converged,
-            team_loads=team.aggregate.loads,
-        )
-
-    return [solve_point(alpha, r) for alpha in scenario.alphas for r in rs]
+        optimal_cost = system_cost(attacked, optimal)
+        baseline_cost = system_cost(attacked, baseline)
+        for r in rs:
+            pop = population.at_mass(r)
+            team = solve_team_equilibrium(attacked, pop, scenario.settings)
+            selfish = solve_fully_selfish(attacked, pop, scenario.settings)
+            rows.append(SweepRow(alpha, r, team.cost, optimal_cost, baseline_cost, selfish.cost,
+                                 team.converged and selfish.converged, team.aggregate.loads))
+    return rows
 
 
 def sweep_csv(scenario: Scenario, rows: Iterable[SweepRow]) -> str:

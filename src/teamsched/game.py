@@ -69,9 +69,10 @@ class DelayFunction:
     """Polynomial delay ``tau(x) = sum_j c_j x**j`` with nonnegative coefficients.
 
     Nonnegative coefficients make the delay convex and nondecreasing on
-    ``x >= 0`` by construction, and the marginal cost is available exactly. A
-    coefficient whose marginal-cost term ``(j + 1) c_j`` overflows is
-    rejected, so every marginal-cost slope is finite.
+    ``x >= 0`` by construction. A coefficient whose marginal-cost term
+    ``(j + 1) c_j`` overflows is rejected, so every marginal-cost slope of
+    :attr:`GameInstance.marginal_coefficients` is finite. Once an instance
+    is built, every layer reads the instance's tables, not this object.
     """
 
     coefficients: tuple[float, ...]
@@ -89,18 +90,9 @@ class DelayFunction:
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
     def intercept(self) -> float:
         """Uncongested service time ``tau(0)``."""
         return self.coefficients[0]
-
-    @cached_property
-    def marginal_coefficients(self) -> tuple[float, ...]:
-        """Coefficients of ``tau(x) + x * tau'(x)``, i.e. ``(j + 1) c_j``."""
-        return tuple((j + 1) * c for j, c in enumerate(self.coefficients))
 
     def __call__(self, x: float) -> float:
         return horner(self.coefficients, x)[0]
@@ -160,7 +152,10 @@ class GameInstance:
         return cls(n, (f,) * as_count(n, "server count"), attack_target, attack_strength)
 
     def attack_bonus(self, server: int) -> float:
-        """Delay offset suffered at 1-based ``server`` under the attack."""
+        """Delay offset suffered at 1-based ``server`` under the attack; a
+        server outside ``1..n`` raises :class:`ValidationError`."""
+        if not 1 <= server <= self.n:
+            raise ValidationError(f"bad-server-index: server {server} not in 1..{self.n}")
         return self.attack_strength if server == self.attack_target else 0.0
 
     @cached_property
@@ -175,8 +170,10 @@ class GameInstance:
 
     @cached_property
     def marginal_coefficients(self) -> tuple[tuple[float, ...], ...]:
-        """Every server's marginal-cost coefficients, in server order."""
-        return tuple(d.marginal_coefficients for d in self.delays)
+        """Every server's coefficients of ``tau(x) + x * tau'(x)``, i.e.
+        ``(j + 1) c_j`` of :attr:`delay_coefficients`, in server order."""
+        return tuple(tuple((j + 1) * c for j, c in enumerate(coeffs))
+                     for coeffs in self.delay_coefficients)
 
     def cost(self, loads: Sequence[float]) -> float:
         """Mean delay of a raw load vector; trusts the caller on feasibility
@@ -218,10 +215,9 @@ def _has_potential(instance: GameInstance) -> bool:
     degrees, extra terms such as ``x + x**2`` and constant servers fall
     outside this argument.
     """
-    degree = instance.delays[0].degree
-    return degree >= 1 and all(
-        f.degree == degree and f.coefficients[-1] > 0.0 and not any(f.coefficients[1:-1])
-        for f in instance.delays)
+    size = len(instance.delay_coefficients[0])
+    return size >= 2 and all(len(c) == size and c[-1] > 0.0 and not any(c[1:-1])
+                             for c in instance.delay_coefficients)
 
 
 @dataclass(frozen=True)
@@ -264,7 +260,10 @@ class LoadProfile:
         return len(self.loads)
 
     def load(self, server: int) -> float:
-        """Load on 1-based ``server``."""
+        """Load on 1-based ``server``; a server outside ``1..n`` raises
+        :class:`ValidationError`."""
+        if not 1 <= server <= len(self.loads):
+            raise ValidationError(f"bad-server-index: server {server} not in 1..{len(self.loads)}")
         return self.loads[server - 1]
 
 

@@ -17,8 +17,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from . import game
-from .game import (DelayFunction, DisaggregatedProfile, GameInstance, LoadProfile,
-                   SchedulerPopulation, horner, system_cost)
+from .game import (DisaggregatedProfile, GameInstance, LoadProfile, SchedulerPopulation,
+                   horner, system_cost)
 from .solvers import SolveSettings, solve_team_equilibrium
 
 #: refuse lattice searches over more slopes than this, ``n * steps``: 31 servers
@@ -54,8 +54,9 @@ class _Slopes:
 
     Entry ``k`` is ``T[k] = x * (tau(x) + attack)`` at ``x = k * step``, the
     IEEE operations of an elementwise evaluation on the whole axis; the table
-    keeps the delay's coefficients and takes ``tau(x)`` from :func:`horner`
-    directly, the same bits as ``DelayFunction.__call__``. Slope
+    keeps the server's row of :attr:`GameInstance.delay_coefficients` and its
+    entry of :attr:`GameInstance.attack_offsets`, and takes ``tau(x)`` from
+    :func:`horner` directly, the same bits as ``DelayFunction.__call__``. Slope
     ``k`` joins entries ``k`` and ``k + 1``; its key is ``(s, e, j)``: ``s``
     the rounded difference, ``e`` its exact remainder (TwoSum), so ``s + e``
     is the real slope and the lexicographic order on ``(s, e)`` is the order
@@ -67,9 +68,8 @@ class _Slopes:
 
     __slots__ = ("coefficients", "bonus", "step", "base")
 
-    def __init__(self, delay: DelayFunction, bonus: float, step: float, base: int):
-        self.coefficients, self.bonus, self.step, self.base = (
-            delay.coefficients, bonus, step, base)
+    def __init__(self, coefficients: Sequence[float], bonus: float, step: float, base: int):
+        self.coefficients, self.bonus, self.step, self.base = coefficients, bonus, step, base
 
     def entry(self, k: int) -> float:
         x = k * self.step
@@ -85,15 +85,17 @@ class _Slopes:
         return math.inf, 0.0, self.base + k
 
 
-def _convex_from(delay: DelayFunction, bonus: float, step: float, steps: int, n: int) -> int:
+def _convex_from(coefficients: Sequence[float], bonus: float, step: float, steps: int, n: int) -> int:
     """First slope from which the keys of :class:`_Slopes` provably never
     decrease; ``steps`` where nothing is certified.
 
-    Write ``G(x) = x * (tau(x) + attack)``, of degree ``d + 1`` with
-    nonnegative coefficients, ``x_k = k * step`` for the exact grid,
-    ``u = 2**-53`` and ``X = n (1 + 2**-50)``, above every grid point and
-    its rounding. Keys ``k - 1`` and ``k`` are in order exactly when the
-    rounded entries' second difference at ``k`` is nonnegative. At ``k >= 1``:
+    Write ``tau`` for the delay with the given coefficients, of degree
+    ``d = len(coefficients) - 1``, ``G(x) = x * (tau(x) + attack)``, of
+    degree ``d + 1`` with nonnegative coefficients, ``x_k = k * step`` for
+    the exact grid, ``u = 2**-53`` and ``X = n (1 + 2**-50)``, above every
+    grid point and its rounding. Keys ``k - 1`` and ``k`` are in order
+    exactly when the rounded entries' second difference at ``k`` is
+    nonnegative. At ``k >= 1``:
 
     - on the exact grid it is at least ``step**2 * G''(x_k)``, since
       ``G''`` is convex on ``x >= 0`` (Jensen over the hat kernel);
@@ -114,8 +116,8 @@ def _convex_from(delay: DelayFunction, bonus: float, step: float, steps: int, n:
     """
     if steps < 2:
         return 0
-    d = delay.degree
-    curvature = [(j + 1) * j * c for j, c in enumerate(delay.coefficients)][1:]
+    d = len(coefficients) - 1
+    curvature = [(j + 1) * j * c for j, c in enumerate(coefficients)][1:]
     if not all(math.isfinite(c) for c in curvature):
         return steps
     top = n * (1.0 + 2.0 ** -50)
@@ -123,7 +125,7 @@ def _convex_from(delay: DelayFunction, bonus: float, step: float, steps: int, n:
         floor = (2 * d + 2) * 2.0 ** -1000 * top ** (d + 1)
     except OverflowError:
         return steps
-    value = horner(delay.coefficients, top)[0]
+    value = horner(coefficients, top)[0]
     bound = 2.0 * (16 * (d + 1) * 2.0 ** -53 * top * (value + bonus) + 4.0 * floor)
     if not bound < math.inf:
         return steps
@@ -240,10 +242,10 @@ def grid_search_optimum(instance: GameInstance, resolution: float = 1e-3) -> tup
 
     step = n / steps
     runs, windows = [], []
-    for i, f in enumerate(instance.delays, start=1):
-        bonus = instance.attack_bonus(i)
-        slopes = _Slopes(f, bonus, step, (n - i) * steps)
-        start = _convex_from(f, bonus, step, steps, n)
+    tables = zip(instance.delay_coefficients, instance.attack_offsets)
+    for i, (coefficients, bonus) in enumerate(tables, start=1):
+        slopes = _Slopes(coefficients, bonus, step, (n - i) * steps)
+        start = _convex_from(coefficients, bonus, step, steps, n)
         if start:
             runs.append(sorted(map(slopes.__getitem__, range(start))))
             windows.append((i, 0, start))
@@ -287,7 +289,8 @@ class MonotonicityReport:
 
 
 def _team_costs_multistart(instance: GameInstance, population: SchedulerPopulation,
-                           settings: SolveSettings, rng: random.Random) -> list[float] | None:
+                           settings: SolveSettings | None,
+                           rng: random.Random) -> list[float] | None:
     """Team costs from the default start, plus :data:`_VERIFY_STARTS` random
     ones on instances without an exact potential.
 
@@ -341,7 +344,6 @@ def verify_security(instance: GameInstance, population: SchedulerPopulation,
     """
     if len(alphas) == 0:
         raise ValueError("alphas must hold at least one attack strength")
-    settings = settings or SolveSettings()
     rng = random.Random(seed)
     baseline_profile, _ = grid_search_optimum(replace(instance, attack_strength=0.0),
                                               _VERIFY_RESOLUTION)
@@ -405,7 +407,6 @@ def monotonicity_sweep(instance: GameInstance, population: SchedulerPopulation,
     An empty or descending grid raises ``ValueError``, and so does any mass
     :meth:`SchedulerPopulation.at_mass` refuses, before anything is solved.
     """
-    settings = settings or SolveSettings()
     grid = [float(r) for r in masses]
     if not grid:
         raise ValueError("machine-mass grid must hold at least one mass")

@@ -128,17 +128,28 @@ def kkt_stationary_profile(n: int, alpha: float) -> LoadProfile:
     return LoadProfile((x1, x2) + tuple(rest for _ in range(n - 2)))
 
 
+def _check_loads(loads: Sequence[float]) -> None:
+    """The leader's first-order system reads servers 1, 2 and 3..n."""
+    if len(loads) < 3:
+        raise ValidationError(f"the leader's system needs at least 3 loads, got {len(loads)}")
+
+
 def kkt_multipliers(loads: Sequence[float], alpha: float,
                     branch: str = INFLUENCING) -> tuple[float, float, float]:
     """Recover ``(lam, mu1, mu2)`` from an aggregate profile.
 
     On the influencing branch the coupling constraint is tight, so
     ``lam = 2 x_3`` and ``mu1 = 2 x_2 - lam``; abandoning solutions carry
-    ``mu1 = 0`` and a clamped ``mu2``.
+    ``mu1 = 0`` and a clamped ``mu2``. Fewer than three loads or a branch
+    other than :data:`INFLUENCING` and :data:`ABANDONING` raise
+    :class:`ValidationError`.
     """
+    _check_loads(loads)
     lam = 2.0 * loads[2]
     if branch == INFLUENCING:
         return lam, max(0.0, 2.0 * loads[1] - lam), 0.0
+    if branch != ABANDONING:
+        raise ValidationError(f"unknown branch {branch!r}: not {INFLUENCING!r} or {ABANDONING!r}")
     return lam, 0.0, max(0.0, lam - alpha - 2.0 * loads[0])
 
 
@@ -150,8 +161,9 @@ def kkt_residuals(loads: Sequence[float], alpha: float,
     stationarity violation on servers 3..n, and the two complementary
     slackness products (coupling constraint, attacked-load nonnegativity).
     The objective is the total (not mean) delay, whose scaling leaves the
-    minimizer unchanged.
+    minimizer unchanged. Fewer than three loads raise :class:`ValidationError`.
     """
+    _check_loads(loads)
     lam, mu1, mu2 = multipliers
     r1 = abs(2.0 * loads[0] + alpha - lam + mu1 + mu2)
     r2 = abs(2.0 * loads[1] - lam - mu1)
@@ -161,11 +173,10 @@ def kkt_residuals(loads: Sequence[float], alpha: float,
     return r1, r2, r3, r4, r5
 
 
-def _solution_from_leader(instance: GameInstance, leader: Sequence[float],
-                          n: int, alpha: float) -> StackelbergSolution:
+def _solution_from_leader(leader: Sequence[float], n: int, alpha: float) -> StackelbergSolution:
     follower = follower_best_response(leader, n, alpha)
     aggregate = LoadProfile.from_raw([leader[i] + follower[i] for i in range(n)])
-    cost = system_cost(instance, aggregate)
+    cost = system_cost(GameInstance.linear(n, alpha), aggregate)
     branch = INFLUENCING if follower[0] > 1e-9 else ABANDONING
     multipliers = kkt_multipliers(aggregate.loads, alpha, branch)
     if aggregate.loads[0] + alpha < aggregate.loads[1] - 1e-9:
@@ -179,8 +190,7 @@ def _solution_from_leader(instance: GameInstance, leader: Sequence[float],
 def optimal_stackelberg_solution(n: int, alpha: float) -> StackelbergSolution:
     """Closed-form optimal solution (policy, response, cost, multipliers)."""
     leader, _branch = optimal_leader_policy(n, alpha)
-    instance = GameInstance.linear(n, alpha)
-    return _solution_from_leader(instance, leader, n, alpha)
+    return _solution_from_leader(leader, n, alpha)
 
 
 def solve_stackelberg_numeric(n: int, alpha: float,
@@ -223,6 +233,5 @@ def solve_stackelberg_numeric(n: int, alpha: float,
         if cost < best_cost:
             best_t, best_cost = t, cost
 
-    instance = GameInstance.linear(n, alpha)
     leader = [0.0, best_t] + [(span - best_t) / (n - 2)] * (n - 2)
-    return _solution_from_leader(instance, leader, n, alpha)
+    return _solution_from_leader(leader, n, alpha)

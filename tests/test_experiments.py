@@ -191,6 +191,23 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="no machines"):
             run_sweep(bare)
 
+    def test_one_optimum_fill_per_attack_strength(self, monkeypatch):
+        # the baseline's fill plus one per attack strength, not one per
+        # (alpha, r) point, and the same bytes as the golden CSV
+        calls = []
+        original = experiments.solve_social_optimum
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "solve_social_optimum", counted)
+        scenario = load_scenario(SCENARIOS / "unconstrained_two_servers.json")
+        text = sweep_csv(scenario, run_sweep(scenario))
+        assert len(calls) == len(scenario.alphas) + 1 == 10
+        golden = ROOT / "tests" / "golden" / "sweep_unconstrained_two_servers.csv"
+        assert text.encode() == golden.read_bytes()
+
 
 class TestFigureData:
     def test_fig2_curves_nonincreasing(self):

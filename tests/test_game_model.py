@@ -29,8 +29,9 @@ def poly_value(coeffs, x):
 
 
 def marginal_cost(f, x, bonus=0.0):
-    """tau(x) + x tau'(x) + bonus, the level every social fill equalizes."""
-    return horner(f.marginal_coefficients, x)[0] + bonus
+    """tau(x) + x tau'(x) + bonus, the level every social fill equalizes,
+    from the coefficients ``(j + 1) c_j`` built here, not from a cached table."""
+    return horner([(j + 1) * c for j, c in enumerate(f.coefficients)], x)[0] + bonus
 
 
 class TestDelayFunction:
@@ -95,6 +96,12 @@ class TestMarginalCost:
     def test_constant_delay(self):
         f = DelayFunction((3.0,))
         assert marginal_cost(f, 7.0, 2.0) == 5.0
+
+    def test_instance_table_is_built_from_delay_table(self):
+        inst = GameInstance(3, ((1.0,), (0.0, 1.0), (0.5, 0.25, 2.0)), 2, 1.0)
+        assert inst.marginal_coefficients == ((1.0,), (0.0, 2.0), (0.5, 0.5, 6.0))
+        assert inst.delay_coefficients == ((1.0,), (0.0, 1.0), (0.5, 0.25, 2.0))
+        assert inst.attack_offsets == (0.0, 1.0, 0.0)
 
     @given(
         coeffs=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5),
@@ -439,6 +446,18 @@ class TestServerIndex:
     def test_integral_float_index(self):
         assert SchedulerPopulation.for_instance(2, ((1.0, [1.0, 2.0]),), [2.0]) == \
             SchedulerPopulation.for_instance(2, ((1.0, [1, 2]),), [2])
+
+    # a 0 or negative index once read from the end of the tuple, and one past
+    # the last server once read as an unattacked server
+    @pytest.mark.parametrize("server", [0, -1, 3])
+    def test_load_outside_servers(self, server):
+        with pytest.raises(ValidationError, match=f"server {server} not in 1..2"):
+            LoadProfile((0.5, 1.5)).load(server)
+
+    @pytest.mark.parametrize("server", [0, -1, 4])
+    def test_attack_bonus_outside_servers(self, server):
+        with pytest.raises(ValidationError, match=f"server {server} not in 1..3"):
+            GameInstance.linear(3, 1.0).attack_bonus(server)
 
 
 class TestDisaggregatedProfile:

@@ -443,7 +443,8 @@ def _matches_numpy_merge(instance, resolution):
 
 def _certified_from(instance, steps):
     """Each server's first certified slope (:func:`oracle._convex_from`)."""
-    return [oracle._convex_from(f, instance.attack_bonus(i), instance.n / steps, steps, instance.n)
+    return [oracle._convex_from(f.coefficients, instance.attack_bonus(i), instance.n / steps, steps,
+                                instance.n)
             for i, f in enumerate(instance.delays, start=1)]
 
 
@@ -526,8 +527,8 @@ class TestCertificate:
                                                    for j in range(1, data.draw(st.integers(1, 5)))))
         bonus = data.draw(st.one_of(st.sampled_from([0.0, 1e9, 1e300]), st.floats(0.0, 3.0)))
         assume(intercept + bonus < math.inf)
-        start = oracle._convex_from(delay, bonus, n / steps, steps, n)
-        slopes = oracle._Slopes(delay, bonus, n / steps, 0)
+        start = oracle._convex_from(delay.coefficients, bonus, n / steps, steps, n)
+        slopes = oracle._Slopes(delay.coefficients, bonus, n / steps, 0)
         keys = [slopes[k] for k in range(start, steps)]
         assert all(a <= b for a, b in zip(keys, keys[1:]))
 
@@ -541,7 +542,7 @@ class TestCertificate:
                                     for j in range(data.draw(st.integers(1, 4)))))
         bonus = data.draw(st.one_of(st.sampled_from([0.0, 1e9, 1e300]), st.floats(0.0, 3.0)))
         step = n / steps
-        slopes = oracle._Slopes(delay, bonus, step, 0)
+        slopes = oracle._Slopes(delay.coefficients, bonus, step, 0)
         for k in range(steps + 1):
             x = k * step
             assert repr(slopes.entry(k)) == repr(x * (delay(x) + bonus))
@@ -599,7 +600,8 @@ class TestNoNaN:
         instance = GameInstance(n, delays, data.draw(st.integers(1, n)), alpha)
         steps = round(n / resolution)
         for i, f in enumerate(delays, start=1):
-            slopes = oracle._Slopes(f, instance.attack_bonus(i), n / steps, (n - i) * steps)
+            slopes = oracle._Slopes(f.coefficients, instance.attack_bonus(i), n / steps,
+                                    (n - i) * steps)
             assert not any(math.isnan(slopes.entry(k)) for k in range(steps + 1))
             keys = [slopes[k] for k in range(steps)]
             assert not any(math.isnan(s) or math.isnan(e) for s, e, _ in keys)

@@ -148,6 +148,23 @@ class TestStationaryProfile:
         assert not (mu1 > 0.0 and mu2 > 0.0)
         assert all(r <= 1e-10 for r in kkt_residuals(prof.loads, alpha, mult))
 
+    # two loads once escaped as a bare IndexError and an empty max()
+    def test_multipliers_need_three_loads(self):
+        with pytest.raises(ValidationError, match="at least 3 loads, got 2"):
+            kkt_multipliers([1.0, 1.0], 0.5)
+
+    def test_residuals_need_three_loads(self):
+        with pytest.raises(ValidationError, match="at least 3 loads, got 2"):
+            kkt_residuals([1.0, 1.0], 0.5, (1.0, 0.0, 0.0))
+
+    def test_unknown_branch(self):
+        # any other label once passed as abandoning
+        with pytest.raises(ValidationError, match="unknown branch 'abandon'"):
+            kkt_multipliers([0.5, 1.5, 1.0], 0.5, "abandon")
+
+    def test_abandoning_branch(self):
+        assert kkt_multipliers([0.0, 1.5, 1.5], 0.5, ABANDONING) == (3.0, 0.0, 2.5)
+
 
 class TestNumericSearch:
     def test_reference_point(self):
