@@ -56,7 +56,16 @@ def total_mass(values: Iterable[float]) -> float:
 
 def horner(coefficients: Sequence[float], x: float) -> tuple[float, float]:
     """Value and slope at ``x`` of the polynomial with the given coefficients,
-    constant first."""
+    constant first.
+
+    A line, the paper's delay and the common case, runs the loop's two steps
+    written out: the same float operations in the same order, so the same
+    bits for every ``x`` (``-0.0``, ``inf``, NaN and numpy arrays too).
+    """
+    if len(coefficients) == 2:
+        c0, c1 = coefficients
+        value = 0.0 * x + c1
+        return value * x + c0, (0.0 * x + 0.0) * x + value
     value = slope = 0.0
     for c in reversed(coefficients):
         slope = slope * x + value
@@ -153,7 +162,9 @@ class GameInstance:
 
     def attack_bonus(self, server: int) -> float:
         """Delay offset suffered at 1-based ``server`` under the attack; a
-        server outside ``1..n`` raises :class:`ValidationError`."""
+        non-integer index raises ``ValueError`` and a server outside ``1..n``
+        :class:`ValidationError`."""
+        server = as_count(server, "server index")
         if not 1 <= server <= self.n:
             raise ValidationError(f"bad-server-index: server {server} not in 1..{self.n}")
         return self.attack_strength if server == self.attack_target else 0.0
@@ -260,8 +271,9 @@ class LoadProfile:
         return len(self.loads)
 
     def load(self, server: int) -> float:
-        """Load on 1-based ``server``; a server outside ``1..n`` raises
-        :class:`ValidationError`."""
+        """Load on 1-based ``server``; a non-integer index raises ``ValueError``
+        and a server outside ``1..n`` :class:`ValidationError`."""
+        server = as_count(server, "server index")
         if not 1 <= server <= len(self.loads):
             raise ValidationError(f"bad-server-index: server {server} not in 1..{len(self.loads)}")
         return self.loads[server - 1]

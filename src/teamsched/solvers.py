@@ -184,8 +184,9 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
     after one step; otherwise the steps go on until the loads stop moving
     or their largest move, once below :data:`_SETTLED` times the mass, stops
     shrinking, for at most :data:`_FILL_STEPS` steps. The result is
-    rescaled to the exact mass; a mass whose every share underflowed goes
-    whole to the first least start in ``servers`` order.
+    rescaled to the exact mass, or returned as the walk built it where the
+    scale is exactly 1 (``v * 1.0`` is ``v``); a mass whose every share
+    underflowed goes whole to the first least start in ``servers`` order.
     """
     if mass <= 0.0:
         return [0.0] * n
@@ -233,6 +234,8 @@ def _fill_common_level(n: int, servers: Sequence[int], mass: float,
         # underflowed: it goes whole to the line the walk enters first
         y[servers[min(range(len(starts)), key=starts.__getitem__)] - 1] = total = mass
     scale = mass / total
+    if scale == 1.0:
+        return y
     return [v * scale for v in y]
 
 
@@ -433,10 +436,15 @@ def equilibrium_residuals(instance: GameInstance, population: SchedulerPopulatio
 
 
 def _renorm(block: list[float], mass: float) -> list[float]:
+    """``block`` rescaled by ``mass`` over its ``math.fsum``; all zeros when
+    either is not positive. A scale of exactly 1 returns ``block`` itself,
+    which every caller builds fresh."""
     s = math.fsum(block)
     if mass <= 0.0 or s <= 0.0:
         return [0.0] * len(block)
     scale = mass / s
+    if scale == 1.0:
+        return block
     return [v * scale for v in block]
 
 

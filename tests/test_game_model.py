@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import re
+import struct
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -83,6 +85,28 @@ class TestHorner:
         value, slope = horner([float(c) for c in coeffs], float(x))
         assert value == sum(c * x ** j for j, c in enumerate(coeffs))
         assert slope == sum(j * c * x ** (j - 1) for j, c in enumerate(coeffs) if j)
+
+    @staticmethod
+    def _loop(coefficients, x):
+        """The general Horner loop, the reference for the written-out line."""
+        value = slope = 0.0
+        for c in reversed(coefficients):
+            slope = slope * x + value
+            value = value * x + c
+        return value, slope
+
+    def test_degree_one_matches_the_loop(self):
+        coefficients = [0.0, -0.0, 1.0, 0.5, 3.0, 1e300, 5e-324]
+        xs = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.75, -2.5, 1e300,
+              math.inf, -math.inf, math.nan]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c0, c1, x in itertools.product(coefficients, coefficients, xs):
+                ours, theirs = horner((c0, c1), x), self._loop((c0, c1), x)
+                assert struct.pack("<2d", *ours) == struct.pack("<2d", *theirs), (c0, c1, x)
+            axis = np.array(xs)
+            for c0, c1 in itertools.product(coefficients, coefficients):
+                ours, theirs = horner([c0, c1], axis), self._loop([c0, c1], axis)
+                assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
 
 
 class TestMarginalCost:
@@ -458,6 +482,21 @@ class TestServerIndex:
     def test_attack_bonus_outside_servers(self, server):
         with pytest.raises(ValidationError, match=f"server {server} not in 1..3"):
             GameInstance.linear(3, 1.0).attack_bonus(server)
+
+    # 1.5 and True once read as an unattacked server, and load(True) as server 1
+    @pytest.mark.parametrize("server", [1.5, True, math.nan])
+    def test_attack_bonus_rejects_non_integral(self, server):
+        instance = GameInstance.linear(3, 1.0, 2)
+        with pytest.raises(ValueError, match="server index must be an integer"):
+            instance.attack_bonus(server)
+        assert instance.attack_bonus(2.0) == 1.0
+
+    @pytest.mark.parametrize("server", [1.5, True, math.nan])
+    def test_load_rejects_non_integral(self, server):
+        profile = LoadProfile((0.5, 1.0, 1.5))
+        with pytest.raises(ValueError, match="server index must be an integer"):
+            profile.load(server)
+        assert profile.load(2.0) == 1.0
 
 
 class TestDisaggregatedProfile:

@@ -1278,6 +1278,48 @@ class TestBookkeeping:
         assert repr(solvers._renorm(block, mass)) == repr(expected)
 
 
+class TestUnitScale:
+    """A rescale by exactly 1 returns the list as built; other scales still
+    multiply. Both give ``v * (mass / fsum)`` bit for bit."""
+
+    @pytest.mark.parametrize("block, mass, unit", [
+        ([0.5, 0.5], 1.0, True),
+        ([0.1, 0.2, 0.3], 0.6, True),
+        ([2.0, 0.0, 1.0], 3.0, True),
+        ([0.1, 0.2], 0.3, False),
+        ([0.1, 0.7], 0.8, False),
+        ([1.0, 3.0], 2.0, False),
+    ])
+    def test_renorm(self, block, mass, unit):
+        scale = mass / math.fsum(block)
+        assert (scale == 1.0) is unit
+        expected = [v * scale for v in block]
+        assert repr(solvers._renorm(block, mass)) == repr(expected)
+
+    @pytest.mark.parametrize("levels, background, mass, unit", [
+        (((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), [0.0, 0.0, 0.0], 1.0, True),
+        (((0.0, 1.0), (0.0, 3.0), (0.0, 7.0)), [0.1, 0.2, 0.3], 0.9, True),
+        (((0.0, 1.0, 2.0), (0.0, 3.0), (1.0, 0.0, 7.0)), [0.1, 0.2, 0.3], 0.9, True),
+        (((0.8, 2.7), (0.9, 1.2), (0.5, 4.8)), [0.6, 0.5, 0.3], 1.7, False),
+        (((0.8, 2.6), (0.2, 3.3), (0.4, 2.9)), [0.3, 0.6, 0.1], 1.0, False),
+        (((0.0, 1.0, 2.0), (0.0, 3.0), (1.0, 0.0, 7.0)), [0.0, 0.0, 0.0], 2.0, False),
+    ])
+    def test_fill(self, monkeypatch, levels, background, mass, unit):
+        walks = []
+        walk = solvers._walk
+
+        def recorded(*args):
+            y = walk(*args)
+            walks.append(list(y))
+            return y
+
+        monkeypatch.setattr(solvers, "_walk", recorded)
+        got = fill(levels, background, [0.0, 0.0, 0.0], (1, 2, 3), mass)
+        scale = mass / math.fsum(walks[-1])
+        assert (scale == 1.0) is unit
+        assert repr(got) == repr([v * scale for v in walks[-1]])
+
+
 def _isnan_max_worst(residuals):
     """The residual maximum as once written: ``math.isnan``, then ``max``."""
     worst = 0.0
